@@ -5,8 +5,6 @@
 #include <memory>
 
 #include "obs/obs.hpp"
-#include "signal/batch_kernels.hpp"
-#include "signal/render_cache.hpp"
 #include "telemetry/hub.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -86,10 +84,7 @@ EyeDiagram::EyeDiagram(Config config)
   MGT_CHECK(config_.center_window > 0.0 && config_.center_window < 0.5);
 }
 
-void EyeDiagram::on_sample(Picoseconds t, Millivolts v) {
-  crossings_.on_sample(t, v);
-  ++total_;
-
+inline void EyeDiagram::fold(Picoseconds t, Millivolts v) {
   const double ui = config_.ui.ps();
   const double span = 2.0 * ui;
   const double phase2 = positive_mod(t.ps() - config_.t_ref.ps(), span);
@@ -118,41 +113,17 @@ void EyeDiagram::on_sample(Picoseconds t, Millivolts v) {
   }
 }
 
+void EyeDiagram::on_sample(Picoseconds t, Millivolts v) {
+  crossings_.on_sample(t, v);
+  ++total_;
+  fold(t, v);
+}
+
 void EyeDiagram::on_block(const sig::SampleBlock& block) {
   crossings_.on_block(block);
   total_ += block.size;
-
-  const double ui = config_.ui.ps();
-  const double span = 2.0 * ui;
-  // Same subtraction on_sample() performs per sample, hoisted: the result
-  // double is identical, so the kernel transform below is byte-identical
-  // to the per-sample division.
-  const double v_span = config_.v_hi.mv() - config_.v_lo.mv();
-  double vfrac[sig::SampleBlock::kCapacity];
-  sig::kern::scale01(block.v, block.size, config_.v_lo.mv(), v_span, vfrac);
-
   for (std::size_t i = 0; i < block.size; ++i) {
-    const double t = block.t[i];
-    const double v = block.v[i];
-    const double phase2 = positive_mod(t - config_.t_ref.ps(), span);
-    if (vfrac[i] >= 0.0 && vfrac[i] < 1.0) {
-      const auto tb = static_cast<std::size_t>(
-          phase2 / span * static_cast<double>(config_.time_bins));
-      const auto vb = static_cast<std::size_t>(
-          vfrac[i] * static_cast<double>(config_.volt_bins));
-      ++grid_[std::min(tb, config_.time_bins - 1) * config_.volt_bins +
-              std::min(vb, config_.volt_bins - 1)];
-    }
-    const double phase1 = positive_mod(t - config_.t_ref.ps(), ui);
-    if (std::abs(phase1 - ui / 2.0) <= config_.center_window * ui) {
-      if (v >= config_.threshold.mv()) {
-        center_min_high_ = std::min(center_min_high_, v);
-        center_high_.add(v);
-      } else {
-        center_max_low_ = std::max(center_max_low_, v);
-        center_low_.add(v);
-      }
-    }
+    fold(Picoseconds{block.t[i]}, Millivolts{block.v[i]});
   }
 }
 
@@ -269,9 +240,6 @@ EyeDiagram accumulate_eye(const sig::EdgeStream& stream,
   obs::observe("eye.chunk_crossings", 0.0, 4096.0, 64,
                static_cast<double>(out.crossings().size()) /
                    static_cast<double>(n_chunks));
-  // Serial point after the ordered merge: let the render cache advance its
-  // LRU clock and evict deterministically.
-  sig::RenderCache::instance().end_pass();
   telemetry::Hub& hub = telemetry::Hub::instance();
   if (hub.enabled()) {
     // Post-merge tail: these are properties of the merged eye, identical

@@ -69,10 +69,6 @@ public:
   explicit EyeDiagram(Config config);
 
   void on_sample(Picoseconds t, Millivolts v) override;
-  /// Batched accumulation: the crossing scan and the voltage-to-bin-fraction
-  /// transform run through the SIMD kernels over the SoA arrays; the phase
-  /// fold and center-window statistics stay scalar in sample order. Result
-  /// state is byte-identical to per-sample delivery.
   void on_block(const sig::SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;
 
@@ -111,6 +107,10 @@ public:
                                       std::size_t rows = 20) const;
 
 private:
+  /// One grid sample into the density grid and the center-window trackers.
+  /// The body both delivery paths share.
+  inline void fold(Picoseconds t, Millivolts v);
+
   Config config_;
   std::vector<std::size_t> grid_;  // time_bins x volt_bins
   std::size_t total_ = 0;

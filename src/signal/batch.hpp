@@ -3,21 +3,11 @@
 // The renderer fills fixed-capacity SampleBlocks (parallel time/voltage
 // arrays) and hands whole blocks to sinks instead of one virtual call per
 // grid sample. Sinks that implement on_block() run their hot loops over the
-// contiguous arrays — optionally through the SIMD kernels in
-// batch_kernels.hpp — while sinks that don't get a per-sample replay that is
+// contiguous arrays, while sinks that don't get a per-sample replay that is
 // byte-identical to the pre-batch engine.
-//
-// Backend selection: the SIMD kernels exist in a portable scalar variant and
-// (on x86-64 builds) an SSE2 variant. Which one runs is decided at startup
-// from the MGT_SIMD environment variable, and can be overridden from code
-// for tests. Every kernel is restricted to IEEE-exact lanewise operations
-// (compare, min, max, add, sub, div), so the two backends produce
-// byte-identical results; tests/test_simd_equiv.cpp enforces this.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 
 namespace mgt::sig {
 
@@ -41,47 +31,5 @@ struct SampleBlock {
     ++size;
   }
 };
-
-/// Which kernel implementation services batch calls.
-enum class SimdBackend {
-  kScalar = 0,  // portable fallback, always available
-  kSse2 = 1,    // x86-64 SSE2 (baseline on every 64-bit x86)
-};
-
-/// Best backend this binary was compiled with.
-[[nodiscard]] SimdBackend compiled_backend();
-
-/// Backend kernels dispatch to: the override if set, else the MGT_SIMD
-/// environment selection, else compiled_backend().
-[[nodiscard]] SimdBackend active_backend();
-
-/// Parses an MGT_SIMD value: "0"/"off"/"scalar" force the scalar fallback;
-/// unset/empty/"1"/"on"/"auto" pick compiled_backend(); "sse2" asks for
-/// SSE2 (clamped to compiled_backend() on non-x86 builds). Anything else is
-/// rejected (nullopt) and the caller falls back to compiled_backend().
-[[nodiscard]] std::optional<SimdBackend> parse_simd_backend(const char* raw);
-
-/// Count of malformed MGT_SIMD values seen (surfaced by self tests).
-[[nodiscard]] std::uint64_t simd_env_rejections();
-
-/// Forces a backend (tests). Not thread safe against running kernels; set
-/// it only between parallel sections, like util::set_thread_override.
-void set_backend_override(SimdBackend backend);
-void clear_backend_override();
-
-/// RAII backend override for equivalence tests.
-class ScopedSimdBackend {
-public:
-  explicit ScopedSimdBackend(SimdBackend backend);
-  ~ScopedSimdBackend();
-  ScopedSimdBackend(const ScopedSimdBackend&) = delete;
-  ScopedSimdBackend& operator=(const ScopedSimdBackend&) = delete;
-
-private:
-  std::optional<SimdBackend> previous_;
-};
-
-/// Stable name for logs and bench tables ("scalar", "sse2").
-[[nodiscard]] const char* backend_name(SimdBackend backend);
 
 }  // namespace mgt::sig

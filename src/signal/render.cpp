@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
-#include "signal/render_cache.hpp"
 #include "telemetry/hub.hpp"
 #include "util/error.hpp"
 
@@ -214,32 +213,7 @@ void render_chunk(const EdgeStream& stream, FilterChain chain,
   obs::add_counter("render.chunks");
   obs::add_counter("render.chunk_samples", k1 - k0);
 
-  RenderCache& cache = RenderCache::instance();
-  if (!cache.enabled()) {
-    run_window(stream, chain, config, t_begin, k0 - settle, k0, k1, sinks);
-    return;
-  }
-  RenderCacheKey key;
-  key.stream_digest = stream.content_digest();
-  key.chain_digest = render_cache_chain_digest(chain);
-  key.voh = config.levels.voh;
-  key.vol = config.levels.vol;
-  key.sample_step = config.sample_step;
-  key.t_begin = t_begin;
-  key.k_emit = k0;
-  key.k_end = k1;
-  key.settle = settle;
-  if (cache.replay(key, config, sinks)) {
-    return;
-  }
-  // Miss: render with a recording tee appended so the chunk is admitted
-  // for the next identical render. The tee changes nothing the real sinks
-  // see — run_window treats it as one more sink.
-  RecordingSink recorder;
-  std::vector<WaveformSink*> tee = sinks;
-  tee.push_back(&recorder);
-  run_window(stream, chain, config, t_begin, k0 - settle, k0, k1, tee);
-  cache.insert(key, recorder);
+  run_window(stream, chain, config, t_begin, k0 - settle, k0, k1, sinks);
 }
 
 }  // namespace mgt::sig

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 
-#include "signal/batch_kernels.hpp"
 #include "util/error.hpp"
 
 namespace mgt::sig {
 
-void CrossingRecorder::on_sample(Picoseconds t, Millivolts v) {
+inline void CrossingRecorder::fold(Picoseconds t, Millivolts v) {
   const double th = threshold_.mv();
   if (have_prev_) {
     const bool was_below = prev_v_ < th;
@@ -25,38 +23,12 @@ void CrossingRecorder::on_sample(Picoseconds t, Millivolts v) {
   have_prev_ = true;
 }
 
+void CrossingRecorder::on_sample(Picoseconds t, Millivolts v) { fold(t, v); }
+
 void CrossingRecorder::on_block(const SampleBlock& block) {
-  if (block.size == 0) {
-    return;
+  for (std::size_t i = 0; i < block.size; ++i) {
+    fold(Picoseconds{block.t[i]}, Millivolts{block.v[i]});
   }
-  const double th = threshold_.mv();
-  std::size_t first = 0;
-  if (!have_prev_) {
-    // The first-ever sample only primes the pair state, exactly like the
-    // first on_sample() call.
-    prev_t_ = block.t[0];
-    prev_v_ = block.v[0];
-    have_prev_ = true;
-    first = 1;
-    if (block.size == 1) {
-      return;
-    }
-  }
-  std::uint32_t straddle[SampleBlock::kCapacity];
-  const std::size_t count = kern::find_straddles(
-      prev_v_, block.v + first, block.size - first, th, straddle);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j = first + straddle[i];
-    const double pt = j == first ? prev_t_ : block.t[j - 1];
-    const double pv = j == first ? prev_v_ : block.v[j - 1];
-    if (block.v[j] != pv) {
-      const double frac = (th - pv) / (block.v[j] - pv);
-      const double tc = pt + frac * (block.t[j] - pt);
-      crossings_.push_back({Picoseconds{tc}, pv < th});
-    }
-  }
-  prev_t_ = block.t[block.size - 1];
-  prev_v_ = block.v[block.size - 1];
 }
 
 void CrossingRecorder::on_context(Picoseconds t, Millivolts v) {
@@ -163,7 +135,7 @@ AmplitudeTracker::AmplitudeTracker(Millivolts decision_threshold,
                                    MvPerPs slope_limit)
     : threshold_(decision_threshold), slope_limit_(slope_limit) {}
 
-void AmplitudeTracker::on_sample(Picoseconds t, Millivolts v) {
+inline void AmplitudeTracker::fold(Picoseconds t, Millivolts v) {
   max_ = std::max(max_, v.mv());
   min_ = std::min(min_, v.mv());
   if (have_prev_) {
@@ -182,34 +154,11 @@ void AmplitudeTracker::on_sample(Picoseconds t, Millivolts v) {
   have_prev_ = true;
 }
 
+void AmplitudeTracker::on_sample(Picoseconds t, Millivolts v) { fold(t, v); }
+
 void AmplitudeTracker::on_block(const SampleBlock& block) {
-  if (block.size == 0) {
-    return;
-  }
-  // Extremes are order-independent, so they vectorize; the slope-gated
-  // Welford accumulation below must stay in sample order.
-  double mn = 0.0;
-  double mx = 0.0;
-  kern::range_minmax(block.v, block.size, &mn, &mx);
-  max_ = std::max(max_, mx);
-  min_ = std::min(min_, mn);
   for (std::size_t i = 0; i < block.size; ++i) {
-    const double t = block.t[i];
-    const double v = block.v[i];
-    if (have_prev_) {
-      const double dt = t - prev_t_;
-      const double slope = dt > 0.0 ? std::abs(v - prev_v_) / dt : 0.0;
-      if (slope <= slope_limit_.mv_per_ps()) {
-        if (v >= threshold_.mv()) {
-          high_.add(v);
-        } else {
-          low_.add(v);
-        }
-      }
-    }
-    prev_t_ = t;
-    prev_v_ = v;
-    have_prev_ = true;
+    fold(Picoseconds{block.t[i]}, Millivolts{block.v[i]});
   }
 }
 

@@ -29,9 +29,6 @@ public:
   explicit CrossingRecorder(Millivolts threshold) : threshold_(threshold) {}
 
   void on_sample(Picoseconds t, Millivolts v) override;
-  /// Batched scan: the straddle search runs through the SIMD kernels over
-  /// the SoA arrays; interpolation at each straddle stays scalar in sample
-  /// order, so the crossing list is byte-identical to per-sample delivery.
   void on_block(const SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;
 
@@ -44,6 +41,10 @@ public:
   void merge(const CrossingRecorder& later);
 
 private:
+  /// One grid sample: records the crossing of the pair it closes, if any.
+  /// The body both delivery paths share.
+  inline void fold(Picoseconds t, Millivolts v);
+
   Millivolts threshold_;
   bool have_prev_ = false;
   double prev_t_ = 0.0;
@@ -131,9 +132,6 @@ public:
                             MvPerPs slope_limit = MvPerPs{0.5});
 
   void on_sample(Picoseconds t, Millivolts v) override;
-  /// Batched: min/max go through the SIMD kernels (order-independent and
-  /// exact); the slope-gated Welford statistics stay scalar in sample order
-  /// so the result is byte-identical to per-sample delivery.
   void on_block(const SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;
 
@@ -150,6 +148,10 @@ public:
   }
 
 private:
+  /// One grid sample into the extremes and the slope-gated statistics.
+  /// The body both delivery paths share.
+  inline void fold(Picoseconds t, Millivolts v);
+
   Millivolts threshold_;
   MvPerPs slope_limit_;
   bool have_prev_ = false;

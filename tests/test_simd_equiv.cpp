@@ -1,18 +1,13 @@
-// SIMD/batch equivalence gate (ctest label: simd).
+// Block-delivery equivalence gate (ctest label: simd).
 //
-// The batched waveform engine is only allowed to exist because every result
-// it produces is byte-identical to the scalar per-sample engine. This suite
-// is that gate:
+// The renderer hands samples to sinks in SoA SampleBlocks; that is only
+// allowed because every result it produces is byte-identical to per-sample
+// delivery. This suite is that gate:
 //
-//   - kernel level: scalar and SSE2 variants of every batch kernel agree
-//     bitwise on random data, including empty/odd/boundary lengths;
 //   - sink level: block delivery produces the same state as per-sample
 //     delivery for ANY partitioning of the sample sequence into blocks;
-//   - pipeline level: a full chunked eye accumulation is bitwise identical
-//     under forced-scalar and compiled-best backends;
-//   - cache level: cache-off, cache-cold and cache-warm runs of the same
-//     workload are bitwise identical, near-miss keys never alias to a hit,
-//     and hit/miss totals are pure functions of the render sequence;
+//   - pipeline level: a chunked eye accumulation over one chunk is bitwise
+//     identical to a single-pass render();
 //   - parallel level: a mixed eye + shmoo workload is bitwise identical at
 //     MGT_THREADS 0, 1 and 8;
 //   - plus the chunk-boundary regression the harness exposed: a zero
@@ -28,13 +23,10 @@
 
 #include "analysis/eye.hpp"
 #include "minitester/shmoo.hpp"
-#include "obs/obs.hpp"
 #include "signal/batch.hpp"
-#include "signal/batch_kernels.hpp"
 #include "signal/edge.hpp"
 #include "signal/filter.hpp"
 #include "signal/render.hpp"
-#include "signal/render_cache.hpp"
 #include "signal/sinks.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -44,20 +36,6 @@ namespace {
 using namespace mgt;
 
 std::uint64_t dbits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-// ---------------------------------------------------------------- data ----
-
-std::vector<double> random_walk(std::uint64_t seed, std::size_t n,
-                                double center, double step) {
-  Rng rng(seed);
-  std::vector<double> v(n);
-  double x = center;
-  for (std::size_t i = 0; i < n; ++i) {
-    x += rng.uniform(-step, step);
-    v[i] = x;
-  }
-  return v;
-}
 
 // Deterministic per-edge jitter that needs no shared RNG state: hash the
 // bit index, map to a small offset. Pure function of the index, so streams
@@ -122,121 +100,6 @@ std::vector<std::uint64_t> fingerprint(const ana::EyeDiagram& eye) {
   fp.push_back(dbits(m.level_high.mv()));
   fp.push_back(dbits(m.level_low.mv()));
   return fp;
-}
-
-std::uint64_t counter_value(const char* name) {
-  return obs::registry().counter(name).value();
-}
-
-struct CacheCounters {
-  std::uint64_t hits, misses, inserts, collisions;
-  static CacheCounters read() {
-    return {counter_value("render_cache.hits"),
-            counter_value("render_cache.misses"),
-            counter_value("render_cache.inserts"),
-            counter_value("render_cache.collisions")};
-  }
-  CacheCounters delta_since(const CacheCounters& base) const {
-    return {hits - base.hits, misses - base.misses, inserts - base.inserts,
-            collisions - base.collisions};
-  }
-};
-
-// ------------------------------------------------------- kernel gate ----
-
-const std::size_t kLens[] = {0, 1, 2, 3, 31, 63, 64, 65, 127, 511, 512};
-
-TEST(KernelEquiv, RangeMinmaxBackendsByteIdentical) {
-  for (std::size_t n : kLens) {
-    const auto v = random_walk(0xA11CEull + n, n, 2000.0, 35.0);
-    double smin = 0, smax = 0, vmin = 0, vmax = 0;
-    sig::kern::range_minmax_scalar(v.data(), n, &smin, &smax);
-    sig::kern::range_minmax_sse2(v.data(), n, &vmin, &vmax);
-    EXPECT_EQ(dbits(smin), dbits(vmin)) << "n=" << n;
-    EXPECT_EQ(dbits(smax), dbits(vmax)) << "n=" << n;
-    // Reference: plain fold.
-    double rmin = std::numeric_limits<double>::infinity();
-    double rmax = -std::numeric_limits<double>::infinity();
-    for (double x : v) {
-      rmin = std::min(rmin, x);
-      rmax = std::max(rmax, x);
-    }
-    EXPECT_EQ(dbits(smin), dbits(rmin)) << "n=" << n;
-    EXPECT_EQ(dbits(smax), dbits(rmax)) << "n=" << n;
-  }
-}
-
-TEST(KernelEquiv, FindStraddlesBackendsIdentical) {
-  const double th = 2000.0;
-  for (std::size_t n : kLens) {
-    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-      const auto v = random_walk(seed * 7919 + n, n, 2000.0, 40.0);
-      const double prev0 = (seed % 2 == 0) ? 1990.0 : 2010.0;
-      std::vector<std::uint32_t> a(n + 1), b(n + 1);
-      const std::size_t na =
-          sig::kern::find_straddles_scalar(prev0, v.data(), n, th, a.data());
-      const std::size_t nb =
-          sig::kern::find_straddles_sse2(prev0, v.data(), n, th, b.data());
-      ASSERT_EQ(na, nb) << "n=" << n << " seed=" << seed;
-      for (std::size_t i = 0; i < na; ++i) {
-        EXPECT_EQ(a[i], b[i]) << "n=" << n << " seed=" << seed;
-      }
-      // Reference: pairwise scan.
-      std::vector<std::uint32_t> ref;
-      double prev = prev0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if ((prev < th) != (v[i] < th)) {
-          ref.push_back(static_cast<std::uint32_t>(i));
-        }
-        prev = v[i];
-      }
-      ASSERT_EQ(na, ref.size()) << "n=" << n << " seed=" << seed;
-      for (std::size_t i = 0; i < na; ++i) {
-        EXPECT_EQ(a[i], ref[i]);
-      }
-    }
-  }
-}
-
-TEST(KernelEquiv, Scale01BackendsByteIdentical) {
-  const double lo = 1500.0;
-  const double span = 1000.0;
-  for (std::size_t n : kLens) {
-    const auto v = random_walk(0xBEEFull + n, n, 2000.0, 50.0);
-    std::vector<double> a(n + 1, -1.0), b(n + 1, -1.0);
-    sig::kern::scale01_scalar(v.data(), n, lo, span, a.data());
-    sig::kern::scale01_sse2(v.data(), n, lo, span, b.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(dbits(a[i]), dbits(b[i])) << "n=" << n << " i=" << i;
-      EXPECT_EQ(dbits(a[i]), dbits((v[i] - lo) / span));
-    }
-  }
-}
-
-TEST(KernelEquiv, SimdEnvParsing) {
-  using sig::SimdBackend;
-  EXPECT_EQ(sig::parse_simd_backend("0"), SimdBackend::kScalar);
-  EXPECT_EQ(sig::parse_simd_backend("off"), SimdBackend::kScalar);
-  EXPECT_EQ(sig::parse_simd_backend("scalar"), SimdBackend::kScalar);
-  EXPECT_EQ(sig::parse_simd_backend("1"), sig::compiled_backend());
-  EXPECT_EQ(sig::parse_simd_backend("on"), sig::compiled_backend());
-  EXPECT_EQ(sig::parse_simd_backend("auto"), sig::compiled_backend());
-  EXPECT_EQ(sig::parse_simd_backend(nullptr), sig::compiled_backend());
-  EXPECT_EQ(sig::parse_simd_backend(""), sig::compiled_backend());
-  EXPECT_EQ(sig::parse_simd_backend("avx999"), std::nullopt);
-  EXPECT_EQ(sig::parse_simd_backend("2"), std::nullopt);
-}
-
-TEST(KernelEquiv, ScopedBackendOverrides) {
-  {
-    sig::ScopedSimdBackend forced(sig::SimdBackend::kScalar);
-    EXPECT_EQ(sig::active_backend(), sig::SimdBackend::kScalar);
-    {
-      sig::ScopedSimdBackend inner(sig::compiled_backend());
-      EXPECT_EQ(sig::active_backend(), sig::compiled_backend());
-    }
-    EXPECT_EQ(sig::active_backend(), sig::SimdBackend::kScalar);
-  }
 }
 
 // ------------------------------------------------ block delivery gate ----
@@ -367,25 +230,8 @@ ana::EyeDiagram run_eye_workload(std::uint64_t seed) {
                              eye_config(ui), chunking);
 }
 
-TEST(PipelineEquiv, SimdMatchesScalarOverFullEye) {
-  sig::ScopedRenderCache cache_off(false);
-  std::vector<std::uint64_t> fp_scalar, fp_best;
-  {
-    sig::ScopedSimdBackend forced(sig::SimdBackend::kScalar);
-    fp_scalar = fingerprint(run_eye_workload(11));
-  }
-  {
-    sig::ScopedSimdBackend forced(sig::compiled_backend());
-    fp_best = fingerprint(run_eye_workload(11));
-  }
-  // On non-x86 builds both runs use the scalar kernels and this still
-  // verifies determinism of the engine; on x86-64 it is the real SIMD ==
-  // scalar byte-identity contract.
-  EXPECT_EQ(fp_scalar, fp_best);
-}
-
 TEST(PipelineEquiv, BlockedEngineMatchesPlainRenderSinglePass) {
-  // render() (single pass, never chunked or cached) against the chunked
+  // render() (single pass, never chunked) against the chunked
   // accumulate path over a single-chunk window: the documented identity.
   const Picoseconds ui{400.0};
   const std::size_t n_bits = 24;
@@ -398,168 +244,19 @@ TEST(PipelineEquiv, BlockedEngineMatchesPlainRenderSinglePass) {
   std::vector<sig::WaveformSink*> sinks{&direct};
   sig::render(stream, chain, rc, Picoseconds{0}, t_end, sinks);
 
-  sig::ScopedRenderCache cache_off(false);
   const sig::RenderChunking one_chunk{1u << 26, 2048};
   const ana::EyeDiagram chunked = ana::accumulate_eye(
       stream, chain, rc, Picoseconds{0}, t_end, eye_config(ui), one_chunk);
   EXPECT_EQ(fingerprint(direct), fingerprint(chunked));
 }
 
-// ------------------------------------------------------- cache gate ----
-
-TEST(CacheEquiv, OffColdAndWarmRunsByteIdentical) {
-  sig::RenderCache& cache = sig::RenderCache::instance();
-
-  cache.clear();
-  std::vector<std::uint64_t> fp_off;
-  CacheCounters off_delta{};
-  {
-    sig::ScopedRenderCache off(false);
-    const CacheCounters before = CacheCounters::read();
-    fp_off = fingerprint(run_eye_workload(42));
-    off_delta = CacheCounters::read().delta_since(before);
-  }
-  // Kill switch means fully bypassed: no counter moves at all.
-  EXPECT_EQ(off_delta.hits, 0u);
-  EXPECT_EQ(off_delta.misses, 0u);
-  EXPECT_EQ(off_delta.inserts, 0u);
-
-  sig::ScopedRenderCache on(true);
-  cache.clear();
-  const CacheCounters before_cold = CacheCounters::read();
-  const std::vector<std::uint64_t> fp_cold = fingerprint(run_eye_workload(42));
-  const CacheCounters cold = CacheCounters::read().delta_since(before_cold);
-  EXPECT_EQ(cold.hits, 0u);
-  EXPECT_GT(cold.misses, 0u);
-  EXPECT_EQ(cold.inserts, cold.misses);
-  EXPECT_GT(cache.entry_count(), 0u);
-  EXPECT_GT(cache.entry_bytes(), 0u);
-
-  const CacheCounters before_warm = CacheCounters::read();
-  const std::vector<std::uint64_t> fp_warm = fingerprint(run_eye_workload(42));
-  const CacheCounters warm = CacheCounters::read().delta_since(before_warm);
-  EXPECT_EQ(warm.misses, 0u);
-  EXPECT_EQ(warm.hits, cold.misses);
-
-  EXPECT_EQ(fp_off, fp_cold);
-  EXPECT_EQ(fp_off, fp_warm);
-  cache.clear();
-}
-
-TEST(CacheEquiv, KeyDigestSeparatesEveryField) {
-  sig::RenderCacheKey base;
-  base.stream_digest = 0x1111;
-  base.chain_digest = 0x2222;
-  base.voh = Millivolts{2400.0};
-  base.vol = Millivolts{1600.0};
-  base.sample_step = Picoseconds{0.5};
-  base.t_begin = Picoseconds{0.0};
-  base.k_emit = 1u << 20;
-  base.k_end = 2u << 20;
-  base.settle = 32768;
-
-  std::vector<sig::RenderCacheKey> near_misses;
-  auto add = [&](auto&& mutate) {
-    sig::RenderCacheKey k = base;
-    mutate(k);
-    near_misses.push_back(k);
-  };
-  add([](auto& k) { k.stream_digest ^= 1; });
-  add([](auto& k) { k.chain_digest ^= 1; });
-  add([](auto& k) {
-    k.voh = Millivolts{std::nextafter(k.voh.mv(), 1e9)};
-  });
-  add([](auto& k) {
-    k.vol = Millivolts{std::nextafter(k.vol.mv(), 1e9)};
-  });
-  add([](auto& k) {
-    k.sample_step = Picoseconds{std::nextafter(k.sample_step.ps(), 1.0)};
-  });
-  add([](auto& k) {
-    k.t_begin = Picoseconds{std::nextafter(k.t_begin.ps(), 1.0)};
-  });
-  add([](auto& k) { k.k_emit += 1; });  // different chunk bounds
-  add([](auto& k) { k.k_end += 1; });
-  add([](auto& k) { k.settle += 1; });
-
-  for (std::size_t i = 0; i < near_misses.size(); ++i) {
-    EXPECT_FALSE(near_misses[i] == base) << "field " << i;
-    EXPECT_NE(near_misses[i].digest(), base.digest()) << "field " << i;
-  }
-}
-
-TEST(CacheEquiv, NearMissWorkloadsNeverAliasToHits) {
-  sig::ScopedRenderCache on(true);
-  sig::RenderCache& cache = sig::RenderCache::instance();
-  cache.clear();
-
-  const Picoseconds ui{400.0};
-  const std::size_t n_bits = 48;
-  const Picoseconds t_end{static_cast<double>(n_bits) * ui.ps()};
-  const sig::EdgeStream stream = test_stream(99, n_bits, ui);
-  const sig::RenderConfig rc;
-  const sig::RenderChunking chunking{4096, 2048};
-
-  auto run = [&](const sig::EdgeStream& s, const sig::FilterChain& c,
-                 const sig::RenderChunking& ch) {
-    const CacheCounters before = CacheCounters::read();
-    (void)ana::accumulate_eye(s, c, rc, Picoseconds{0}, t_end, eye_config(ui),
-                              ch);
-    return CacheCounters::read().delta_since(before);
-  };
-
-  // Warm the cache with the base configuration.
-  const CacheCounters base = run(stream, test_chain(), chunking);
-  EXPECT_EQ(base.hits, 0u);
-  EXPECT_GT(base.misses, 0u);
-
-  // A filter-chain parameter one ULP off must miss on every chunk.
-  sig::FilterChain chain_off;
-  chain_off.add_pole(Picoseconds{std::nextafter(40.0, 41.0)})
-      .add_pole(Picoseconds{25.0})
-      .set_gain(0.9, Millivolts{2000.0});
-  const CacheCounters ulp = run(stream, chain_off, chunking);
-  EXPECT_EQ(ulp.hits, 0u);
-  EXPECT_GT(ulp.misses, 0u);
-  EXPECT_EQ(ulp.collisions, 0u);
-
-  // Different chunk bounds over the same window: same samples eventually,
-  // but the chunk windows differ, so nothing may alias. (Bounds whose
-  // decompositions share a window — e.g. halving 4096 to 2048 makes the
-  // final partial chunks coincide exactly — legitimately hit, because an
-  // equal key really does mean byte-identical samples; 3000 shares no
-  // window with the 4096 decomposition over this sample count.)
-  const CacheCounters bounds = run(stream, test_chain(), {3000, 2048});
-  EXPECT_EQ(bounds.hits, 0u);
-  EXPECT_GT(bounds.misses, 0u);
-
-  // A stream nudged in time misses everywhere.
-  const CacheCounters nudged =
-      run(stream.shifted(Picoseconds{1.0 / 4096.0}), test_chain(), chunking);
-  EXPECT_EQ(nudged.hits, 0u);
-
-  // The exact base configuration again: all hits, zero misses.
-  const CacheCounters again = run(stream, test_chain(), chunking);
-  EXPECT_EQ(again.misses, 0u);
-  EXPECT_EQ(again.hits, base.misses);
-  cache.clear();
-}
-
 // ----------------------------------------------------- parallel gate ----
 
-// Mixed workload: a chunked eye pass, a warm repeat of it, and a small
-// shmoo whose cells each run a nested eye accumulation. Returns every
-// result double bit-cast, plus the cache hit/miss deltas — all of which
-// must be identical at every worker count.
+// Mixed workload: a chunked eye pass and a small shmoo whose cells each run
+// a nested eye accumulation. Returns every result double bit-cast, all of
+// which must be identical at every worker count.
 std::vector<std::uint64_t> mixed_workload() {
-  sig::RenderCache::instance().clear();
-  std::vector<std::uint64_t> out;
-
-  const CacheCounters before = CacheCounters::read();
-  const auto fp1 = fingerprint(run_eye_workload(1234));
-  out.insert(out.end(), fp1.begin(), fp1.end());
-  const auto fp2 = fingerprint(run_eye_workload(1234));  // warm repeat
-  out.insert(out.end(), fp2.begin(), fp2.end());
+  std::vector<std::uint64_t> out = fingerprint(run_eye_workload(1234));
 
   const minitester::Shmoo shmoo = minitester::run_shmoo(
       "tau_ps", {20.0, 30.0, 40.0}, "jitter_ps", {0.0, 2.0, 5.0},
@@ -585,17 +282,10 @@ std::vector<std::uint64_t> mixed_workload() {
       out.push_back(dbits(x));
     }
   }
-  const CacheCounters delta = CacheCounters::read().delta_since(before);
-  out.push_back(delta.hits);
-  out.push_back(delta.misses);
-  out.push_back(delta.inserts);
-  out.push_back(delta.collisions);
-  sig::RenderCache::instance().clear();
   return out;
 }
 
 TEST(ParallelEquiv, MixedEyeShmooWorkloadByteIdenticalAcrossThreadCounts) {
-  sig::ScopedRenderCache on(true);
   std::vector<std::uint64_t> serial, one, eight;
   {
     util::ScopedThreads t(0);  // serial fallback
@@ -625,8 +315,6 @@ TEST(ParallelEquiv, MixedEyeShmooWorkloadByteIdenticalAcrossThreadCounts) {
 // the render.hpp promise that pairwise sinks see every adjacent pair
 // exactly once.
 TEST(ChunkedRenderRegression, ZeroSettleMustNotDropBoundaryCrossings) {
-  sig::ScopedRenderCache cache_off(false);
-
   // Ideal square wave through a pole-free chain: transitions at t = 0, 50,
   // 100, ... ps. At the 0.5 ps grid every transition lands exactly on
   // sample index 100*m — which chunk_samples = 100 places at a chunk

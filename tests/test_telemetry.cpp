@@ -27,7 +27,6 @@
 #include "signal/edge.hpp"
 #include "signal/filter.hpp"
 #include "signal/render.hpp"
-#include "signal/render_cache.hpp"
 #include "telemetry/channel.hpp"
 #include "telemetry/decoder.hpp"
 #include "telemetry/encoder.hpp"
@@ -706,7 +705,7 @@ eye_workload_with_telemetry() {
       sig::RenderChunking{4096, 2048});
 
   // A direct serial render exercises the waveform tap.
-  sig::RecordingSink record;
+  sig::WaveformTrace record;
   sig::render(stream, chain, sig::RenderConfig{}, Picoseconds{0},
               Picoseconds{8 * ui.ps()}, {&record});
 
@@ -717,7 +716,7 @@ eye_workload_with_telemetry() {
   std::vector<std::uint64_t> fp;
   fp.push_back(eye.total_samples());
   fp.push_back(eye.crossings().size());
-  for (double v : record.samples()) {
+  for (double v : record.volts_mv()) {
     std::uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
@@ -754,7 +753,6 @@ TEST(TelemetryHub, DisabledMeansZeroPacketsAndUntouchedResults) {
 
 TEST(TelemetryHub, PublishedStreamByteIdenticalAcrossThreadCounts) {
   telemetry::ScopedTelemetry on(true);
-  sig::ScopedRenderCache cache_off(false);
   std::vector<std::uint8_t> serial, one, eight;
   std::vector<std::uint64_t> fp0, fp1, fp8;
   {
