@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "obs/obs.hpp"
-#include "telemetry/hub.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -240,21 +239,6 @@ EyeDiagram accumulate_eye(const sig::EdgeStream& stream,
   obs::observe("eye.chunk_crossings", 0.0, 4096.0, 64,
                static_cast<double>(out.crossings().size()) /
                    static_cast<double>(n_chunks));
-  telemetry::Hub& hub = telemetry::Hub::instance();
-  if (hub.enabled()) {
-    // Post-merge tail: these are properties of the merged eye, identical
-    // at every worker count, so the telemetry stream is too.
-    telemetry::MetricSnapshot snap;
-    snap.entries.push_back(
-        telemetry::MetricEntry::counter("eye.samples", out.total_samples()));
-    snap.entries.push_back(telemetry::MetricEntry::counter(
-        "eye.crossings", out.crossings().size()));
-    // The unit survives in the metric name: the wire codec is unit-erased
-    // by design.
-    snap.entries.push_back(telemetry::MetricEntry::gauge(  // mgtlint:allow(unit-flow-raw-double)
-        "eye.height_mv", out.eye_height().mv()));
-    hub.publish_metrics(out.total_samples(), std::move(snap));
-  }
   return out;
 }
 

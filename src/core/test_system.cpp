@@ -12,7 +12,6 @@
 #include "signal/render.hpp"
 #include "signal/sinks.hpp"
 #include "util/error.hpp"
-#include "util/env.hpp"
 #include "util/parallel.hpp"
 
 namespace mgt::core {
@@ -294,16 +293,11 @@ fault::HealthReport TestSystem::self_test() {
   {
     obs::refresh_bridged();
     const std::uint64_t rejections = util::thread_env_rejections();
-    const std::uint64_t env_rejections = util::env_rejections();
     if (rejections > 0) {
       report.add("obs", fault::HealthStatus::kDegraded,
                  "MGT_THREADS rejected as malformed or out of range (" +
                      std::to_string(rejections) +
                      " parse rejections); running serial");
-    } else if (env_rejections > 0) {
-      report.add("obs", fault::HealthStatus::kDegraded,
-                 "malformed environment knobs rejected, defaults kept: " +
-                     util::env_rejected_names());
     } else if (!obs::enabled()) {
       report.add("obs", fault::HealthStatus::kOk, "metrics disabled");
     } else {

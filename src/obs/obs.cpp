@@ -9,7 +9,6 @@
 #include <sstream>
 #include <vector>
 
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -71,14 +70,7 @@ struct Registry::Impl {
   std::uint64_t spans_dropped = 0;
 };
 
-Registry::Registry() : impl_(new Impl) {
-  // MGT_OBS=0 / off / false disables instrumentation for overhead-sensitive
-  // runs; unset leaves it on and a malformed value keeps the default while
-  // being counted in util::env_rejections ("mgt.env.rejected").
-  if (!util::env_flag("MGT_OBS").value_or(true)) {
-    enabled_.store(false, std::memory_order_relaxed);
-  }
-}
+Registry::Registry() : impl_(new Impl) {}
 
 Registry& Registry::instance() {
   static Registry* g = new Registry();  // never destroyed: references from
@@ -293,7 +285,6 @@ void refresh_bridged() {
     return;
   }
   r.counter("mgt.threads.rejected").set(util::thread_env_rejections());
-  r.counter("mgt.env.rejected").set(util::env_rejections());
 }
 
 }  // namespace mgt::obs

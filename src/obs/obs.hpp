@@ -18,9 +18,9 @@
 //     sim-tick cost and the wall-clock cost of a scope, but wall time is
 //     quarantined in profile_wall_ns() / the benches' "wallclock_ns" JSON
 //     section and is excluded from the deterministic snapshot.
-//  3. Disabled mode (set_enabled(false), or MGT_OBS=0 in the environment)
-//     turns every instrumentation helper into an early-out on one relaxed
-//     atomic load; simulation results are byte-identical either way.
+//  3. Disabled mode (Registry::set_enabled(false)) turns every
+//     instrumentation helper into an early-out on one relaxed atomic load;
+//     simulation results are byte-identical either way.
 //
 // Instrumentation sites use the free helpers (add_counter, set_gauge,
 // observe, record_span) — they skip registry registration entirely when

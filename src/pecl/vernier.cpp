@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
-#include "util/env.hpp"
 #include "util/error.hpp"
 
 namespace mgt::pecl {
@@ -17,37 +15,6 @@ std::string_view to_string(TimingMode mode) {
       return "vernier";
   }
   return "unknown";
-}
-
-std::optional<TimingMode> parse_timing_mode(const char* raw) {
-  if (raw == nullptr || raw[0] == '\0') {
-    return std::nullopt;
-  }
-  const std::string_view value(raw);
-  if (value == "stepped") {
-    return TimingMode::kStepped;
-  }
-  if (value == "vernier") {
-    return TimingMode::kVernier;
-  }
-  return std::nullopt;
-}
-
-TimingMode default_timing_mode() {
-  static const TimingMode mode = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) - parsed once, before threads
-    const char* raw = std::getenv("MGT_TIMING_MODE");
-    if (raw == nullptr || raw[0] == '\0') {
-      return TimingMode::kStepped;
-    }
-    const auto parsed = parse_timing_mode(raw);
-    if (!parsed) {
-      util::note_env_rejection("MGT_TIMING_MODE");
-      return TimingMode::kStepped;
-    }
-    return *parsed;
-  }();
-  return mode;
 }
 
 VernierTimebase::VernierTimebase(Config config, Rng rng) : config_(config) {

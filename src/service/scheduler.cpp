@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "obs/obs.hpp"
-#include "telemetry/hub.hpp"
 #include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -122,10 +121,6 @@ bool Scheduler::drain(std::uint64_t max_ticks) {
   }
   obs::record_span("service.drain", begin, tick_);
   obs::set_gauge("service.tick", static_cast<double>(tick_));
-  // Drain is the service layer's serial settle point: snapshot the obs
-  // registry into the metrics telemetry stream (no-op when MGT_TELEMETRY
-  // is off; the registry values are deterministic, so the stream is too).
-  telemetry::Hub::instance().publish_obs_snapshot(tick_);
   return drained;
 }
 
@@ -455,28 +450,6 @@ void Scheduler::finalize(std::uint64_t plan_id) {
   obs::observe("service.latency_ticks", 0.0, 65536.0, 128,
                static_cast<double>(tick_ - p.admitted_tick));
   --tenants_.find(p.plan.tenant)->second.unfinished;
-
-  telemetry::Hub& hub = telemetry::Hub::instance();
-  if (hub.enabled()) {
-    // Finalize runs on the serial tick machine, so the summary stream is
-    // identical at every MGT_THREADS setting.
-    telemetry::PlanSummary s;
-    s.plan_id = r.plan_id;
-    s.kind = static_cast<std::uint8_t>(r.kind);
-    s.outcome = static_cast<std::uint8_t>(r.outcome);
-    s.tenant = r.tenant;
-    s.shards = static_cast<std::uint32_t>(r.shards);
-    s.shards_completed = static_cast<std::uint32_t>(r.shards_completed);
-    s.shards_abandoned = static_cast<std::uint32_t>(r.shards_abandoned);
-    s.chunks_completed = r.chunks_completed;
-    s.chunks_retried = r.chunks_retried;
-    s.chunks_abandoned = r.chunks_abandoned;
-    s.admitted_tick = r.admitted_tick;
-    s.finished_tick = r.finished_tick;
-    s.deadline_exceeded = r.deadline_exceeded ? 1 : 0;
-    s.digest = r.digest;
-    hub.publish_plan(tick_, std::move(s));
-  }
 }
 
 void Scheduler::force_finalize_all() {

@@ -3,59 +3,11 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
-#include "telemetry/hub.hpp"
 #include "util/error.hpp"
 
 namespace mgt::sig {
 
 namespace {
-
-/// Decimating telemetry tee: forwards nothing, keeps every Nth rendered
-/// sample, and publishes bounded WaveformChunk records to the hub. Only
-/// constructed when MGT_TELEMETRY is on, and only in render() — the serial
-/// entry point — so the published stream is thread-count independent and a
-/// disabled run never pays for it.
-class TelemetryTap final : public WaveformSink {
-public:
-  TelemetryTap(std::size_t decimation, double dt_ps)
-      : decimation_(decimation == 0 ? 1 : decimation), dt_ps_(dt_ps) {}
-
-  static constexpr std::size_t kChunkSamples = 512;
-
-  void on_sample(Picoseconds t, Millivolts v) override {
-    if (phase_ == 0) {
-      if (chunk_.samples.empty()) {
-        chunk_.t0_ps = t.ps();
-      }
-      chunk_.samples.push_back(v.mv());
-      if (chunk_.samples.size() >= kChunkSamples) {
-        publish();
-      }
-    }
-    phase_ = (phase_ + 1 == decimation_) ? 0 : phase_ + 1;
-    ++index_;
-  }
-
-  void finish() override {
-    if (!chunk_.samples.empty()) {
-      publish();
-    }
-  }
-
-private:
-  void publish() {
-    chunk_.decimation = static_cast<std::uint32_t>(decimation_);
-    chunk_.dt_ps = dt_ps_;
-    telemetry::Hub::instance().publish_waveform(index_, std::move(chunk_));
-    chunk_ = telemetry::WaveformChunk{};
-  }
-
-  std::size_t decimation_;
-  double dt_ps_;
-  std::size_t phase_ = 0;
-  std::uint64_t index_ = 0;  // source-grid sample index, used as the tick
-  telemetry::WaveformChunk chunk_;
-};
 
 /// Core sample loop shared by render() and render_chunk(): steps `chain`
 /// through grid samples [k_start, k_end) of the grid anchored at t_begin,
@@ -157,20 +109,6 @@ void render(const EdgeStream& stream, FilterChain chain,
   const std::size_t total = render_sample_count(config, t_begin, t_end);
   obs::add_counter("render.calls");
   obs::add_counter("render.samples", total);
-  telemetry::Hub& hub = telemetry::Hub::instance();
-  if (hub.enabled()) {
-    // Tee the render through a decimating telemetry tap. The tap is one
-    // more sink; the real sinks see exactly the same samples, so the
-    // simulation results stay byte-identical to a telemetry-off run.
-    TelemetryTap tap(hub.decimation(), config.sample_step.ps());
-    std::vector<WaveformSink*> tee = sinks;
-    tee.push_back(&tap);
-    run_window(stream, chain, config, t_begin, 0, 0, total, tee);
-    for (WaveformSink* sink : tee) {
-      sink->finish();
-    }
-    return;
-  }
   run_window(stream, chain, config, t_begin, 0, 0, total, sinks);
   for (WaveformSink* sink : sinks) {
     sink->finish();

@@ -5,13 +5,11 @@
 // (10k+ mutated / truncated / spliced / garbage-flooded packet streams,
 // greedily shrunk on failure), plus exact-accounting checks on both ends
 // (offered == encoded + shed + pending, received == decoded + rejected),
-// byte-identical encode→decode→re-encode round trips, MGT_THREADS 0/1/8
-// byte-identity of the published stream, and MGT_TELEMETRY-off identity of
-// the simulation results. CI runs it under TSan, UBSan and ASan.
+// and byte-identical encode→decode→re-encode round trips. CI runs it under
+// TSan, UBSan and ASan.
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <optional>
 #include <sstream>
@@ -20,21 +18,13 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/eye.hpp"
 #include "fault/fault.hpp"
-#include "obs/obs.hpp"
-#include "service/scheduler.hpp"
-#include "signal/edge.hpp"
-#include "signal/filter.hpp"
-#include "signal/render.hpp"
 #include "telemetry/channel.hpp"
 #include "telemetry/decoder.hpp"
 #include "telemetry/encoder.hpp"
-#include "telemetry/hub.hpp"
 #include "telemetry/wire.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/units.hpp"
 
 namespace mgt {
 namespace {
@@ -682,178 +672,6 @@ TEST(TelemetryChannel, ReorderSwapsAdjacentPacketsIntact) {
   decoder.flush();
   EXPECT_EQ(decoder.stats().decoded, 2u);
   EXPECT_EQ(sequences, (std::vector<std::uint32_t>{1, 0}));
-}
-
-// ------------------------------------------------------------------- hub --
-
-/// One deterministic eye workload with telemetry as configured by the
-/// caller; returns (drained wire bytes, eye fingerprint).
-std::pair<std::vector<std::uint8_t>, std::vector<std::uint64_t>>
-eye_workload_with_telemetry() {
-  telemetry::Hub::instance().reset_for_test();
-  const Picoseconds ui{400.0};
-  const sig::EdgeStream stream = sig::EdgeStream::clock(ui, 64);
-  sig::FilterChain chain;
-  chain.add_pole(Picoseconds{30.0});
-  ana::EyeDiagram::Config eye_config;
-  eye_config.ui = ui;
-  eye_config.time_bins = 64;
-  eye_config.volt_bins = 32;
-  const ana::EyeDiagram eye = ana::accumulate_eye(
-      stream, chain, sig::RenderConfig{}, Picoseconds{0},
-      Picoseconds{64 * 2 * ui.ps()}, eye_config,
-      sig::RenderChunking{4096, 2048});
-
-  // A direct serial render exercises the waveform tap.
-  sig::WaveformTrace record;
-  sig::render(stream, chain, sig::RenderConfig{}, Picoseconds{0},
-              Picoseconds{8 * ui.ps()}, {&record});
-
-  std::vector<std::uint8_t> wire;
-  telemetry::Hub::instance().drain([&](std::vector<std::uint8_t>&& p) {
-    wire.insert(wire.end(), p.begin(), p.end());
-  });
-  std::vector<std::uint64_t> fp;
-  fp.push_back(eye.total_samples());
-  fp.push_back(eye.crossings().size());
-  for (double v : record.volts_mv()) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    fp.push_back(bits);
-  }
-  return {std::move(wire), std::move(fp)};
-}
-
-TEST(TelemetryHub, DisabledMeansZeroPacketsAndUntouchedResults) {
-  std::vector<std::uint64_t> fp_off1, fp_off2, fp_on;
-  std::vector<std::uint8_t> wire_off, wire_on;
-  {
-    telemetry::ScopedTelemetry off(false);
-    std::tie(wire_off, fp_off1) = eye_workload_with_telemetry();
-  }
-  {
-    telemetry::ScopedTelemetry on(true);
-    std::tie(wire_on, fp_on) = eye_workload_with_telemetry();
-  }
-  {
-    telemetry::ScopedTelemetry off(false);
-    std::tie(wire_off, fp_off2) = eye_workload_with_telemetry();
-  }
-  EXPECT_TRUE(wire_off.empty()) << "MGT_TELEMETRY off must emit nothing";
-  EXPECT_FALSE(wire_on.empty());
-  // Telemetry observes; it never changes what the simulation computes.
-  EXPECT_EQ(fp_off1, fp_on);
-  EXPECT_EQ(fp_off1, fp_off2);
-  const telemetry::Hub::Stats stats = telemetry::Hub::instance().stats();
-  EXPECT_TRUE(stats.waveform.accounting_exact());
-  EXPECT_TRUE(stats.metrics.accounting_exact());
-  EXPECT_TRUE(stats.plans.accounting_exact());
-}
-
-TEST(TelemetryHub, PublishedStreamByteIdenticalAcrossThreadCounts) {
-  telemetry::ScopedTelemetry on(true);
-  std::vector<std::uint8_t> serial, one, eight;
-  std::vector<std::uint64_t> fp0, fp1, fp8;
-  {
-    util::ScopedThreads t(0);
-    std::tie(serial, fp0) = eye_workload_with_telemetry();
-  }
-  {
-    util::ScopedThreads t(1);
-    std::tie(one, fp1) = eye_workload_with_telemetry();
-  }
-  {
-    util::ScopedThreads t(8);
-    std::tie(eight, fp8) = eye_workload_with_telemetry();
-  }
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, one);
-  EXPECT_EQ(serial, eight);
-  EXPECT_EQ(fp0, fp1);
-  EXPECT_EQ(fp0, fp8);
-
-  // And the stream decodes cleanly end to end.
-  Decoder decoder(Decoder::Config{},
-                  [](const PacketHeader&, const Record&) {});
-  decoder.feed(serial);
-  decoder.flush();
-  EXPECT_GT(decoder.stats().decoded, 0u);
-  EXPECT_EQ(decoder.stats().rejected, 0u);
-}
-
-TEST(TelemetryHub, SchedulerFinalizePublishesDecodablePlanSummaries) {
-  telemetry::ScopedTelemetry on(true);
-  telemetry::Hub::instance().reset_for_test();
-
-  service::Scheduler::Config config;
-  config.fleet.sites = 4;
-  service::Scheduler sched(config, /*seed=*/3);
-  service::TestPlan plan;
-  plan.tenant = "alpha";
-  plan.shards = 3;
-  plan.chunks_per_shard = 2;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(sched.submit(plan).accepted);
-  }
-  ASSERT_TRUE(sched.drain(10'000));
-
-  std::vector<PlanSummary> summaries;
-  std::size_t snapshots = 0;
-  Decoder decoder(Decoder::Config{},
-                  [&](const PacketHeader&, const Record& r) {
-                    if (const auto* ps = std::get_if<PlanSummary>(&r.body)) {
-                      summaries.push_back(*ps);
-                    } else if (std::holds_alternative<MetricSnapshot>(r.body)) {
-                      ++snapshots;
-                    }
-                  });
-  telemetry::Hub::instance().drain([&](std::vector<std::uint8_t>&& p) {
-    decoder.feed(p);
-  });
-  decoder.flush();
-
-  ASSERT_EQ(summaries.size(), 4u);
-  const std::vector<service::PlanResult> results = sched.finished_results();
-  ASSERT_EQ(results.size(), 4u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(summaries[i].plan_id, results[i].plan_id);
-    EXPECT_EQ(summaries[i].tenant, results[i].tenant);
-    EXPECT_EQ(summaries[i].shards, results[i].shards);
-    EXPECT_EQ(summaries[i].chunks_completed, results[i].chunks_completed);
-    EXPECT_EQ(summaries[i].digest, results[i].digest);
-    EXPECT_EQ(summaries[i].outcome,
-              static_cast<std::uint8_t>(results[i].outcome));
-  }
-  EXPECT_GE(snapshots, 1u) << "drain() publishes an obs snapshot";
-  EXPECT_EQ(decoder.stats().rejected, 0u);
-}
-
-TEST(TelemetryHub, ObsSnapshotsAreChunkedUnderTheEntryCeiling) {
-  telemetry::ScopedTelemetry on(true);
-  telemetry::Hub::instance().reset_for_test();
-  // More registry entries than fit in one packet: the snapshot must chunk.
-  constexpr std::size_t kCounters = telemetry::Hub::kMaxSnapshotEntries + 50;
-  for (std::size_t i = 0; i < kCounters; ++i) {
-    obs::add_counter("telemetry.test.chunk." + std::to_string(i));
-  }
-  telemetry::Hub::instance().publish_obs_snapshot(/*tick=*/1);
-  std::size_t entries = 0;
-  std::size_t packets = 0;
-  Decoder decoder(
-      Decoder::Config{}, [&](const PacketHeader&, const Record& r) {
-        const auto& ms = std::get<MetricSnapshot>(r.body);
-        EXPECT_LE(ms.entries.size(), telemetry::Hub::kMaxSnapshotEntries);
-        entries += ms.entries.size();
-        ++packets;
-      });
-  telemetry::Hub::instance().drain([&](std::vector<std::uint8_t>&& p) {
-    decoder.feed(p);
-  });
-  decoder.flush();
-  EXPECT_GE(entries, kCounters);
-  EXPECT_GE(packets, 2u) << "the ceiling must force a second packet";
-  EXPECT_EQ(decoder.stats().rejected, 0u);
 }
 
 }  // namespace

@@ -2,12 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 
 #include "util/bitvec.hpp"
-#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -512,137 +510,6 @@ TEST(Error, CheckMacroThrowsWithLocation) {
 
 TEST(Error, CheckPassesSilently) {
   EXPECT_NO_THROW(MGT_CHECK(2 + 2 == 4));
-}
-
-// ------------------------------------------------------------------ env --
-
-TEST(Env, U64AcceptsOnlyWholeInRangeIntegers) {
-  EXPECT_EQ(util::parse_env_u64("64"), 64u);
-  EXPECT_EQ(util::parse_env_u64("1"), 1u);
-  EXPECT_EQ(util::parse_env_u64("18446744073709551615", 1, ~0ULL), ~0ULL);
-
-  // Unset is not a rejection: the caller just keeps its default.
-  EXPECT_EQ(util::parse_env_u64(nullptr), std::nullopt);
-  EXPECT_EQ(util::parse_env_u64(""), std::nullopt);
-
-  // Malformed values are rejected whole — never partially parsed.
-  EXPECT_EQ(util::parse_env_u64("64x"), std::nullopt);
-  EXPECT_EQ(util::parse_env_u64(" 64"), std::nullopt);
-  EXPECT_EQ(util::parse_env_u64("-3"), std::nullopt);
-  EXPECT_EQ(util::parse_env_u64("0x40"), std::nullopt);
-  EXPECT_EQ(util::parse_env_u64("6.4"), std::nullopt);
-  EXPECT_EQ(util::parse_env_u64("lots"), std::nullopt);
-  // Overflow and range violations reject rather than saturate.
-  EXPECT_EQ(util::parse_env_u64("18446744073709551616"), std::nullopt);
-  EXPECT_EQ(util::parse_env_u64("0", 1), std::nullopt);
-  EXPECT_EQ(util::parse_env_u64("9", 1, 8), std::nullopt);
-  EXPECT_EQ(util::parse_env_u64("0", 0, 8), 0u);
-}
-
-TEST(Env, SizeMbSharesTheU64GrammarAndReturnsBytes) {
-  EXPECT_EQ(util::parse_env_size_mb("1"), 1ull << 20);
-  EXPECT_EQ(util::parse_env_size_mb("64"), 64ull << 20);
-  EXPECT_EQ(util::parse_env_size_mb("4096"), 4096ull << 20);
-
-  EXPECT_EQ(util::parse_env_size_mb(nullptr), std::nullopt);
-  EXPECT_EQ(util::parse_env_size_mb(""), std::nullopt);
-
-  // Same strict grammar as parse_env_u64: units, whitespace, fractions
-  // and signs are malformed, never partially parsed.
-  EXPECT_EQ(util::parse_env_size_mb("64MB"), std::nullopt);
-  EXPECT_EQ(util::parse_env_size_mb(" 64"), std::nullopt);
-  EXPECT_EQ(util::parse_env_size_mb("-4"), std::nullopt);
-  EXPECT_EQ(util::parse_env_size_mb("1.5"), std::nullopt);
-
-  // The MB→bytes conversion cannot overflow: 2^44-1 MB is the largest
-  // representable size; anything past it rejects instead of wrapping.
-  EXPECT_EQ(util::parse_env_size_mb("17592186044415"), (~0ULL) & ~0xFFFFFull);
-  EXPECT_EQ(util::parse_env_size_mb("17592186044416"), std::nullopt);
-  // Range bounds are expressed in MB, matching the knob's unit.
-  EXPECT_EQ(util::parse_env_size_mb("0"), std::nullopt);
-  EXPECT_EQ(util::parse_env_size_mb("9", 1, 8), std::nullopt);
-}
-
-TEST(Env, SizeMbReadsEnvironmentAndCountsRejections) {
-  util::reset_env_rejections_for_test();
-  setenv("MGT_TEST_SIZE_GOOD", "8", 1);
-  setenv("MGT_TEST_SIZE_BAD", "8MB", 1);
-
-  const util::EnvValue<std::uint64_t> good =
-      util::env_size_mb("MGT_TEST_SIZE_GOOD");
-  const util::EnvValue<std::uint64_t> bad =
-      util::env_size_mb("MGT_TEST_SIZE_BAD");
-  const util::EnvValue<std::uint64_t> unset =
-      util::env_size_mb("MGT_TEST_SIZE_UNSET");
-
-  EXPECT_TRUE(good.parsed());
-  EXPECT_EQ(good.value, 8ull << 20);
-  EXPECT_TRUE(bad.rejected());
-  EXPECT_EQ(bad.value_or(123), 123u) << "rejection keeps the caller's default";
-  EXPECT_EQ(unset.status, util::EnvParseStatus::kUnset);
-  EXPECT_EQ(util::env_rejections(), 1u);
-  EXPECT_EQ(util::env_rejected_names(), "MGT_TEST_SIZE_BAD");
-
-  unsetenv("MGT_TEST_SIZE_GOOD");
-  unsetenv("MGT_TEST_SIZE_BAD");
-  util::reset_env_rejections_for_test();
-}
-
-TEST(Env, FlagAcceptsOnlyCanonicalSpellings) {
-  EXPECT_EQ(util::parse_env_flag("0"), false);
-  EXPECT_EQ(util::parse_env_flag("off"), false);
-  EXPECT_EQ(util::parse_env_flag("false"), false);
-  EXPECT_EQ(util::parse_env_flag("1"), true);
-  EXPECT_EQ(util::parse_env_flag("on"), true);
-  EXPECT_EQ(util::parse_env_flag("true"), true);
-
-  EXPECT_EQ(util::parse_env_flag(nullptr), std::nullopt);
-  EXPECT_EQ(util::parse_env_flag(""), std::nullopt);
-  EXPECT_EQ(util::parse_env_flag("yes"), std::nullopt);
-  EXPECT_EQ(util::parse_env_flag("OFF"), std::nullopt);
-  EXPECT_EQ(util::parse_env_flag("2"), std::nullopt);
-}
-
-TEST(Env, RejectionsAreCountedAndNamed) {
-  util::reset_env_rejections_for_test();
-  EXPECT_EQ(util::env_rejections(), 0u);
-  EXPECT_EQ(util::env_rejected_names(), "");
-
-  setenv("MGT_TEST_KNOB_A", "garbage", 1);
-  setenv("MGT_TEST_KNOB_B", "definitely", 1);
-  setenv("MGT_TEST_KNOB_C", "32", 1);
-
-  const util::EnvValue<std::uint64_t> a = util::env_u64("MGT_TEST_KNOB_A");
-  const util::EnvValue<bool> b = util::env_flag("MGT_TEST_KNOB_B");
-  const util::EnvValue<std::uint64_t> c = util::env_u64("MGT_TEST_KNOB_C");
-  const util::EnvValue<std::uint64_t> unset =
-      util::env_u64("MGT_TEST_KNOB_UNSET");
-
-  EXPECT_TRUE(a.rejected());
-  EXPECT_EQ(a.value_or(7), 7u) << "rejection keeps the caller's default";
-  EXPECT_TRUE(b.rejected());
-  EXPECT_TRUE(c.parsed());
-  EXPECT_EQ(c.value_or(7), 32u);
-  EXPECT_EQ(unset.status, util::EnvParseStatus::kUnset);
-
-  EXPECT_EQ(util::env_rejections(), 2u);
-  EXPECT_EQ(util::env_rejected_names(), "MGT_TEST_KNOB_A,MGT_TEST_KNOB_B");
-
-  // Re-rejecting the same knob counts but does not duplicate the name.
-  util::env_u64("MGT_TEST_KNOB_A");
-  EXPECT_EQ(util::env_rejections(), 3u);
-  EXPECT_EQ(util::env_rejected_names(), "MGT_TEST_KNOB_A,MGT_TEST_KNOB_B");
-
-  // Domain-specific parsers feed the same totals.
-  util::note_env_rejection("MGT_TEST_KNOB_D");
-  EXPECT_EQ(util::env_rejections(), 4u);
-  EXPECT_EQ(util::env_rejected_names(),
-            "MGT_TEST_KNOB_A,MGT_TEST_KNOB_B,MGT_TEST_KNOB_D");
-
-  unsetenv("MGT_TEST_KNOB_A");
-  unsetenv("MGT_TEST_KNOB_B");
-  unsetenv("MGT_TEST_KNOB_C");
-  util::reset_env_rejections_for_test();
 }
 
 }  // namespace
