@@ -54,9 +54,6 @@ Picoseconds BathtubFit::eye_at_ber(double ber) const {
   return right_edge - left_edge;  // negative = closed at this BER
 }
 
-namespace {
-
-/// Least-squares line y = m*x + c.
 bool fit_line(const std::vector<double>& xs, const std::vector<double>& ys,
               double& m, double& c) {
   if (xs.size() < 2) {
@@ -78,8 +75,6 @@ bool fit_line(const std::vector<double>& xs, const std::vector<double>& ys,
   c = (sy - m * sx) / n;
   return true;
 }
-
-}  // namespace
 
 BathtubFit fit_bathtub(const std::vector<BathtubPoint>& scan,
                        double ber_min) {

@@ -21,6 +21,12 @@ double inverse_normal_cdf(double p);
 /// Q factor for a given BER (per-edge tail probability): Q = Phi^-1(1-ber).
 double q_of_ber(double ber);
 
+/// Least-squares line y = m*x + c through (xs[i], ys[i]). Returns false,
+/// leaving m and c untouched, for fewer than two points or a degenerate
+/// (vertical) fit.
+bool fit_line(const std::vector<double>& xs, const std::vector<double>& ys,
+              double& m, double& c);
+
 /// Result of fitting one bathtub.
 struct BathtubFit {
   // Per-side Gaussian tail fits (time increasing into the eye).

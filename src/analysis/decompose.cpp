@@ -5,47 +5,13 @@
 
 #include "analysis/berextrap.hpp"
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace mgt::ana {
 
 Picoseconds JitterDecomposition::tj_at_ber(double ber) const {
   return Picoseconds{dj_pp.ps() + 2.0 * q_of_ber(ber) * rj_sigma.ps()};
 }
-
-namespace {
-
-double positive_mod(double x, double m) {
-  double r = std::fmod(x, m);
-  if (r < 0.0) {
-    r += m;
-  }
-  return r;
-}
-
-/// Least-squares line fit; returns false when degenerate.
-bool fit_line(const std::vector<double>& xs, const std::vector<double>& ys,
-              double& m, double& c) {
-  if (xs.size() < 3) {
-    return false;
-  }
-  const auto n = static_cast<double>(xs.size());
-  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  if (denom == 0.0) {
-    return false;
-  }
-  m = (n * sxy - sx * sy) / denom;
-  c = (sy - m * sx) / n;
-  return true;
-}
-
-}  // namespace
 
 JitterDecomposition decompose_jitter(
     const std::vector<sig::Crossing>& crossings, Picoseconds ui,
@@ -89,7 +55,8 @@ JitterDecomposition decompose_jitter(
     }
   }
   double ml = 0.0, cl = 0.0, mr = 0.0, cr = 0.0;
-  if (!fit_line(lq, lx, ml, cl) || !fit_line(rq, rx, mr, cr)) {
+  if (lq.size() < 3 || rq.size() < 3 || !fit_line(lq, lx, ml, cl) ||
+      !fit_line(rq, rx, mr, cr)) {
     return out;
   }
   // x = sigma*Q + mu on both tails (sigma = slope).

@@ -2,23 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace mgt::ana {
 
 namespace {
-
-double positive_mod(double x, double m) {
-  double r = std::fmod(x, m);
-  if (r < 0.0) {
-    r += m;
-  }
-  return r;
-}
 
 CrossoverJitter jitter_from_phases(const std::vector<double>& phases,
                                    double ui) {
@@ -215,21 +205,11 @@ EyeDiagram accumulate_eye(const sig::EdgeStream& stream,
                           Picoseconds t_begin, Picoseconds t_end,
                           const EyeDiagram::Config& eye_config,
                           const sig::RenderChunking& chunking) {
+  EyeDiagram out = sig::accumulate_chunked<EyeDiagram>(
+      stream, chain, render_config, t_begin, t_end, chunking,
+      [&] { return EyeDiagram(eye_config); });
   const std::size_t n_chunks =
       sig::render_chunk_count(render_config, t_begin, t_end, chunking);
-  // One private accumulator per chunk; the decomposition depends only on
-  // the window, never on the worker count.
-  std::vector<std::unique_ptr<EyeDiagram>> parts(n_chunks);
-  util::parallel_for(n_chunks, [&](std::size_t c) {
-    auto part = std::make_unique<EyeDiagram>(eye_config);
-    sig::render_chunk(stream, chain, render_config, t_begin, t_end, chunking,
-                      c, {part.get()});
-    parts[c] = std::move(part);
-  });
-  EyeDiagram out = std::move(*parts.front());
-  for (std::size_t c = 1; c < n_chunks; ++c) {
-    out.merge(*parts[c]);
-  }
   // Recorded after the ordered merge, on the caller: totals are properties
   // of the merged eye, so they are identical at every worker count.
   obs::add_counter("eye.accumulations");

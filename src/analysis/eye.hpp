@@ -98,7 +98,7 @@ public:
     return crossings_.crossings();
   }
 
-  /// Full metric set; `n_expected_edges` is unused but documents intent.
+  /// Full metric set.
   [[nodiscard]] EyeMetrics metrics() const;
 
   /// ASCII-art rendering (rows = voltage top-down, cols = phase across 2 UI)

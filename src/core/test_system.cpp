@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 
 #include "digital/bitstream.hpp"
@@ -12,7 +11,6 @@
 #include "signal/render.hpp"
 #include "signal/sinks.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace mgt::core {
 
@@ -43,30 +41,6 @@ AcqWindow acquisition_window(const core::Stimulus& stimulus,
   w.render = sig::RenderConfig{.levels = stimulus.levels,
                                .sample_step = options.sample_step};
   return w;
-}
-
-/// Chunked, parallel_for-driven accumulation of one mergeable sink over the
-/// stimulus window: the fixed decomposition of sig::render_chunk with
-/// per-chunk private sinks merged in chunk order (results identical at
-/// every thread count).
-template <typename Sink, typename MakeSink>
-Sink accumulate_sink(const core::Stimulus& stimulus, const AcqWindow& window,
-                     const MakeSink& make_sink) {
-  const sig::RenderChunking chunking{};
-  const std::size_t n_chunks = sig::render_chunk_count(
-      window.render, window.begin, window.end, chunking);
-  std::vector<std::unique_ptr<Sink>> parts(n_chunks);
-  util::parallel_for(n_chunks, [&](std::size_t c) {
-    auto part = std::make_unique<Sink>(make_sink());
-    sig::render_chunk(stimulus.edges, stimulus.chain, window.render,
-                      window.begin, window.end, chunking, c, {part.get()});
-    parts[c] = std::move(part);
-  });
-  Sink out = std::move(*parts.front());
-  for (std::size_t c = 1; c < n_chunks; ++c) {
-    out.merge(*parts[c]);
-  }
-  return out;
 }
 
 }  // namespace
@@ -376,9 +350,9 @@ ana::CrossoverJitter TestSystem::measure_single_edge_jitter(
   const sig::PeclLevels rails =
       effective_levels(stimulus.levels, stimulus.chain.gain());
   const AcqWindow window = acquisition_window(stimulus, n_bits, EyeOptions{});
-  const auto recorder = accumulate_sink<sig::CrossingRecorder>(
-      stimulus, window,
-      [&] { return sig::CrossingRecorder(rails.midpoint()); });
+  const auto recorder = sig::accumulate_chunked<sig::CrossingRecorder>(
+      stimulus.edges, stimulus.chain, window.render, window.begin, window.end,
+      {}, [&] { return sig::CrossingRecorder(rails.midpoint()); });
 
   const Picoseconds pattern_period{2.0 * static_cast<double>(lanes) *
                                    stimulus.ui.ps()};
@@ -392,9 +366,9 @@ TestSystem::Amplitude TestSystem::measure_amplitude(std::size_t n_bits,
   const sig::PeclLevels rails =
       effective_levels(stimulus.levels, stimulus.chain.gain());
   const AcqWindow window = acquisition_window(stimulus, n_bits, options);
-  const auto tracker = accumulate_sink<sig::AmplitudeTracker>(
-      stimulus, window,
-      [&] { return sig::AmplitudeTracker(rails.midpoint()); });
+  const auto tracker = sig::accumulate_chunked<sig::AmplitudeTracker>(
+      stimulus.edges, stimulus.chain, window.render, window.begin, window.end,
+      {}, [&] { return sig::AmplitudeTracker(rails.midpoint()); });
   Amplitude out;
   out.settled_high = tracker.settled_high();
   out.settled_low = tracker.settled_low();

@@ -1,7 +1,7 @@
 // Streaming analog renderer.
 //
 // Converts an edge stream plus level configuration through a FilterChain
-// into a uniformly sampled voltage waveform, pushed sample-by-sample into
+// into a uniformly sampled voltage waveform, pushed in SampleBlocks into
 // WaveformSinks (eye accumulators, crossing detectors, samplers, ...).
 // Nothing is ever stored whole: a million-UI acquisition uses O(1) memory in
 // the renderer.
@@ -12,12 +12,14 @@
 // error (sub-0.01 ps at the default 0.5 ps step).
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "signal/batch.hpp"
 #include "signal/edge.hpp"
 #include "signal/filter.hpp"
 #include "signal/levels.hpp"
+#include "util/parallel.hpp"
 #include "util/units.hpp"
 
 namespace mgt::sig {
@@ -110,5 +112,30 @@ void render_chunk(const EdgeStream& stream, FilterChain chain,
                   Picoseconds t_end, const RenderChunking& chunking,
                   std::size_t chunk_index,
                   const std::vector<WaveformSink*>& sinks);
+
+/// Renders every chunk of [t_begin, t_end) under util::parallel_for into a
+/// private sink made by `make_sink()`, then merges the chunk sinks in chunk
+/// order with `Sink::merge`. The result is identical at every thread count.
+/// finish() is not called.
+template <typename Sink, typename MakeSink>
+Sink accumulate_chunked(const EdgeStream& stream, const FilterChain& chain,
+                        const RenderConfig& config, Picoseconds t_begin,
+                        Picoseconds t_end, const RenderChunking& chunking,
+                        const MakeSink& make_sink) {
+  const std::size_t n_chunks =
+      render_chunk_count(config, t_begin, t_end, chunking);
+  std::vector<std::unique_ptr<Sink>> parts(n_chunks);
+  util::parallel_for(n_chunks, [&](std::size_t c) {
+    auto part = std::make_unique<Sink>(make_sink());
+    render_chunk(stream, chain, config, t_begin, t_end, chunking, c,
+                 {part.get()});
+    parts[c] = std::move(part);
+  });
+  Sink out = std::move(*parts.front());
+  for (std::size_t c = 1; c < n_chunks; ++c) {
+    out.merge(*parts[c]);
+  }
+  return out;
+}
 
 }  // namespace mgt::sig

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -10,16 +11,16 @@ namespace mgt::testbed {
 
 namespace {
 
-/// First transition time of `signal` at or after `t_begin`; throws a
-/// RecoverableError when the channel is dead so bring-up procedures can
-/// mask the channel and continue.
-double first_edge_after(const sig::EdgeStream& signal, Picoseconds t_begin) {
+/// First transition time of `signal` at or after `t_begin`; nullopt when
+/// the channel is dead.
+std::optional<double> first_edge_after(const sig::EdgeStream& signal,
+                                       Picoseconds t_begin) {
   for (const auto& tr : signal.transitions()) {
     if (tr.time >= t_begin) {
       return tr.time.ps();
     }
   }
-  throw RecoverableError("calibration", "channel produced no edges");
+  return std::nullopt;
 }
 
 /// Calibration pattern: a packet whose payload channels toggle every bit.
@@ -36,100 +37,8 @@ TestbedPacket alignment_packet(const SlotFormat& format) {
   return packet;
 }
 
-}  // namespace
-
-Picoseconds CalibrationReport::worst_residual() const {
-  double worst = 0.0;
-  for (const Picoseconds r : residual_skew) {
-    worst = std::max(worst, std::abs(r.ps()));
-  }
-  return Picoseconds{worst};
-}
-
-bool CalibrationReport::within(Picoseconds bound) const {
-  return worst_residual() <= bound;
-}
-
-std::array<Picoseconds, kHighSpeedChannels> measure_channel_skew(
-    OpticalTransmitter& tx, std::size_t averaging_slots) {
-  MGT_CHECK(averaging_slots >= 1);
-  const SlotFormat& fmt = tx.config().format;
-  const auto packet = alignment_packet(fmt);
-
-  // The clock's first window edge leads the first payload edge by the
-  // pre-clock bits; anything beyond that is channel skew.
-  const double nominal_lead =
-      static_cast<double>(fmt.pre_clock_bits) * fmt.ui.ps();
-
-  std::array<RunningStats, kHighSpeedChannels> stats{};
-  for (std::size_t slot = 0; slot < averaging_slots; ++slot) {
-    const Picoseconds t_start{static_cast<double>(slot) * 4.0 *
-                              fmt.slot_duration().ps()};
-    const auto out = tx.transmit(packet, t_start);
-    const double t_clock = first_edge_after(out.clock, t_start);
-    for (std::size_t ch = 0; ch < kDataChannels; ++ch) {
-      const double t_data = first_edge_after(out.data[ch], t_start);
-      stats[ch].add(t_data - t_clock - nominal_lead);
-    }
-  }
-  std::array<Picoseconds, kHighSpeedChannels> skew{};
-  for (std::size_t ch = 0; ch < kDataChannels; ++ch) {
-    skew[ch] = Picoseconds{stats[ch].mean()};
-  }
-  skew[kClockChannel] = Picoseconds{0.0};  // the reference, by definition
-  return skew;
-}
-
-CalibrationReport calibrate_transmitter(OpticalTransmitter& tx,
-                                        std::size_t averaging_slots) {
-  CalibrationReport report;
-  report.initial_skew = measure_channel_skew(tx, averaging_slots);
-
-  const double step = tx.channel_delay(0).step().ps();
-  std::array<std::size_t, kHighSpeedChannels> codes{};
-  for (std::size_t ch = 0; ch < kHighSpeedChannels; ++ch) {
-    codes[ch] = tx.channel_delay(ch).code();
-  }
-
-  // Two correction passes: the first lands within one or two codes (the
-  // delay lines' own INL/offset errors are unknown a priori), the second
-  // trims the residual.
-  for (int pass = 0; pass < 2; ++pass) {
-    const auto skew = measure_channel_skew(tx, averaging_slots);
-    // Delays can only be added, so align everyone to the latest channel.
-    const Picoseconds latest = *std::max_element(skew.begin(), skew.end());
-    for (std::size_t ch = 0; ch < kHighSpeedChannels; ++ch) {
-      const Picoseconds needed = latest - skew[ch];
-      const auto delta =
-          static_cast<long>(std::lround(needed.ps() / step));
-      const long code = static_cast<long>(codes[ch]) + delta;
-      const long max_code =
-          static_cast<long>(tx.channel_delay(ch).code_count()) - 1;
-      codes[ch] = static_cast<std::size_t>(std::clamp(code, 0L, max_code));
-      tx.set_channel_delay_code(ch, codes[ch]);
-    }
-  }
-
-  report.programmed_codes = codes;
-  report.residual_skew = measure_channel_skew(tx, averaging_slots);
-  // Re-reference residuals to their own mean so a common-mode shift of the
-  // whole bus (which the receiver tracks source-synchronously) is not
-  // counted as skew.
-  Picoseconds mean{0.0};
-  for (const Picoseconds r : report.residual_skew) {
-    mean += r;
-  }
-  mean = mean / static_cast<double>(kHighSpeedChannels);
-  for (Picoseconds& r : report.residual_skew) {
-    r -= mean;
-  }
-  return report;
-}
-
-namespace {
-
-/// measure_channel_skew with per-channel fault masking: a channel that
-/// produces no edges is marked dead instead of aborting the measurement.
+/// Per-channel skew with fault masking: a channel that produces no edges
+/// is marked dead instead of aborting the measurement.
 struct MaskedSkew {
   std::array<Picoseconds, kHighSpeedChannels> skew{};
   std::array<bool, kHighSpeedChannels> alive{};
@@ -140,6 +49,8 @@ MaskedSkew measure_skew_masked(OpticalTransmitter& tx,
   MGT_CHECK(averaging_slots >= 1);
   const SlotFormat& fmt = tx.config().format;
   const auto packet = alignment_packet(fmt);
+  // The clock's first window edge leads the first payload edge by the
+  // pre-clock bits; anything beyond that is channel skew.
   const double nominal_lead =
       static_cast<double>(fmt.pre_clock_bits) * fmt.ui.ps();
 
@@ -150,10 +61,8 @@ MaskedSkew measure_skew_masked(OpticalTransmitter& tx,
     const Picoseconds t_start{static_cast<double>(slot) * 4.0 *
                               fmt.slot_duration().ps()};
     const auto signals = tx.transmit(packet, t_start);
-    double t_clock = 0.0;
-    try {
-      t_clock = first_edge_after(signals.clock, t_start);
-    } catch (const RecoverableError&) {
+    const auto t_clock = first_edge_after(signals.clock, t_start);
+    if (!t_clock) {
       // No timing reference at all: every skew is unmeasurable.
       out.alive[kClockChannel] = false;
       return out;
@@ -162,10 +71,10 @@ MaskedSkew measure_skew_masked(OpticalTransmitter& tx,
       if (!out.alive[ch]) {
         continue;
       }
-      try {
-        const double t_data = first_edge_after(signals.data[ch], t_start);
-        stats[ch].add(t_data - t_clock - nominal_lead);
-      } catch (const RecoverableError&) {
+      const auto t_data = first_edge_after(signals.data[ch], t_start);
+      if (t_data) {
+        stats[ch].add(*t_data - *t_clock - nominal_lead);
+      } else {
         out.alive[ch] = false;
       }
     }
@@ -174,11 +83,21 @@ MaskedSkew measure_skew_masked(OpticalTransmitter& tx,
     out.skew[ch] =
         out.alive[ch] ? Picoseconds{stats[ch].mean()} : Picoseconds{0.0};
   }
-  out.skew[kClockChannel] = Picoseconds{0.0};
+  out.skew[kClockChannel] = Picoseconds{0.0};  // the reference, by definition
   return out;
 }
 
-/// Worst |residual| across alive channels after removing their common mode.
+void require_alive(const MaskedSkew& measured) {
+  for (const bool alive : measured.alive) {
+    if (!alive) {
+      throw RecoverableError("calibration", "channel produced no edges");
+    }
+  }
+}
+
+/// Worst |residual| across alive channels after removing their common mode
+/// (the receiver tracks a common-mode shift of the whole bus
+/// source-synchronously, so it is not skew).
 Picoseconds worst_alive_residual(
     std::array<Picoseconds, kHighSpeedChannels>& residual,
     const std::array<bool, kHighSpeedChannels>& alive) {
@@ -203,12 +122,22 @@ Picoseconds worst_alive_residual(
   return Picoseconds{worst};
 }
 
-}  // namespace
-
-CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx,
-                                           const CalibrationOptions& options) {
+/// The bring-up loop behind both public procedures: measure, two
+/// correction passes, verify, and retry with doubled averaging while the
+/// residual misses the bound. With `strict`, the first measurement that
+/// sees a dead channel throws instead of masking it.
+CalibrationOutcome align_channels(OpticalTransmitter& tx,
+                                  const CalibrationOptions& options,
+                                  bool strict) {
   MGT_CHECK(options.max_attempts >= 1);
   MGT_CHECK(options.averaging_slots >= 1);
+  auto measure = [&](std::size_t averaging) {
+    MaskedSkew measured = measure_skew_masked(tx, averaging);
+    if (strict) {
+      require_alive(measured);
+    }
+    return measured;
+  };
 
   CalibrationOutcome outcome;
   std::size_t averaging = options.averaging_slots;
@@ -216,12 +145,11 @@ CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx,
     outcome.attempts = attempt;
     outcome.averaging_slots_used = averaging;
 
-    const MaskedSkew initial = measure_skew_masked(tx, averaging);
+    const MaskedSkew initial = measure(averaging);
     outcome.report.initial_skew = initial.skew;
     if (!initial.alive[kClockChannel]) {
       // No reference: nothing left to align against, give up immediately.
       outcome.dead_channels.assign(1, kClockChannel);
-      outcome.converged = false;
       return outcome;
     }
 
@@ -231,12 +159,14 @@ CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx,
       codes[ch] = tx.channel_delay(ch).code();
     }
 
+    // Two correction passes: the first lands within one or two codes (the
+    // delay lines' own INL/offset errors are unknown a priori), the second
+    // trims the residual.
     std::array<bool, kHighSpeedChannels> alive = initial.alive;
     for (int pass = 0; pass < 2; ++pass) {
-      const MaskedSkew measured = measure_skew_masked(tx, averaging);
+      const MaskedSkew measured = measure(averaging);
       if (!measured.alive[kClockChannel]) {
         outcome.dead_channels.assign(1, kClockChannel);
-        outcome.converged = false;
         return outcome;
       }
       for (std::size_t ch = 0; ch < kHighSpeedChannels; ++ch) {
@@ -264,10 +194,9 @@ CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx,
     }
 
     outcome.report.programmed_codes = codes;
-    MaskedSkew residual = measure_skew_masked(tx, averaging);
+    MaskedSkew residual = measure(averaging);
     if (!residual.alive[kClockChannel]) {
       outcome.dead_channels.assign(1, kClockChannel);
-      outcome.converged = false;
       return outcome;
     }
     for (std::size_t ch = 0; ch < kHighSpeedChannels; ++ch) {
@@ -289,8 +218,41 @@ CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx,
     }
     averaging *= 2;  // bounded backoff: retry with deeper averaging
   }
-  outcome.converged = false;
   return outcome;
+}
+
+}  // namespace
+
+Picoseconds CalibrationReport::worst_residual() const {
+  double worst = 0.0;
+  for (const Picoseconds r : residual_skew) {
+    worst = std::max(worst, std::abs(r.ps()));
+  }
+  return Picoseconds{worst};
+}
+
+bool CalibrationReport::within(Picoseconds bound) const {
+  return worst_residual() <= bound;
+}
+
+std::array<Picoseconds, kHighSpeedChannels> measure_channel_skew(
+    OpticalTransmitter& tx, std::size_t averaging_slots) {
+  const MaskedSkew measured = measure_skew_masked(tx, averaging_slots);
+  require_alive(measured);
+  return measured.skew;
+}
+
+CalibrationReport calibrate_transmitter(OpticalTransmitter& tx,
+                                        std::size_t averaging_slots) {
+  return align_channels(
+             tx, {.averaging_slots = averaging_slots, .max_attempts = 1},
+             /*strict=*/true)
+      .report;
+}
+
+CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx,
+                                           const CalibrationOptions& options) {
+  return align_channels(tx, options, /*strict=*/false);
 }
 
 }  // namespace mgt::testbed

@@ -39,7 +39,9 @@ struct CalibrationReport {
 /// report; the transmitter is left calibrated.
 ///
 /// `averaging_slots` sets how many packet slots are averaged per
-/// measurement (more slots average down the random jitter).
+/// measurement (more slots average down the random jitter). This is the
+/// calibrate_with_recovery procedure with a single attempt, except that a
+/// dead channel throws mgt::RecoverableError instead of being masked.
 CalibrationReport calibrate_transmitter(OpticalTransmitter& tx,
                                         std::size_t averaging_slots = 8);
 

@@ -116,17 +116,17 @@ OpticalTransmitter::Output OpticalTransmitter::transmit(
   // Analog phase: each channel's serializer/buffer/delay chain owns its own
   // Rng stream and touches only its own hardware, so the five channels
   // render concurrently with results independent of the thread count.
+  std::array<sig::EdgeStream, kHighSpeedChannels> rendered;
   util::parallel_for(kHighSpeedChannels, [&](std::size_t ch) {
     auto& hw = channels_[ch];
     sig::EdgeStream edges = hw.serializer.serialize(serial[ch], rate, t_start);
     edges = hw.buffer.apply(edges);
-    edges = hw.delay.apply(edges);
-    if (ch < kDataChannels) {
-      out.data[ch] = std::move(edges);
-    } else {
-      out.clock = std::move(edges);
-    }
+    rendered[ch] = hw.delay.apply(edges);
   });
+  for (std::size_t ch = 0; ch < kDataChannels; ++ch) {
+    out.data[ch] = std::move(rendered[ch]);
+  }
+  out.clock = std::move(rendered[kClockChannel]);
 
   // Frame + header come straight off FPGA I/O: slower edges, more jitter,
   // a different (CMOS) delay.

@@ -1,11 +1,22 @@
 // Streaming statistics accumulators used by the measurement library.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <vector>
 
 namespace mgt {
+
+/// `x` modulo `m`, folded to be non-negative: the phase of a time on a
+/// grid of period `m`. Inline because the eye fold calls it per sample.
+inline double positive_mod(double x, double m) {
+  double r = std::fmod(x, m);
+  if (r < 0.0) {
+    r += m;
+  }
+  return r;
+}
 
 /// Single-pass accumulator for count / mean / rms / stddev / min / max /
 /// peak-to-peak. Uses Welford's algorithm for numerical stability.

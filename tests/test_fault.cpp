@@ -503,6 +503,38 @@ TEST(CalibrationRecovery, MasksDeadDataChannelAndKeepsGoing) {
   EXPECT_FALSE(outcome.healthy());
 }
 
+TEST(CalibrationRecovery, SingleAttemptMatchesPlainCalibration) {
+  testbed::OpticalTransmitter::Config config;
+  config.channel = core::presets::optical_testbed();
+  testbed::OpticalTransmitter tx(config, 66);
+  testbed::OpticalTransmitter tx2(config, 66);
+
+  const auto plain = testbed::calibrate_transmitter(tx);
+  const auto outcome = testbed::calibrate_with_recovery(
+      tx2, {.averaging_slots = 8, .max_attempts = 1});
+  for (std::size_t ch = 0; ch < testbed::kHighSpeedChannels; ++ch) {
+    EXPECT_EQ(plain.initial_skew[ch].ps(),
+              outcome.report.initial_skew[ch].ps())
+        << "ch" << ch;
+    EXPECT_EQ(plain.programmed_codes[ch], outcome.report.programmed_codes[ch])
+        << "ch" << ch;
+    EXPECT_EQ(plain.residual_skew[ch].ps(),
+              outcome.report.residual_skew[ch].ps())
+        << "ch" << ch;
+  }
+}
+
+TEST(CalibrationRecovery, PlainCalibrationThrowsOnDeadChannel) {
+  testbed::OpticalTransmitter::Config config;
+  config.channel = core::presets::optical_testbed();
+  FaultPlan plan(67);
+  plan.schedule(
+      {.kind = FaultKind::kMuxDropout, .component = "tx.ch1.serializer"});
+  config.channel.faults = plan;
+  testbed::OpticalTransmitter tx(config, 68);
+  EXPECT_THROW(testbed::calibrate_transmitter(tx), RecoverableError);
+}
+
 TEST(CalibrationRecovery, DeadClockChannelAbortsEarly) {
   testbed::OpticalTransmitter::Config config;
   config.channel = core::presets::optical_testbed();

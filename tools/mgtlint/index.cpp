@@ -222,10 +222,8 @@ class ProjectRules {
         it->second.count(std::string(rule))) {
       return;
     }
-    diags_.push_back({u.parsed.path, line, column, std::string(rule),
-                      std::move(message),
-                      hash_source_line(*u.parsed.source, line),
-                      std::nullopt});
+    diags_.push_back(
+        {u.parsed.path, line, column, std::string(rule), std::move(message)});
   }
 
   // --- family 1: parallel-capture discipline ---

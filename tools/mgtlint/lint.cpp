@@ -1,11 +1,7 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <fstream>
-#include <map>
 #include <set>
-#include <sstream>
 #include <tuple>
 
 #include "index.hpp"
@@ -38,7 +34,7 @@ bool in_src(FileKind k) {
 class Linter {
 public:
   Linter(std::string_view path, std::string_view content, FileKind kind)
-      : path_(path), content_(content), kind_(kind), lexed_(lex(content)) {}
+      : path_(path), kind_(kind), lexed_(lex(content)) {}
 
   std::vector<Diagnostic> run() {
     collect_unordered_names();
@@ -68,16 +64,14 @@ private:
     return prev_is(i, ".") || prev_is(i, "->");
   }
 
-  void report(std::size_t i, std::string_view rule, std::string message,
-              std::optional<FixIt> fix = std::nullopt) {
+  void report(std::size_t i, std::string_view rule, std::string message) {
     const Token& t = tok(i);
     const auto it = lexed_.allow.find(t.line);
     if (it != lexed_.allow.end() && it->second.count(std::string(rule))) {
       return;
     }
     diags_.push_back({std::string(path_), t.line, t.column, std::string(rule),
-                      std::move(message), hash_source_line(content_, t.line),
-                      std::move(fix)});
+                      std::move(message)});
   }
 
   // --- determinism ---
@@ -357,14 +351,10 @@ private:
       return;
     }
     if (before == ";" || before == "{" || before == "}") {
-      // Mechanical fix: make the discard explicit. (Checking the status is
-      // better, but that needs a human; (void) at least survives review.)
-      FixIt fix{tok(head).offset, tok(head).offset, "(void)"};
       report(i, rule,
              "discarded result of '" + std::string(tok(i).text) + "()'; " +
                  std::string(why) + " (or cast to (void) / mgtlint:allow(" +
-                 std::string(rule) + "))",
-             fix);
+                 std::string(rule) + "))");
     }
   }
 
@@ -396,8 +386,7 @@ private:
     if (!by_reference) {
       report(i, rules::kCatchByValue,
              "catching an exception by value slices the object; catch by "
-             "const reference",
-             catch_fix(i + 1, j));
+             "const reference");
     }
     // Body: an empty brace pair (comments are stripped by the lexer) means
     // the exception vanishes without a trace.
@@ -428,48 +417,6 @@ private:
              "empty catch block swallows the exception; record or translate "
              "the failure (or suppress with mgtlint:allow)");
     }
-  }
-
-  /// Mechanical fix for catch-by-value: rewrite `catch (Type name)` /
-  /// `catch (ns::Type)` as a const-reference declaration. Returns nullopt
-  /// for anything fancier than ident/`::` sequences (no fix is safer than a
-  /// wrong fix).
-  std::optional<FixIt> catch_fix(std::size_t open, std::size_t close) {
-    if (close <= open + 1 || close >= size()) {
-      return std::nullopt;
-    }
-    std::vector<std::size_t> parts;
-    for (std::size_t k = open + 1; k < close; ++k) {
-      if (tok(k).kind == TokKind::kIdent || tok(k).text == "::") {
-        parts.push_back(k);
-      } else {
-        return std::nullopt;
-      }
-    }
-    if (parts.empty()) {
-      return std::nullopt;
-    }
-    // Name present iff the last two parts are adjacent identifiers.
-    std::string name;
-    std::size_t type_end = parts.size();
-    if (parts.size() >= 2 &&
-        tok(parts[parts.size() - 1]).kind == TokKind::kIdent &&
-        tok(parts[parts.size() - 2]).kind == TokKind::kIdent) {
-      name = std::string(tok(parts.back()).text);
-      type_end = parts.size() - 1;
-    }
-    std::string type;
-    for (std::size_t p = 0; p < type_end; ++p) {
-      type += std::string(tok(parts[p]).text);
-    }
-    std::string repl = "const " + type + "&";
-    if (!name.empty()) {
-      repl += " " + name;
-    }
-    const Token& first = tok(open + 1);
-    const Token& last = tok(close - 1);
-    return FixIt{first.offset, last.offset + last.text.size(),
-                 std::move(repl)};
   }
 
   /// Candidate constructor at member level: flag single-argument-callable
@@ -657,7 +604,6 @@ private:
   };
 
   std::string_view path_;
-  std::string_view content_;
   FileKind kind_;
   LexResult lexed_;
   std::vector<Diagnostic> diags_;
@@ -715,99 +661,45 @@ std::string repo_relative(std::string_view path) {
 const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> kCatalog = {
       {rules::kRandomDevice,
-       "std::random_device is non-deterministic; seed mgt::Rng explicitly",
-       false, false},
-      {rules::kRand, "rand()/srand() use hidden global state", false, false},
-      {rules::kTime, "time() reads the wall clock outside bench/", false,
-       false},
+       "std::random_device is non-deterministic; seed mgt::Rng explicitly"},
+      {rules::kRand, "rand()/srand() use hidden global state"},
+      {rules::kTime, "time() reads the wall clock outside bench/"},
       {rules::kWallClock,
-       "std::chrono wall clocks outside bench/ break determinism", false,
-       false},
+       "std::chrono wall clocks outside bench/ break determinism"},
       {rules::kUnorderedIter,
-       "iterating an unordered container has unspecified order", false,
-       false},
+       "iterating an unordered container has unspecified order"},
       {rules::kUnitDouble,
-       "raw double with a unit-suffixed name; use a strong unit type", false,
-       false},
-      {rules::kFloat, "float narrows ps-resolution math in src/", false,
-       false},
-      {rules::kAssert, "assert() compiles out under NDEBUG; use MGT_CHECK",
-       false, false},
+       "raw double with a unit-suffixed name; use a strong unit type"},
+      {rules::kFloat, "float narrows ps-resolution math in src/"},
+      {rules::kAssert, "assert() compiles out under NDEBUG; use MGT_CHECK"},
       {rules::kUsingNamespace,
-       "'using namespace' in a header pollutes every includer", false,
-       false},
-      {rules::kExplicitCtor,
-       "single-argument constructors must be explicit", false, false},
-      {rules::kCatchIgnore, "empty catch block swallows the exception",
-       false, false},
+       "'using namespace' in a header pollutes every includer"},
+      {rules::kExplicitCtor, "single-argument constructors must be explicit"},
+      {rules::kCatchIgnore, "empty catch block swallows the exception"},
       {rules::kCatchByValue,
-       "catching an exception by value slices; catch by const reference",
-       true, false},
+       "catching an exception by value slices; catch by const reference"},
       {rules::kUncheckedStatus,
-       "status-bearing call result discarded as a bare statement", true,
-       false},
+       "status-bearing call result discarded as a bare statement"},
       {rules::kUncheckedDecode,
        "decode*/parse* call result discarded in src/; the result is the "
-       "only evidence the input was valid",
-       true, false},
+       "only evidence the input was valid"},
       {rules::kWallclockMetric,
-       "wall-clock value feeds a deterministic obs metric sink", false,
-       false},
-      {rules::kUnboundedWait,
-       "blocking wait/join without a deadline in src/", false, false},
+       "wall-clock value feeds a deterministic obs metric sink"},
+      {rules::kUnboundedWait, "blocking wait/join without a deadline in src/"},
       {rules::kParallelMutation,
        "lambda under parallel_for mutates shared state (possibly via a "
        "function in another file)",
-       false, true},
+       true},
       {rules::kNondetFlow,
        "wall-clock/rand-derived value flows into a deterministic sink "
        "across file boundaries",
-       false, true},
+       true},
       {rules::kUnitFlow,
        "unit-carrying value passed to a raw double parameter of a public "
        "API declared elsewhere",
-       false, true},
+       true},
   };
   return kCatalog;
-}
-
-const std::vector<std::string_view>& all_rules() {
-  static const std::vector<std::string_view> kRules = [] {
-    std::vector<std::string_view> ids;
-    for (const auto& r : rule_catalog()) {
-      ids.push_back(r.id);
-    }
-    return ids;
-  }();
-  return kRules;
-}
-
-std::uint64_t hash_source_line(std::string_view content, std::size_t line) {
-  std::size_t begin = 0;
-  for (std::size_t l = 1; l < line && begin < content.size(); ++begin) {
-    if (content[begin] == '\n') {
-      ++l;
-    }
-  }
-  std::size_t end = begin;
-  while (end < content.size() && content[end] != '\n') {
-    ++end;
-  }
-  std::string_view text = content.substr(begin, end - begin);
-  while (!text.empty() &&
-         std::isspace(static_cast<unsigned char>(text.front()))) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() &&
-         std::isspace(static_cast<unsigned char>(text.back()))) {
-    text.remove_suffix(1);
-  }
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 std::vector<Diagnostic> lint_source(std::string_view path,
@@ -842,17 +734,6 @@ std::vector<Diagnostic> lint_project(const std::vector<ProjectInput>& files) {
                      std::tie(b.file, b.line, b.column, b.rule, b.message);
             });
   return diags;
-}
-
-std::vector<Diagnostic> lint_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return {{path, 0, 0, "io-error", "cannot open file", 0, std::nullopt}};
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string content = buf.str();
-  return lint_source(path, content);
 }
 
 std::string format_diagnostic(const Diagnostic& d) {

@@ -10,12 +10,10 @@
 //                      unit-safety flow across declaration boundaries
 //
 // The library half (this header) lints in-memory buffers so the rules are
-// unit-testable; main.cpp wraps it in a directory walker, SARIF writer,
-// baseline filter and fixer.
+// unit-testable; main.cpp wraps it in a directory walker. The one way to
+// silence a finding is an inline `// mgtlint:allow(<rule>)` comment.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,19 +36,10 @@ enum class FileKind {
 FileKind classify_path(std::string_view path);
 
 /// Path with everything left of the repo anchor (src/, tests/, bench/,
-/// examples/, tools/) stripped: "/root/repo/src/pecl/mux.hpp" ->
-/// "src/pecl/mux.hpp". Used for baseline keys and SARIF artifact URIs so
-/// findings survive a checkout moving.
+/// examples/, tools/) stripped: "/home/u/mgt/src/pecl/mux.hpp" ->
+/// "src/pecl/mux.hpp". Used for the file references inside cross-TU
+/// messages and for path-scoped exemptions.
 std::string repo_relative(std::string_view path);
-
-/// A mechanical, compile-safe replacement for a finding: replace source
-/// bytes [begin, end) with `replacement`. Only rules whose catalog entry is
-/// `fixable` emit one.
-struct FixIt {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::string replacement;
-};
 
 /// One finding. `rule` is the stable kebab-case id usable in
 /// `// mgtlint:allow(<rule>)` suppressions.
@@ -60,11 +49,6 @@ struct Diagnostic {
   std::size_t column = 0;
   std::string rule;
   std::string message;
-  /// FNV-1a of the trimmed source line text; with (rule, repo-relative
-  /// file) and an occurrence ordinal this forms the baseline fingerprint,
-  /// which survives unrelated edits moving the finding's line number.
-  std::uint64_t line_hash = 0;
-  std::optional<FixIt> fix;
 };
 
 /// Stable rule ids (see README for the catalog).
@@ -93,20 +77,15 @@ inline constexpr std::string_view kNondetFlow = "no-nondet-flow";
 inline constexpr std::string_view kUnitFlow = "unit-flow-raw-double";
 }  // namespace rules
 
-/// Rule metadata, consumed by --list-rules, the SARIF tool.driver.rules
-/// array, and the fixer.
+/// Rule metadata, consumed by --list-rules.
 struct RuleInfo {
   std::string_view id;
   std::string_view summary;  // one line, imperative
-  bool fixable = false;      // --fix can rewrite findings mechanically
   bool cross_tu = false;     // needs the project index (lint_project only)
 };
 
 /// The full catalog, one entry per rule, stable order.
 const std::vector<RuleInfo>& rule_catalog();
-
-/// All rule ids, for --list-rules and the fixture suite.
-const std::vector<std::string_view>& all_rules();
 
 /// Lints one in-memory buffer with the per-file rules. `path` is used for
 /// classification (unless a kind is passed) and for the diagnostics' file
@@ -127,15 +106,7 @@ struct ProjectInput {
 /// are sorted by (file, line, column, rule).
 std::vector<Diagnostic> lint_project(const std::vector<ProjectInput>& files);
 
-/// Reads and lints a file on disk (per-file rules only). Missing/unreadable
-/// files produce a single diagnostic with rule "io-error".
-std::vector<Diagnostic> lint_file(const std::string& path);
-
 /// Formats a diagnostic as "file:line:col: [rule] message".
 std::string format_diagnostic(const Diagnostic& d);
-
-/// FNV-1a 64-bit over the trimmed text of `line` (1-based) in `content`;
-/// the line-identity half of a baseline fingerprint.
-std::uint64_t hash_source_line(std::string_view content, std::size_t line);
 
 }  // namespace mgtlint

@@ -3,31 +3,20 @@
 // families over the combined project index, and prints findings as
 // `file:line:col: [rule] message`.
 //
-//   mgtlint [options] <file-or-dir>...
+//   mgtlint <file-or-dir>...   lint, print every finding
+//   mgtlint --list-rules       print the rule catalog and exit
 //
-//   --list-rules            print the rule catalog and exit
-//   --stats                 print per-rule finding counts and parse timing
-//   --sarif FILE            also write the findings as SARIF 2.1.0 JSON
-//   --baseline FILE         suppress findings fingerprinted in FILE
-//   --write-baseline FILE   snapshot current findings to FILE and exit 0
-//   --fix                   apply mechanical fixes for fixable rules in place
-//   --quiet                 suppress the summary line
-//
-// Exit codes: 0 = clean (or baseline written / fixes applied), 1 = findings
-// remain after baseline filtering, 2 = usage or I/O error.
+// Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error. The only
+// way to silence a finding is an inline `// mgtlint:allow(<rule>)`.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "baseline.hpp"
 #include "lint.hpp"
-#include "sarif.hpp"
 
 namespace fs = std::filesystem;
 
@@ -61,116 +50,35 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << content;
-  return out.good();
-}
-
 void usage() {
   std::printf(
-      "usage: mgtlint [options] <file-or-dir>...\n"
-      "  --list-rules            print the rule catalog and exit\n"
-      "  --stats                 print per-rule counts and timing\n"
-      "  --sarif FILE            write findings as SARIF 2.1.0 JSON\n"
-      "  --baseline FILE         suppress findings listed in FILE\n"
-      "  --write-baseline FILE   snapshot findings to FILE, exit 0\n"
-      "  --fix                   apply mechanical fixes in place\n"
-      "  --quiet                 suppress the summary line\n"
+      "usage: mgtlint <file-or-dir>...\n"
+      "       mgtlint --list-rules\n"
       "exit codes: 0 clean, 1 findings, 2 usage/io error\n");
-}
-
-/// Applies fixes back-to-front per file so earlier byte offsets stay valid,
-/// then rewrites the files. Returns the number of fixes applied.
-std::size_t apply_fixes(const std::vector<mgtlint::Diagnostic>& diags,
-                        std::map<std::string, std::string>& contents) {
-  std::map<std::string, std::vector<const mgtlint::Diagnostic*>> by_file;
-  for (const auto& d : diags) {
-    if (d.fix) {
-      by_file[d.file].push_back(&d);
-    }
-  }
-  std::size_t applied = 0;
-  for (auto& [file, list] : by_file) {
-    auto it = contents.find(file);
-    if (it == contents.end()) {
-      continue;
-    }
-    std::sort(list.begin(), list.end(),
-              [](const mgtlint::Diagnostic* a, const mgtlint::Diagnostic* b) {
-                return a->fix->begin > b->fix->begin;
-              });
-    std::string& src = it->second;
-    for (const auto* d : list) {
-      if (d->fix->end > src.size() || d->fix->begin > d->fix->end) {
-        continue;  // stale offsets: never corrupt a file
-      }
-      src.replace(d->fix->begin, d->fix->end - d->fix->begin,
-                  d->fix->replacement);
-      ++applied;
-    }
-    if (!write_file(file, src)) {
-      std::fprintf(stderr, "mgtlint: cannot rewrite %s\n", file.c_str());
-    }
-  }
-  return applied;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> files;
-  bool quiet = false;
-  bool stats = false;
-  bool fix = false;
-  std::string sarif_path;
-  std::string baseline_path;
-  std::string write_baseline_path;
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
     if (arg == "--list-rules") {
       for (const auto& r : mgtlint::rule_catalog()) {
-        std::printf("%-32.*s %s%s%.*s\n", static_cast<int>(r.id.size()),
-                    r.id.data(), r.fixable ? "[fixable] " : "",
-                    r.cross_tu ? "[cross-tu] " : "",
+        std::printf("%-32.*s %s%.*s\n", static_cast<int>(r.id.size()),
+                    r.id.data(), r.cross_tu ? "[cross-tu] " : "",
                     static_cast<int>(r.summary.size()), r.summary.data());
       }
       return 0;
     }
-    if (arg == "--quiet") {
-      quiet = true;
-      continue;
-    }
-    if (arg == "--stats") {
-      stats = true;
-      continue;
-    }
-    if (arg == "--fix") {
-      fix = true;
-      continue;
-    }
-    if (arg == "--sarif" || arg == "--baseline" || arg == "--write-baseline") {
-      if (a + 1 >= argc) {
-        std::fprintf(stderr, "mgtlint: %s needs a file argument\n",
-                     arg.c_str());
-        return 2;
-      }
-      const std::string value = argv[++a];
-      if (arg == "--sarif") {
-        sarif_path = value;
-      } else if (arg == "--baseline") {
-        baseline_path = value;
-      } else {
-        write_baseline_path = value;
-      }
-      continue;
-    }
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
+    }
+    if (arg.starts_with("-")) {
+      std::fprintf(stderr, "mgtlint: unknown option %s (see --help)\n",
+                   arg.c_str());
+      return 2;
     }
     if (!fs::exists(arg)) {
       std::fprintf(stderr, "mgtlint: no such path: %s\n", arg.c_str());
@@ -188,87 +96,20 @@ int main(int argc, char** argv) {
   // One read per file: lint_project wants every buffer at once so the
   // cross-TU index sees the whole project.
   std::vector<mgtlint::ProjectInput> inputs;
-  std::map<std::string, std::string> contents;
   for (const auto& file : files) {
     std::string text;
     if (!read_file(file, text)) {
       std::fprintf(stderr, "mgtlint: cannot read %s\n", file.c_str());
       return 2;
     }
-    contents[file] = text;
     inputs.push_back({file, std::move(text)});
   }
 
-  // Timing for --stats only; everything the linter *reports* is
-  // deterministic, the wall clock never reaches a finding.
-  const auto t0 = std::chrono::steady_clock::now();  // mgtlint:allow(no-wall-clock)
-  std::vector<mgtlint::Diagnostic> diags = mgtlint::lint_project(inputs);
-  const auto t1 = std::chrono::steady_clock::now();  // mgtlint:allow(no-wall-clock)
-
-  if (!write_baseline_path.empty()) {
-    if (!write_file(write_baseline_path, mgtlint::write_baseline(diags))) {
-      std::fprintf(stderr, "mgtlint: cannot write %s\n",
-                   write_baseline_path.c_str());
-      return 2;
-    }
-    if (!quiet) {
-      std::fprintf(stderr, "mgtlint: baselined %zu finding(s) to %s\n",
-                   diags.size(), write_baseline_path.c_str());
-    }
-    return 0;
-  }
-
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!read_file(baseline_path, text)) {
-      std::fprintf(stderr, "mgtlint: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    diags = mgtlint::apply_baseline(diags, mgtlint::parse_baseline(text));
-  }
-
+  const std::vector<mgtlint::Diagnostic> diags = mgtlint::lint_project(inputs);
   for (const auto& diag : diags) {
-    const std::string text = mgtlint::format_diagnostic(diag);
-    std::printf("%s\n", text.c_str());
+    std::printf("%s\n", mgtlint::format_diagnostic(diag).c_str());
   }
-
-  if (!sarif_path.empty() &&
-      !write_file(sarif_path, mgtlint::to_sarif(diags))) {
-    std::fprintf(stderr, "mgtlint: cannot write %s\n", sarif_path.c_str());
-    return 2;
-  }
-
-  std::size_t fixed = 0;
-  if (fix) {
-    fixed = apply_fixes(diags, contents);
-  }
-
-  if (stats) {
-    std::map<std::string, std::size_t> per_rule;
-    for (const auto& d : diags) {
-      ++per_rule[d.rule];
-    }
-    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        t1 - t0)
-                        .count();
-    std::fprintf(stderr, "mgtlint stats:\n");
-    std::fprintf(stderr, "  files scanned : %zu\n", files.size());
-    std::fprintf(stderr, "  lint+parse    : %lld ms\n",
-                 static_cast<long long>(ms));
-    std::fprintf(stderr, "  findings      : %zu\n", diags.size());
-    for (const auto& [rule, n] : per_rule) {
-      std::fprintf(stderr, "    %-32s %zu\n", rule.c_str(), n);
-    }
-    if (fix) {
-      std::fprintf(stderr, "  fixes applied : %zu\n", fixed);
-    }
-  }
-  if (!quiet) {
-    std::fprintf(stderr, "mgtlint: %zu file(s), %zu finding(s)%s\n",
-                 files.size(), diags.size(),
-                 fix ? (", " + std::to_string(fixed) + " fixed").c_str()
-                     : "");
-  }
+  std::fprintf(stderr, "mgtlint: %zu file(s), %zu finding(s)\n", files.size(),
+               diags.size());
   return diags.empty() ? 0 : 1;
 }

@@ -106,7 +106,7 @@ LexResult lex(std::string_view src) {
         }
         continue;
       }
-      out.tokens.push_back({TokKind::kPunct, src.substr(i, 1), line, col, i});
+      out.tokens.push_back({TokKind::kPunct, src.substr(i, 1), line, col});
       advance(1);
       at_line_start = false;
       continue;
@@ -147,7 +147,7 @@ LexResult lex(std::string_view src) {
         const std::size_t stop =
             end == std::string_view::npos ? src.size() : end + close.size();
         out.tokens.push_back(
-            {TokKind::kString, src.substr(i, stop - i), line, col, i});
+            {TokKind::kString, src.substr(i, stop - i), line, col});
         advance(stop - i);
         continue;
       }
@@ -164,7 +164,7 @@ LexResult lex(std::string_view src) {
       }
       advance(1);
       out.tokens.push_back({TokKind::kString, src.substr(start, i - start),
-                            start_line, start_col, start});
+                            start_line, start_col});
       continue;
     }
     if (ident_start(c)) {
@@ -174,7 +174,7 @@ LexResult lex(std::string_view src) {
         advance(1);
       }
       out.tokens.push_back({TokKind::kIdent, src.substr(start, i - start),
-                            line, start_col, start});
+                            line, start_col});
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
@@ -188,21 +188,21 @@ LexResult lex(std::string_view src) {
         advance(1);
       }
       out.tokens.push_back({TokKind::kNumber, src.substr(start, i - start),
-                            line, start_col, start});
+                            line, start_col});
       continue;
     }
     // Multi-char punctuation we care about: -> and ::.
     if (c == '-' && i + 1 < src.size() && src[i + 1] == '>') {
-      out.tokens.push_back({TokKind::kPunct, src.substr(i, 2), line, col, i});
+      out.tokens.push_back({TokKind::kPunct, src.substr(i, 2), line, col});
       advance(2);
       continue;
     }
     if (c == ':' && i + 1 < src.size() && src[i + 1] == ':') {
-      out.tokens.push_back({TokKind::kPunct, src.substr(i, 2), line, col, i});
+      out.tokens.push_back({TokKind::kPunct, src.substr(i, 2), line, col});
       advance(2);
       continue;
     }
-    out.tokens.push_back({TokKind::kPunct, src.substr(i, 1), line, col, i});
+    out.tokens.push_back({TokKind::kPunct, src.substr(i, 1), line, col});
     advance(1);
   }
   return out;

@@ -32,7 +32,6 @@ struct Token {
   std::string_view text;
   std::size_t line;
   std::size_t column;
-  std::size_t offset;  // byte offset of the token's first char in the source
 };
 
 /// Lexer output: tokens plus the per-line suppression table built from

@@ -8,9 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "baseline.hpp"
 #include "lint.hpp"
-#include "sarif.hpp"
 
 namespace {
 
@@ -707,29 +705,22 @@ TEST(MgtlintUnboundedWait, AllowlistSuppresses) {
 }
 
 TEST(MgtlintMisc, AllRulesListsEveryRuleOnce) {
-  const auto& rules = mgtlint::all_rules();
-  EXPECT_EQ(rules.size(), 19u);
-  for (const auto rule : rules) {
-    EXPECT_EQ(std::count(rules.begin(), rules.end(), rule), 1)
-        << std::string(rule);
+  std::vector<std::string_view> ids;
+  for (const auto& r : mgtlint::rule_catalog()) {
+    ids.push_back(r.id);
+  }
+  EXPECT_EQ(ids.size(), 19u);
+  for (const auto id : ids) {
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), id), 1) << std::string(id);
   }
 }
 
 TEST(MgtlintMisc, CatalogMarksCrossTuAndFixableRules) {
   int cross_tu = 0;
-  int fixable = 0;
   for (const auto& r : mgtlint::rule_catalog()) {
     cross_tu += r.cross_tu ? 1 : 0;
-    fixable += r.fixable ? 1 : 0;
   }
   EXPECT_EQ(cross_tu, 3);
-  EXPECT_EQ(fixable, 3);
-}
-
-TEST(MgtlintMisc, MissingFileReportsIoError) {
-  const auto diags = mgtlint::lint_file("definitely/not/a/file.cpp");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "io-error");
 }
 
 // ------------------------------------------- allow directive attribution --
@@ -1048,151 +1039,6 @@ TEST(MgtlintCrossTu, ImplOnlyDeclarationStaysSilent) {
     void tune(Picoseconds step) { set_phase_impl(step.ps()); }
   )"}},
                              "unit-flow-raw-double"));
-}
-
-// --------------------------------------------------------------- fixes --
-
-TEST(MgtlintFix, CatchByValueFixRewritesToConstRef) {
-  const std::string code = R"(
-    void f() {
-      try { g(); } catch (std::runtime_error e) { log(e); }
-    }
-  )";
-  const auto diags = lint_source("src/a.cpp", code);
-  ASSERT_EQ(diags.size(), 1u);
-  ASSERT_TRUE(diags[0].fix.has_value());
-  std::string fixed = code;
-  fixed.replace(diags[0].fix->begin, diags[0].fix->end - diags[0].fix->begin,
-                diags[0].fix->replacement);
-  EXPECT_NE(fixed.find("catch (const std::runtime_error& e)"),
-            std::string::npos);
-  EXPECT_TRUE(lint_source("src/a.cpp", fixed).empty());
-}
-
-TEST(MgtlintFix, DiscardedStatusFixInsertsVoidCast) {
-  const std::string code = R"(
-    void f(System& sys) {
-      sys.self_test();
-    }
-  )";
-  const auto diags = lint_source("src/a.cpp", code);
-  ASSERT_EQ(diags.size(), 1u);
-  ASSERT_TRUE(diags[0].fix.has_value());
-  std::string fixed = code;
-  fixed.replace(diags[0].fix->begin, diags[0].fix->end - diags[0].fix->begin,
-                diags[0].fix->replacement);
-  EXPECT_NE(fixed.find("(void)sys.self_test();"), std::string::npos);
-  EXPECT_TRUE(lint_source("src/a.cpp", fixed).empty());
-}
-
-// ------------------------------------------------------------- baseline --
-
-TEST(MgtlintBaseline, RoundTripSuppressesExactlyTheSnapshot) {
-  const std::vector<mgtlint::ProjectInput> files = {
-      {"src/sum.cpp", R"(
-    double sum(const std::vector<double>& v) {
-      double total = 0.0;
-      util::parallel_for(v.size(), [&](std::size_t i) { total += v[i]; });
-      return total;
-    }
-  )"}};
-  const auto diags = project(files);
-  ASSERT_EQ(diags.size(), 1u);
-  const std::string text = mgtlint::write_baseline(diags);
-  EXPECT_NE(text.find("# mgtlint baseline v1"), std::string::npos);
-  const auto entries = mgtlint::parse_baseline(text);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].rule, "no-shared-mutation-in-parallel");
-  EXPECT_EQ(entries[0].path, "src/sum.cpp");
-  EXPECT_EQ(entries[0].line_hash, diags[0].line_hash);
-  EXPECT_TRUE(mgtlint::apply_baseline(diags, entries).empty());
-}
-
-TEST(MgtlintBaseline, FingerprintSurvivesLineDrift) {
-  const char* v1_code = R"(
-    double sum(const std::vector<double>& v) {
-      double total = 0.0;
-      util::parallel_for(v.size(), [&](std::size_t i) { total += v[i]; });
-      return total;
-    }
-  )";
-  // Same finding, pushed three lines down by an unrelated edit.
-  const char* v2_code = R"(
-    // A header comment added later,
-    // spanning several lines,
-    // moves everything below it.
-    double sum(const std::vector<double>& v) {
-      double total = 0.0;
-      util::parallel_for(v.size(), [&](std::size_t i) { total += v[i]; });
-      return total;
-    }
-  )";
-  const auto baseline = mgtlint::parse_baseline(
-      mgtlint::write_baseline(project({{"src/sum.cpp", v1_code}})));
-  const auto drifted = project({{"src/sum.cpp", v2_code}});
-  ASSERT_EQ(drifted.size(), 1u);
-  EXPECT_TRUE(mgtlint::apply_baseline(drifted, baseline).empty());
-}
-
-TEST(MgtlintBaseline, NewFindingIsNotSuppressed) {
-  const auto baseline = mgtlint::parse_baseline("# mgtlint baseline v1\n");
-  const auto diags = project({{"src/sum.cpp", R"(
-    double sum(const std::vector<double>& v) {
-      double total = 0.0;
-      util::parallel_for(v.size(), [&](std::size_t i) { total += v[i]; });
-      return total;
-    }
-  )"}});
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(mgtlint::apply_baseline(diags, baseline).size(), 1u);
-}
-
-TEST(MgtlintBaseline, MalformedLinesAreSkippedNotFatal) {
-  const auto entries = mgtlint::parse_baseline(
-      "# comment\n"
-      "\n"
-      "just-a-rule\n"
-      "rule path nothex 0\n"
-      "rule path 00000000000000ff notanumber\n"
-      "good-rule src/a.cpp 00000000000000ff 2\n");
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].rule, "good-rule");
-  EXPECT_EQ(entries[0].line_hash, 0xffu);
-  EXPECT_EQ(entries[0].ordinal, 2u);
-}
-
-// ---------------------------------------------------------------- SARIF --
-
-TEST(MgtlintSarif, GoldenSingleResult) {
-  mgtlint::Diagnostic d;
-  d.file = "src/pll/tune.cpp";
-  d.line = 3;
-  d.column = 7;
-  d.rule = "unit-flow-raw-double";
-  d.message = "a \"quoted\" message";
-  d.line_hash = 0x1234abcd5678ef00ull;
-  const std::string sarif = mgtlint::to_sarif({d});
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\": \"mgtlint\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"unit-flow-raw-double\""),
-            std::string::npos);
-  EXPECT_NE(sarif.find("\"uri\": \"src/pll/tune.cpp\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 3, \"startColumn\": 7"),
-            std::string::npos);
-  EXPECT_NE(sarif.find("a \\\"quoted\\\" message"), std::string::npos);
-  EXPECT_NE(sarif.find("\"mgtlintLineHash/v1\": \"1234abcd5678ef00\""),
-            std::string::npos);
-  // Every catalog rule appears in tool.driver.rules.
-  for (const auto& r : mgtlint::rule_catalog()) {
-    EXPECT_NE(sarif.find("\"id\": \"" + std::string(r.id) + "\""),
-              std::string::npos)
-        << std::string(r.id);
-  }
-}
-
-TEST(MgtlintSarif, EmptyRunHasEmptyResults) {
-  const std::string sarif = mgtlint::to_sarif({});
-  EXPECT_NE(sarif.find("\"results\": [\n      ]"), std::string::npos);
 }
 
 }  // namespace
