@@ -76,7 +76,8 @@ EyeDiagram::EyeDiagram(Config config)
 inline void EyeDiagram::fold(Picoseconds t, Millivolts v) {
   const double ui = config_.ui.ps();
   const double span = 2.0 * ui;
-  const double phase2 = positive_mod(t.ps() - config_.t_ref.ps(), span);
+  const double x = t.ps() - config_.t_ref.ps();
+  const double phase2 = positive_mod(x, span);
   const double vfrac =
       (v.mv() - config_.v_lo.mv()) / (config_.v_hi.mv() - config_.v_lo.mv());
   if (vfrac >= 0.0 && vfrac < 1.0) {
@@ -89,8 +90,11 @@ inline void EyeDiagram::fold(Picoseconds t, Millivolts v) {
   }
 
   // Eye-center vertical opening: samples within +-center_window*UI of the
-  // middle of the bit cell.
-  const double phase1 = positive_mod(t.ps() - config_.t_ref.ps(), ui);
+  // middle of the bit cell. For x >= 0, fmod(x, 2ui) - ui == fmod(x, ui)
+  // exactly when the former is >= ui, and the subtraction is exact
+  // (Sterbenz), so the 2-UI phase yields the 1-UI phase with no second mod.
+  const double phase1 = x >= 0.0 ? (phase2 >= ui ? phase2 - ui : phase2)
+                                 : positive_mod(x, ui);
   if (std::abs(phase1 - ui / 2.0) <= config_.center_window * ui) {
     if (v.mv() >= config_.threshold.mv()) {
       center_min_high_ = std::min(center_min_high_, v.mv());

@@ -17,6 +17,7 @@ FilterChain& FilterChain::add_pole(Picoseconds tau) {
   // The memoized alpha rows are per-stage; changing the cascade drops them.
   memo_rows_ = 0;
   memo_next_ = 0;
+  memo_last_ = 0;
   memo_alpha_.assign(kAlphaMemoRows * taus_.size(), 0.0);
   return *this;
 }
@@ -59,8 +60,12 @@ void FilterChain::reset(Millivolts v) {
 
 const double* FilterChain::alpha_row(Picoseconds dt) {
   const double dt_ps = dt.ps();
+  if (memo_last_ < memo_rows_ && memo_dt_[memo_last_] == dt_ps) {
+    return memo_alpha_.data() + memo_last_ * taus_.size();
+  }
   for (std::size_t r = 0; r < memo_rows_; ++r) {
     if (memo_dt_[r] == dt_ps) {
+      memo_last_ = r;
       return memo_alpha_.data() + r * taus_.size();
     }
   }
@@ -76,6 +81,7 @@ const double* FilterChain::alpha_row(Picoseconds dt) {
     row[i] = 1.0 - std::exp(-dt_ps / taus_[i]);
   }
   memo_dt_[r] = dt_ps;
+  memo_last_ = r;
   return row;
 }
 
@@ -90,6 +96,22 @@ Millivolts FilterChain::step(Millivolts u, Picoseconds dt) {
     }
   }
   return Millivolts{x};
+}
+
+bool FilterChain::at_rest(Millivolts u, Picoseconds dt_max) {
+  double x = midpoint_mv_ + gain_ * (u.mv() - midpoint_mv_);
+  if (taus_.empty()) {
+    return passthrough_ == x;
+  }
+  const double* alpha = alpha_row(dt_max);
+  for (std::size_t i = 0; i < taus_.size(); ++i) {
+    const double s = state_[i];
+    if (s + (x - s) * alpha[i] != s) {
+      return false;
+    }
+    x = s;
+  }
+  return true;
 }
 
 Millivolts FilterChain::output() const {

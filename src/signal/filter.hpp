@@ -54,13 +54,24 @@ public:
   /// Output without advancing time.
   [[nodiscard]] Millivolts output() const;
 
+  /// True when step(u, dt) leaves every stage state unchanged for every
+  /// dt <= dt_max: s + (x - s) * alpha(dt_max) == s at each stage, with x
+  /// the scaled input chained stage to stage. alpha grows with dt, and a
+  /// fixed point under the largest alpha is one under every smaller alpha,
+  /// since IEEE multiply and add round monotonically. With no poles, the
+  /// passthrough must already equal the scaled input. Not const: reads
+  /// the alpha memo.
+  [[nodiscard]] bool at_rest(Millivolts u, Picoseconds dt_max);
+
 private:
   /// Returns the per-stage alphas 1 - exp(-dt/tau) for this dt, computing
   /// and memoizing the row on first sight of the dt value. The renderer
-  /// revisits a handful of distinct dt values (the grid step and the edge
-  /// fragments around it) millions of times, so this removes exp() from the
-  /// per-sample path while staying byte-identical: a memoized alpha is the
-  /// very double the direct computation would produce.
+  /// revisits a handful of distinct dt values (the grid step, the rest
+  /// bound and the edge fragments around them) millions of times, so this
+  /// removes exp() from the per-sample path while staying byte-identical: a
+  /// memoized alpha is the very double the direct computation would
+  /// produce. The row that hit last is tried before the scan, because
+  /// consecutive grid steps almost always repeat the same dt.
   const double* alpha_row(Picoseconds dt);
 
   static constexpr std::size_t kAlphaMemoRows = 8;
@@ -74,6 +85,7 @@ private:
   std::vector<double> memo_alpha_;  // kAlphaMemoRows x pole_count, row-major
   std::size_t memo_rows_ = 0;       // valid rows
   std::size_t memo_next_ = 0;       // round-robin replacement cursor
+  std::size_t memo_last_ = 0;       // row of the last hit or insertion
 };
 
 /// 20-80 % rise time of a single pole: tau * ln 4.

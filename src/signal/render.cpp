@@ -1,6 +1,7 @@
 #include "signal/render.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -40,7 +41,8 @@ void run_window(const EdgeStream& stream, FilterChain& chain,
   chain.reset(level_to_mv(level));
 
   // Emitted samples accumulate into a SoA block and go out whole; the
-  // chain stepping below is unchanged from the per-sample engine, so the
+  // chain stepping below matches the per-sample engine step for step
+  // (quiescent runs skip only steps that provably change nothing), so the
   // sample values (and the block-partitioned delivery, for sinks honoring
   // the on_block contract) are byte-identical to it.
   SampleBlock block;
@@ -54,7 +56,27 @@ void run_window(const EdgeStream& stream, FilterChain& chain,
     block.clear();
   };
 
+  auto emit = [&](std::size_t k, double t_sample, Millivolts v) {
+    if (k >= k_emit) {
+      block.push(t_sample, v.mv());
+      if (block.full()) {
+        flush();
+      }
+    } else if (k + 1 == k_emit) {
+      for (WaveformSink* sink : sinks) {
+        sink->on_context(Picoseconds{t_sample}, v);
+      }
+    }
+  };
+
+  // Bound on the grid steps a quiescent run may skip: a hair above dt, so
+  // the few-ulp spread of t_begin + k * dt stays under it, yet tight enough
+  // that a stage stalled one ulp from its input under alpha(dt) still
+  // passes at_rest (under a 2 * dt bound almost none does).
+  const double dt_max = dt * (1.0 + 0x1p-20);
+
   double now = t_start;
+  double v_prev = chain.output().mv();
   for (std::size_t k = k_start; k < k_end; ++k) {
     const double t_sample = t_begin.ps() + static_cast<double>(k) * dt;
     // Advance exactly through any transitions before this sample.
@@ -72,16 +94,26 @@ void run_window(const EdgeStream& stream, FilterChain& chain,
       now = t_sample;
     }
     const Millivolts v = chain.output();
-    if (k >= k_emit) {
-      block.push(t_sample, v.mv());
-      if (block.full()) {
-        flush();
-      }
-    } else if (k + 1 == k_emit) {
-      for (WaveformSink* sink : sinks) {
-        sink->on_context(Picoseconds{t_sample}, v);
+    emit(k, t_sample, v);
+    // Quiescent run: if no stage can move under any step up to dt_max, every
+    // step until the next transition returns v unchanged, so the samples
+    // before it go out without stepping the chain.
+    if (v.mv() == v_prev &&
+        chain.at_rest(level_to_mv(level), Picoseconds{dt_max})) {
+      const double t_next = next_tr < trs.size()
+                                ? trs[next_tr].time.ps()
+                                : std::numeric_limits<double>::infinity();
+      while (k + 1 < k_end) {
+        const double t_j = t_begin.ps() + static_cast<double>(k + 1) * dt;
+        if (t_j >= t_next || t_j - now > dt_max) {
+          break;
+        }
+        ++k;
+        emit(k, t_j, v);
+        now = t_j;
       }
     }
+    v_prev = v.mv();
   }
   flush();
 }
@@ -140,7 +172,7 @@ void render_chunk(const EdgeStream& stream, FilterChain chain,
   // configured depth: the sample at k0-1 doubles as the on_context() sample,
   // and without it pairwise sinks would silently drop every adjacent pair
   // straddling a chunk boundary (the settle_samples=0 regression in
-  // tests/test_simd_equiv.cpp). The configured depth remains the accuracy
+  // tests/test_render_equiv.cpp). The configured depth remains the accuracy
   // knob for chain-state convergence.
   const std::size_t settle =
       chunk_index == 0

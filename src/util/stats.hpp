@@ -3,15 +3,40 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 namespace mgt {
 
+/// Bitwise equal to std::fmod(x, m), without glibc's per-call fmod loop.
+/// fmod's result x - n*m (n = trunc(x/m)) is always representable, so one
+/// fma with the true quotient n returns it exactly. Division rounds
+/// monotonically and n is representable, so trunc(x/m) computed is n or n
+/// one further from zero; the latter leaves a remainder of the sign
+/// opposite to x's, and the quotient is corrected before the fma is redone
+/// (adjusting the remainder by +-m instead could round). Quotients of 2^52
+/// and beyond, non-finite operands and m <= 0 go to std::fmod (a
+/// non-finite x or a zero or NaN m makes the quotient non-finite).
+inline double exact_fmod(double x, double m) {
+  const double qd = x / m;
+  if (!(std::abs(qd) < 0x1p52) || !(m > 0.0 && m < HUGE_VAL)) {
+    return std::fmod(x, m);
+  }
+  double q = static_cast<double>(static_cast<std::int64_t>(qd));
+  double r = std::fma(-q, m, x);
+  if (x >= 0.0 ? r < 0.0 : r > 0.0) {
+    q -= std::copysign(1.0, q);
+    r = std::fma(-q, m, x);
+  }
+  // A zero remainder carries the sign of x, as fmod's does.
+  return r == 0.0 ? std::copysign(0.0, x) : r;
+}
+
 /// `x` modulo `m`, folded to be non-negative: the phase of a time on a
 /// grid of period `m`. Inline because the eye fold calls it per sample.
 inline double positive_mod(double x, double m) {
-  double r = std::fmod(x, m);
+  double r = exact_fmod(x, m);
   if (r < 0.0) {
     r += m;
   }

@@ -1,0 +1,756 @@
+// Render-equivalence gate (ctest label: render).
+//
+// The renderer hands samples to sinks in SoA SampleBlocks, skips the filter
+// steps of quiescent runs, and the eye folds each sample with one exact
+// mod; that is only allowed because every result it produces is
+// byte-identical to per-sample stepping and delivery. This suite is that
+// gate:
+//
+//   - sink level: block delivery produces the same state as per-sample
+//     delivery for ANY partitioning of the sample sequence into blocks;
+//   - pipeline level: a chunked eye accumulation over one chunk is bitwise
+//     identical to a single-pass render();
+//   - parallel level: a mixed eye + shmoo workload is bitwise identical at
+//     MGT_THREADS 0, 1 and 8;
+//   - plus the chunk-boundary regression the harness exposed: a zero
+//     settle depth must not silently drop the context sample (and with it
+//     every crossing pair that straddles a chunk boundary);
+//   - quiescent skip: render() and render_chunk() emit exactly the samples
+//     and context of a per-sample copy of the render loop, over flat runs,
+//     on-grid transitions, far-from-zero grids and 0/1/4-pole chains;
+//   - the alpha memo under eviction churn, and the one-mod eye fold for
+//     samples before t_ref, against direct computations.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "analysis/eye.hpp"
+#include "minitester/shmoo.hpp"
+#include "signal/batch.hpp"
+#include "signal/edge.hpp"
+#include "signal/filter.hpp"
+#include "signal/render.hpp"
+#include "signal/sinks.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
+
+namespace {
+
+using namespace mgt;
+
+std::uint64_t dbits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Deterministic per-edge jitter that needs no shared RNG state: hash the
+// bit index, map to a small offset. Pure function of the index, so streams
+// built from it are identical however they are constructed.
+sig::EdgeOffsetFn hash_jitter(std::uint64_t seed, double amplitude_ps) {
+  return [seed, amplitude_ps](std::size_t bit_index, Picoseconds) {
+    std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (bit_index + 1);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    z ^= z >> 31;
+    const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
+    return Picoseconds{(2.0 * u - 1.0) * amplitude_ps};
+  };
+}
+
+sig::EdgeStream test_stream(std::uint64_t seed, std::size_t n_bits,
+                            Picoseconds ui) {
+  Rng rng(seed);
+  BitVector bits = BitVector::random(n_bits, rng);
+  return sig::EdgeStream::from_bits(bits, ui, Picoseconds{0},
+                                    hash_jitter(seed, 3.0));
+}
+
+sig::FilterChain test_chain() {
+  sig::FilterChain chain;
+  chain.add_pole(Picoseconds{40.0})
+      .add_pole(Picoseconds{25.0})
+      .set_gain(0.9, Millivolts{2000.0});
+  return chain;
+}
+
+ana::EyeDiagram::Config eye_config(Picoseconds ui) {
+  ana::EyeDiagram::Config cfg;
+  cfg.ui = ui;
+  cfg.time_bins = 64;
+  cfg.volt_bins = 32;
+  return cfg;
+}
+
+// Everything observable about an accumulated eye, bit-exact.
+std::vector<std::uint64_t> fingerprint(const ana::EyeDiagram& eye) {
+  std::vector<std::uint64_t> fp;
+  fp.push_back(eye.total_samples());
+  const auto& cfg = eye.config();
+  for (std::size_t tb = 0; tb < cfg.time_bins; ++tb) {
+    for (std::size_t vb = 0; vb < cfg.volt_bins; ++vb) {
+      fp.push_back(eye.count_at(tb, vb));
+    }
+  }
+  for (const sig::Crossing& c : eye.crossings()) {
+    fp.push_back(dbits(c.time.ps()));
+    fp.push_back(c.rising ? 1 : 0);
+  }
+  const ana::EyeMetrics m = eye.metrics();
+  fp.push_back(m.jitter.count);
+  fp.push_back(dbits(m.jitter.peak_to_peak.ps()));
+  fp.push_back(dbits(m.jitter.rms.ps()));
+  fp.push_back(dbits(m.jitter.mean_phase.ps()));
+  fp.push_back(dbits(m.eye_opening.ui()));
+  fp.push_back(dbits(m.eye_width.ps()));
+  fp.push_back(dbits(m.eye_height.mv()));
+  fp.push_back(dbits(m.level_high.mv()));
+  fp.push_back(dbits(m.level_low.mv()));
+  return fp;
+}
+
+// ------------------------------------------------ block delivery gate ----
+
+// Feeds the same sample sequence to `per_sample` one sample at a time and
+// to `blocked` in blocks whose sizes cycle through `parts`. Afterwards the
+// two sinks must be in identical states (checked by the caller).
+void feed_both(sig::WaveformSink& per_sample, sig::WaveformSink& blocked,
+               const std::vector<double>& ts, const std::vector<double>& vs,
+               const std::vector<std::size_t>& parts) {
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    per_sample.on_sample(Picoseconds{ts[i]}, Millivolts{vs[i]});
+  }
+  sig::SampleBlock block;
+  std::size_t pi = 0;
+  std::size_t i = 0;
+  while (i < ts.size()) {
+    const std::size_t want =
+        std::min(std::min(parts[pi % parts.size()], sig::SampleBlock::kCapacity),
+                 ts.size() - i);
+    ++pi;
+    block.clear();
+    for (std::size_t k = 0; k < want; ++k, ++i) {
+      block.push(ts[i], vs[i]);
+    }
+    blocked.on_block(block);
+  }
+  per_sample.finish();
+  blocked.finish();
+}
+
+struct Synth {
+  std::vector<double> ts, vs;
+};
+
+Synth synth_waveform(std::size_t n) {
+  Synth s;
+  s.ts.reserve(n);
+  s.vs.reserve(n);
+  Rng rng(0x5EEDull);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = 0.5 * static_cast<double>(i);
+    // Band-limited-ish squarish wave with noise: plenty of threshold
+    // straddles, flat stretches for the slope gate, excursions for min/max.
+    const double phase = std::fmod(t, 800.0) / 800.0;
+    const double base = phase < 0.5 ? 2400.0 : 1600.0;
+    s.ts.push_back(t);
+    s.vs.push_back(base + rng.uniform(-30.0, 30.0));
+  }
+  return s;
+}
+
+const std::vector<std::size_t> kPartitions[] = {
+    {1}, {7}, {512}, {3, 64, 1, 500, 2},
+};
+
+TEST(BlockDelivery, CrossingRecorderPartitionInvariant) {
+  const Synth s = synth_waveform(4000);
+  for (const auto& parts : kPartitions) {
+    sig::CrossingRecorder a{Millivolts{2000.0}};
+    sig::CrossingRecorder b{Millivolts{2000.0}};
+    feed_both(a, b, s.ts, s.vs, parts);
+    ASSERT_EQ(a.crossings().size(), b.crossings().size());
+    for (std::size_t i = 0; i < a.crossings().size(); ++i) {
+      EXPECT_EQ(dbits(a.crossings()[i].time.ps()),
+                dbits(b.crossings()[i].time.ps()));
+      EXPECT_EQ(a.crossings()[i].rising, b.crossings()[i].rising);
+    }
+  }
+}
+
+TEST(BlockDelivery, AmplitudeTrackerPartitionInvariant) {
+  const Synth s = synth_waveform(4000);
+  for (const auto& parts : kPartitions) {
+    sig::AmplitudeTracker a{Millivolts{2000.0}};
+    sig::AmplitudeTracker b{Millivolts{2000.0}};
+    feed_both(a, b, s.ts, s.vs, parts);
+    EXPECT_EQ(dbits(a.v_max().mv()), dbits(b.v_max().mv()));
+    EXPECT_EQ(dbits(a.v_min().mv()), dbits(b.v_min().mv()));
+    EXPECT_EQ(dbits(a.settled_high().mv()), dbits(b.settled_high().mv()));
+    EXPECT_EQ(dbits(a.settled_low().mv()), dbits(b.settled_low().mv()));
+  }
+}
+
+TEST(BlockDelivery, StrobeSamplerPartitionInvariant) {
+  const Synth s = synth_waveform(4000);
+  std::vector<Picoseconds> strobes;
+  for (double t = 100.0; t < 1900.0; t += 400.0) {
+    strobes.push_back(Picoseconds{t});
+  }
+  sig::StrobeSampler::Config cfg;
+  for (const auto& parts : kPartitions) {
+    sig::StrobeSampler a{strobes, cfg, Rng(7)};
+    sig::StrobeSampler b{strobes, cfg, Rng(7)};
+    feed_both(a, b, s.ts, s.vs, parts);
+    ASSERT_EQ(a.bits().size(), b.bits().size());
+    for (std::size_t i = 0; i < a.bits().size(); ++i) {
+      EXPECT_EQ(a.bits()[i], b.bits()[i]);
+      EXPECT_EQ(dbits(a.analog()[i].mv()), dbits(b.analog()[i].mv()));
+    }
+    EXPECT_EQ(a.missed(), b.missed());
+  }
+}
+
+TEST(BlockDelivery, EyeDiagramPartitionInvariant) {
+  const Synth s = synth_waveform(8000);
+  for (const auto& parts : kPartitions) {
+    ana::EyeDiagram a{eye_config(Picoseconds{400.0})};
+    ana::EyeDiagram b{eye_config(Picoseconds{400.0})};
+    feed_both(a, b, s.ts, s.vs, parts);
+    EXPECT_EQ(fingerprint(a), fingerprint(b));
+  }
+}
+
+// ---------------------------------------------------- pipeline gate ----
+
+// One chunked eye accumulation over a jittered pseudorandom pattern: small
+// chunks so several boundaries (and their settle windows) are exercised.
+ana::EyeDiagram run_eye_workload(std::uint64_t seed) {
+  const Picoseconds ui{400.0};
+  const std::size_t n_bits = 96;
+  const sig::EdgeStream stream = test_stream(seed, n_bits, ui);
+  const sig::FilterChain chain = test_chain();
+  const sig::RenderConfig rc;
+  const sig::RenderChunking chunking{4096, 2048};
+  return ana::accumulate_eye(stream, chain, rc, Picoseconds{0},
+                             Picoseconds{static_cast<double>(n_bits) * ui.ps()},
+                             eye_config(ui), chunking);
+}
+
+TEST(PipelineEquiv, BlockedEngineMatchesPlainRenderSinglePass) {
+  // render() (single pass, never chunked) against the chunked
+  // accumulate path over a single-chunk window: the documented identity.
+  const Picoseconds ui{400.0};
+  const std::size_t n_bits = 24;
+  const sig::EdgeStream stream = test_stream(3, n_bits, ui);
+  const sig::FilterChain chain = test_chain();
+  const sig::RenderConfig rc;
+  const Picoseconds t_end{static_cast<double>(n_bits) * ui.ps()};
+
+  ana::EyeDiagram direct{eye_config(ui)};
+  std::vector<sig::WaveformSink*> sinks{&direct};
+  sig::render(stream, chain, rc, Picoseconds{0}, t_end, sinks);
+
+  const sig::RenderChunking one_chunk{1u << 26, 2048};
+  const ana::EyeDiagram chunked = ana::accumulate_eye(
+      stream, chain, rc, Picoseconds{0}, t_end, eye_config(ui), one_chunk);
+  EXPECT_EQ(fingerprint(direct), fingerprint(chunked));
+}
+
+// ----------------------------------------------------- parallel gate ----
+
+// Mixed workload: a chunked eye pass and a small shmoo whose cells each run
+// a nested eye accumulation. Returns every result double bit-cast, all of
+// which must be identical at every worker count.
+std::vector<std::uint64_t> mixed_workload() {
+  std::vector<std::uint64_t> out = fingerprint(run_eye_workload(1234));
+
+  const minitester::Shmoo shmoo = minitester::run_shmoo(
+      "tau_ps", {20.0, 30.0, 40.0}, "jitter_ps", {0.0, 2.0, 5.0},
+      [](double tau_ps, double jitter_ps) {
+        const Picoseconds ui{400.0};
+        const std::size_t n_bits = 32;
+        Rng rng(77);
+        const BitVector bits = BitVector::random(n_bits, rng);
+        const sig::EdgeStream stream = sig::EdgeStream::from_bits(
+            bits, ui, Picoseconds{0},
+            hash_jitter(static_cast<std::uint64_t>(jitter_ps * 1000.0) + 5,
+                        jitter_ps));
+        sig::FilterChain chain;
+        chain.add_pole(Picoseconds{tau_ps});
+        const ana::EyeDiagram eye = ana::accumulate_eye(
+            stream, chain, sig::RenderConfig{}, Picoseconds{0},
+            Picoseconds{static_cast<double>(n_bits) * ui.ps()},
+            eye_config(ui), sig::RenderChunking{4096, 2048});
+        return 1.0 - eye.metrics().eye_opening.ui();
+      });
+  for (const auto& row : shmoo.ber) {
+    for (double x : row) {
+      out.push_back(dbits(x));
+    }
+  }
+  return out;
+}
+
+TEST(ParallelEquiv, MixedEyeShmooWorkloadByteIdenticalAcrossThreadCounts) {
+  std::vector<std::uint64_t> serial, one, eight;
+  {
+    util::ScopedThreads t(0);  // serial fallback
+    serial = mixed_workload();
+  }
+  {
+    util::ScopedThreads t(1);
+    one = mixed_workload();
+  }
+  {
+    util::ScopedThreads t(8);
+    eight = mixed_workload();
+  }
+  EXPECT_EQ(serial, one);
+  EXPECT_EQ(serial, eight);
+}
+
+// ------------------------------------------- chunk-boundary regression ----
+
+// The scalar-equivalence harness exposed this latent chunked-path bug: with
+// settle_samples == 0 a chunk past the first starts with k_start == k_emit,
+// so the `k + 1 == k_emit` context branch in run_window is unreachable and
+// on_context() is never called. Pairwise sinks then silently drop every
+// adjacent-sample pair that straddles a chunk boundary — for a pole-free
+// chain (which genuinely needs no settling) that loses real crossings. The
+// fix keeps at least one settle sample for chunks past the first, restoring
+// the render.hpp promise that pairwise sinks see every adjacent pair
+// exactly once.
+TEST(ChunkedRenderRegression, ZeroSettleMustNotDropBoundaryCrossings) {
+  // Ideal square wave through a pole-free chain: transitions at t = 0, 50,
+  // 100, ... ps. At the 0.5 ps grid every transition lands exactly on
+  // sample index 100*m — which chunk_samples = 100 places at a chunk
+  // boundary, so every crossing straddles a boundary pair.
+  const sig::EdgeStream stream =
+      sig::EdgeStream::clock(Picoseconds{100.0}, 24);
+  sig::FilterChain chain;  // no poles: passthrough, exact at any settle
+  const sig::RenderConfig rc;
+  const Picoseconds t_end{2400.0};
+  const Millivolts th = rc.levels.midpoint();
+
+  sig::CrossingRecorder whole{th};
+  std::vector<sig::WaveformSink*> whole_sinks{&whole};
+  sig::render(stream, chain, rc, Picoseconds{0}, t_end, whole_sinks);
+  ASSERT_GT(whole.crossings().size(), 10u);
+
+  const sig::RenderChunking chunking{100, 0};
+  const std::size_t n_chunks =
+      sig::render_chunk_count(rc, Picoseconds{0}, t_end, chunking);
+  ASSERT_GT(n_chunks, 10u);
+  sig::CrossingRecorder merged{th};
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    sig::CrossingRecorder part{th};
+    std::vector<sig::WaveformSink*> sinks{&part};
+    sig::render_chunk(stream, chain, rc, Picoseconds{0}, t_end, chunking, c,
+                      sinks);
+    merged.merge(part);
+  }
+
+  ASSERT_EQ(merged.crossings().size(), whole.crossings().size());
+  for (std::size_t i = 0; i < merged.crossings().size(); ++i) {
+    EXPECT_EQ(dbits(merged.crossings()[i].time.ps()),
+              dbits(whole.crossings()[i].time.ps()));
+    EXPECT_EQ(merged.crossings()[i].rising, whole.crossings()[i].rising);
+  }
+}
+
+// ---------------------------------------------------- quiescent skip ----
+
+// What a window delivers: every emitted sample plus the context sample.
+struct Delivered {
+  std::vector<double> t, v;
+  bool has_context = false;
+  double context_t = 0.0, context_v = 0.0;
+  // Samples at which the reference chain was provably at rest: proof that
+  // a case exercises the skip at all.
+  std::size_t at_rest = 0;
+};
+
+// The per-sample render loop as it stood before quiescent runs were
+// skipped, on the public FilterChain API: every grid sample steps the chain.
+Delivered reference_window(const sig::EdgeStream& stream,
+                           sig::FilterChain chain, const sig::RenderConfig& rc,
+                           Picoseconds t_begin, std::size_t k_start,
+                           std::size_t k_emit, std::size_t k_end) {
+  const double dt = rc.sample_step.ps();
+  auto level_to_mv = [&](bool level) {
+    return level ? rc.levels.voh : rc.levels.vol;
+  };
+  const double t_start = t_begin.ps() + static_cast<double>(k_start) * dt;
+  const auto& trs = stream.transitions();
+  std::size_t next_tr = 0;
+  while (next_tr < trs.size() && trs[next_tr].time.ps() < t_start) {
+    ++next_tr;
+  }
+  bool level = stream.level_at(Picoseconds{t_start});
+  chain.reset(level_to_mv(level));
+  sig::FilterChain probe = chain;
+
+  Delivered out;
+  double now = t_start;
+  for (std::size_t k = k_start; k < k_end; ++k) {
+    const double t_sample = t_begin.ps() + static_cast<double>(k) * dt;
+    while (next_tr < trs.size() && trs[next_tr].time.ps() <= t_sample) {
+      const double t_tr = trs[next_tr].time.ps();
+      if (t_tr > now) {
+        chain.step(level_to_mv(level), Picoseconds{t_tr - now});
+        now = t_tr;
+      }
+      level = trs[next_tr].level;
+      ++next_tr;
+    }
+    if (t_sample > now) {
+      chain.step(level_to_mv(level), Picoseconds{t_sample - now});
+      now = t_sample;
+    }
+    probe = chain;
+    if (probe.at_rest(level_to_mv(level),
+                      Picoseconds{dt * (1.0 + 0x1p-20)})) {
+      ++out.at_rest;
+    }
+    const Millivolts v = chain.output();
+    if (k >= k_emit) {
+      out.t.push_back(t_sample);
+      out.v.push_back(v.mv());
+    } else if (k + 1 == k_emit) {
+      out.has_context = true;
+      out.context_t = t_sample;
+      out.context_v = v.mv();
+    }
+  }
+  return out;
+}
+
+// Records on_context() beside a WaveformTrace, which records the samples.
+class ContextProbe final : public sig::WaveformSink {
+public:
+  void on_sample(Picoseconds, Millivolts) override {}
+  void on_context(Picoseconds t, Millivolts v) override {
+    ++calls;
+    t_ps = t.ps();
+    v_mv = v.mv();
+  }
+  int calls = 0;
+  double t_ps = 0.0, v_mv = 0.0;
+};
+
+void expect_same(const Delivered& want, const sig::WaveformTrace& trace,
+                 const ContextProbe& ctx) {
+  ASSERT_EQ(trace.size(), want.t.size());
+  std::size_t t_diff = 0, v_diff = 0;
+  for (std::size_t i = 0; i < want.t.size(); ++i) {
+    t_diff += dbits(trace.times_ps()[i]) != dbits(want.t[i]);
+    v_diff += dbits(trace.volts_mv()[i]) != dbits(want.v[i]);
+  }
+  EXPECT_EQ(t_diff, 0u);
+  EXPECT_EQ(v_diff, 0u);
+  EXPECT_EQ(ctx.calls, want.has_context ? 1 : 0);
+  if (want.has_context && ctx.calls == 1) {
+    EXPECT_EQ(dbits(ctx.t_ps), dbits(want.context_t));
+    EXPECT_EQ(dbits(ctx.v_mv), dbits(want.context_v));
+  }
+}
+
+// render() and every chunk of render_chunk() against the reference loop.
+// Returns how many reference samples were at rest across all windows.
+std::size_t check_skip(const sig::EdgeStream& stream,
+                       const sig::FilterChain& chain,
+                       const sig::RenderConfig& rc, Picoseconds t_begin,
+                       Picoseconds t_end, const sig::RenderChunking& chunking) {
+  const std::size_t total = sig::render_sample_count(rc, t_begin, t_end);
+  std::size_t at_rest = 0;
+  {
+    sig::WaveformTrace trace;
+    ContextProbe ctx;
+    sig::render(stream, chain, rc, t_begin, t_end, {&trace, &ctx});
+    const Delivered want =
+        reference_window(stream, chain, rc, t_begin, 0, 0, total);
+    expect_same(want, trace, ctx);
+    at_rest += want.at_rest;
+  }
+  const std::size_t n_chunks =
+      sig::render_chunk_count(rc, t_begin, t_end, chunking);
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    SCOPED_TRACE(c);
+    sig::WaveformTrace trace;
+    ContextProbe ctx;
+    sig::render_chunk(stream, chain, rc, t_begin, t_end, chunking, c,
+                      {&trace, &ctx});
+    const std::size_t k0 = c * chunking.chunk_samples;
+    const std::size_t k1 = std::min(k0 + chunking.chunk_samples, total);
+    const std::size_t settle =
+        c == 0 ? 0
+               : std::min(std::max<std::size_t>(chunking.settle_samples, 1),
+                          k0);
+    const Delivered want =
+        reference_window(stream, chain, rc, t_begin, k0 - settle, k0, k1);
+    expect_same(want, trace, ctx);
+    at_rest += want.at_rest;
+  }
+  return at_rest;
+}
+
+// Long runs of equal bits: the chain settles to rest well inside each run.
+sig::EdgeStream run_stream(Picoseconds ui, Picoseconds t0,
+                           const sig::EdgeOffsetFn& offset = nullptr) {
+  const BitVector bits = BitVector::from_string(
+      "0000000011111111110000000000001111100000000111111111111100000");
+  return sig::EdgeStream::from_bits(bits, ui, t0, offset);
+}
+
+std::vector<sig::FilterChain> skip_chains() {
+  sig::FilterChain none;
+  sig::FilterChain one;
+  one.add_pole(Picoseconds{20.0});
+  sig::FilterChain four;
+  four.add_pole(Picoseconds{12.0})
+      .add_pole(Picoseconds{30.0})
+      .add_pole(Picoseconds{5.0})
+      .add_pole(Picoseconds{45.0})
+      .set_gain(0.8, Millivolts{2000.0});
+  sig::FilterChain lossy_none;
+  lossy_none.set_gain(0.6, Millivolts{1900.0});
+  sig::FilterChain slow;  // never settles within a run: no skip
+  slow.add_pole(Picoseconds{5e4});
+  return {none, one, four, lossy_none, slow};
+}
+
+TEST(QuiescentSkip, LongFlatRunsMatchPerSampleStepping) {
+  const Picoseconds ui{400.0};
+  const sig::EdgeStream stream =
+      run_stream(ui, Picoseconds{0}, hash_jitter(11, 4.0));
+  const Picoseconds t_end{61 * 400.0};
+  std::size_t at_rest = 0;
+  for (const sig::FilterChain& chain : skip_chains()) {
+    SCOPED_TRACE(chain.pole_count());
+    at_rest += check_skip(stream, chain, sig::RenderConfig{}, Picoseconds{0},
+                          t_end, sig::RenderChunking{3000, 700});
+  }
+  EXPECT_GT(at_rest, 100000u);
+}
+
+TEST(QuiescentSkip, TransitionsOnGridSamples) {
+  // Every transition at a multiple of 50 ps lands exactly on a 0.5 ps grid
+  // sample, so the skip must stop one sample short of each.
+  const sig::EdgeStream stream =
+      sig::EdgeStream::clock(Picoseconds{1000.0}, 12, Picoseconds{250.0});
+  std::size_t at_rest = 0;
+  for (const sig::FilterChain& chain : skip_chains()) {
+    SCOPED_TRACE(chain.pole_count());
+    at_rest += check_skip(stream, chain, sig::RenderConfig{}, Picoseconds{0},
+                          Picoseconds{12500.0},
+                          sig::RenderChunking{1000, 100});
+  }
+  EXPECT_GT(at_rest, 10000u);
+}
+
+TEST(QuiescentSkip, GridFarFromZeroMatches) {
+  // Near 1e6 ps the grid t_begin + k*dt steps differ from dt by a few ulps;
+  // near 1e12 ps by far more than the skip bound dt*(1 + 2^-20), and at
+  // 2^52 ps (1 ps ulp) they are 0 or 2*dt, so runs must break wherever a
+  // step exceeds the bound.
+  const Picoseconds ui{400.0};
+  for (double t0 : {1e6 + 0.123456789, 1e12 + 0.37, 0x1p52}) {
+    SCOPED_TRACE(t0);
+    const sig::EdgeStream stream =
+        run_stream(ui, Picoseconds{t0}, hash_jitter(5, 3.0));
+    std::size_t at_rest = 0;
+    for (const sig::FilterChain& chain : skip_chains()) {
+      SCOPED_TRACE(chain.pole_count());
+      at_rest += check_skip(stream, chain, sig::RenderConfig{},
+                            Picoseconds{t0 - 123.4},
+                            Picoseconds{t0 + 61 * 400.0},
+                            sig::RenderChunking{4096, 1000});
+    }
+    EXPECT_GT(at_rest, 10000u);
+  }
+}
+
+TEST(QuiescentSkip, SettleAndContextInsideSkippedRun) {
+  // One edge at 300 ps, then 8 ns flat: chunk 1 (samples 4000..7999) has
+  // its settle region (samples 3000..3999) and its on_context sample deep
+  // inside a run the chain is at rest over.
+  sig::EdgeStream stream;
+  stream.push(Picoseconds{300.0}, true);
+  std::size_t at_rest = 0;
+  for (const sig::FilterChain& chain : skip_chains()) {
+    SCOPED_TRACE(chain.pole_count());
+    at_rest += check_skip(stream, chain, sig::RenderConfig{}, Picoseconds{0},
+                          Picoseconds{8000.0},
+                          sig::RenderChunking{4000, 1000});
+  }
+  EXPECT_GT(at_rest, 20000u);
+}
+
+TEST(QuiescentSkip, StreamWithoutTransitions) {
+  for (bool level : {false, true}) {
+    const sig::EdgeStream stream{level};
+    for (const sig::FilterChain& chain : skip_chains()) {
+      SCOPED_TRACE(chain.pole_count());
+      EXPECT_GT(check_skip(stream, chain, sig::RenderConfig{},
+                           Picoseconds{-77.7}, Picoseconds{3000.0},
+                           sig::RenderChunking{2500, 64}),
+                6000u);
+    }
+  }
+}
+
+TEST(QuiescentSkip, AtRestOnlyAtAFixedPoint) {
+  sig::FilterChain chain;
+  chain.add_pole(Picoseconds{20.0}).add_pole(Picoseconds{10.0});
+  const Picoseconds dt{0.5};
+  chain.reset(Millivolts{1600.0});
+  EXPECT_TRUE(chain.at_rest(Millivolts{1600.0}, dt));
+  EXPECT_FALSE(chain.at_rest(Millivolts{2400.0}, dt));
+  chain.step(Millivolts{2400.0}, dt);
+  EXPECT_FALSE(chain.at_rest(Millivolts{2400.0}, dt));
+  for (int i = 0; i < 20000 && !chain.at_rest(Millivolts{2400.0}, dt); ++i) {
+    chain.step(Millivolts{2400.0}, dt);
+  }
+  ASSERT_TRUE(chain.at_rest(Millivolts{2400.0}, dt));
+  const double settled = chain.output().mv();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(dbits(chain.step(Millivolts{2400.0}, dt).mv()),
+              dbits(settled));
+  }
+
+  sig::FilterChain wire;  // no poles: at rest once the input is passed
+  wire.reset(Millivolts{1600.0});
+  EXPECT_TRUE(wire.at_rest(Millivolts{1600.0}, dt));
+  EXPECT_FALSE(wire.at_rest(Millivolts{2400.0}, dt));
+  wire.step(Millivolts{2400.0}, dt);
+  EXPECT_TRUE(wire.at_rest(Millivolts{2400.0}, dt));
+}
+
+// ------------------------------------------------------- alpha memo ----
+
+TEST(AlphaMemo, EvictionChurnMatchesDirectStepping) {
+  // Eleven distinct dts (more than the 8 memo rows), visited in cycles,
+  // repeats and reversals, so rows are evicted round-robin and the
+  // last-hit row keeps changing. Every output must equal stepping with
+  // alpha = 1 - exp(-dt/tau) computed afresh.
+  const std::vector<double> taus = {7.0, 19.5, 33.0};
+  const double gain = 0.85, mid = 2000.0;
+  sig::FilterChain chain;
+  for (double tau : taus) {
+    chain.add_pole(Picoseconds{tau});
+  }
+  chain.set_gain(gain, Millivolts{mid});
+  chain.reset(Millivolts{1600.0});
+  std::vector<double> state(taus.size(), mid + gain * (1600.0 - mid));
+
+  const std::vector<double> dts = {0.5,  0.25, 1.0 / 3.0, 0.75, 1.5, 0.1,
+                                   2.0,  0.05, 0.6,       3.25, 0.5 + 1e-9};
+  std::vector<std::size_t> order;
+  for (std::size_t rep = 0; rep < 6; ++rep) {
+    for (std::size_t i = 0; i < dts.size(); ++i) {
+      order.push_back(rep % 2 == 0 ? i : dts.size() - 1 - i);
+      if (i % 3 == 0) {
+        order.push_back(order.back());  // a repeat: last-hit fast path
+      }
+      order.push_back(0);  // the grid step between fragments
+    }
+  }
+  for (std::size_t n = 0; n < order.size(); ++n) {
+    const double dt = dts[order[n]];
+    const double u = (n / 5) % 2 == 0 ? 2400.0 : 1600.0;
+    double x = mid + gain * (u - mid);
+    for (std::size_t i = 0; i < taus.size(); ++i) {
+      state[i] += (x - state[i]) * (1.0 - std::exp(-dt / taus[i]));
+      x = state[i];
+    }
+    ASSERT_EQ(dbits(chain.step(Millivolts{u}, Picoseconds{dt}).mv()),
+              dbits(x))
+        << "step " << n << " dt " << dt;
+  }
+}
+
+// --------------------------------------------------------- eye fold ----
+
+// The eye fold as it stood before the one-mod phase: two std::fmod calls
+// per sample, one over 2 UI for the grid, one over 1 UI for the center.
+struct TwoModFold {
+  explicit TwoModFold(const ana::EyeDiagram::Config& c)
+      : cfg(c), grid(c.time_bins * c.volt_bins, 0) {}
+
+  void add(double t, double v) {
+    auto mod = [](double x, double m) {
+      double r = std::fmod(x, m);
+      return r < 0.0 ? r + m : r;
+    };
+    const double ui = cfg.ui.ps();
+    const double span = 2.0 * ui;
+    const double phase2 = mod(t - cfg.t_ref.ps(), span);
+    const double vfrac =
+        (v - cfg.v_lo.mv()) / (cfg.v_hi.mv() - cfg.v_lo.mv());
+    if (vfrac >= 0.0 && vfrac < 1.0) {
+      const auto tb = static_cast<std::size_t>(
+          phase2 / span * static_cast<double>(cfg.time_bins));
+      const auto vb =
+          static_cast<std::size_t>(vfrac * static_cast<double>(cfg.volt_bins));
+      ++grid[std::min(tb, cfg.time_bins - 1) * cfg.volt_bins +
+             std::min(vb, cfg.volt_bins - 1)];
+    }
+    const double phase1 = mod(t - cfg.t_ref.ps(), ui);
+    if (std::abs(phase1 - ui / 2.0) <= cfg.center_window * ui) {
+      if (v >= cfg.threshold.mv()) {
+        min_high = std::min(min_high, v);
+        high.add(v);
+      } else {
+        max_low = std::max(max_low, v);
+        low.add(v);
+      }
+    }
+  }
+
+  ana::EyeDiagram::Config cfg;
+  std::vector<std::size_t> grid;
+  double min_high = 1e300, max_low = -1e300;
+  RunningStats high, low;
+};
+
+TEST(EyeFold, OneModMatchesTwoFmodsBeforeAndAfterTref) {
+  // The window starts 3 UI before t_ref, so a fifth of the samples fold a
+  // negative offset; samples also land exactly on UI multiples.
+  for (double ui_ps : {400.0, 1000.0 / 3.0}) {
+    SCOPED_TRACE(ui_ps);
+    const Picoseconds ui{ui_ps};
+    const sig::EdgeStream stream = test_stream(21, 16, ui);
+    ana::EyeDiagram::Config cfg = eye_config(ui);
+    cfg.t_ref = Picoseconds{3.0 * ui_ps};
+    const Picoseconds t_end{16.0 * ui_ps};
+
+    ana::EyeDiagram eye{cfg};
+    sig::WaveformTrace trace;
+    sig::render(stream, test_chain(), sig::RenderConfig{}, Picoseconds{0},
+                t_end, {&eye, &trace});
+    TwoModFold ref{cfg};
+    std::size_t before_tref = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      ref.add(trace.times_ps()[i], trace.volts_mv()[i]);
+      before_tref += trace.times_ps()[i] < cfg.t_ref.ps();
+    }
+    ASSERT_GT(before_tref, 1000u);
+
+    for (std::size_t tb = 0; tb < cfg.time_bins; ++tb) {
+      for (std::size_t vb = 0; vb < cfg.volt_bins; ++vb) {
+        ASSERT_EQ(eye.count_at(tb, vb), ref.grid[tb * cfg.volt_bins + vb]);
+      }
+    }
+    ASSERT_GT(ref.high.count(), 0u);
+    ASSERT_GT(ref.low.count(), 0u);
+    EXPECT_EQ(dbits(eye.eye_height().mv()), dbits(ref.min_high - ref.max_low));
+    EXPECT_EQ(dbits(eye.level_high().mv()), dbits(ref.high.mean()));
+    EXPECT_EQ(dbits(eye.level_low().mv()), dbits(ref.low.mean()));
+  }
+}
+
+}  // namespace

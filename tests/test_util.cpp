@@ -1,7 +1,13 @@
 // Unit tests for src/util: units, RNG, bit vectors, statistics, tables.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -371,6 +377,81 @@ TEST(BitVector, RandomIsSeedDeterministic) {
 }
 
 // ---------------------------------------------------------------- stats --
+
+// The phase fold's exact_fmod must be bitwise std::fmod, and positive_mod
+// bitwise the fmod-based formula it replaced, on every input: values near
+// multiples of the modulus (where the rounded quotient is one off),
+// quotients at and past 2^52 (the std::fmod fallback), signed zeros,
+// non-finite values and arbitrary bit patterns.
+double fmod_positive_mod(double x, double m) {
+  double r = std::fmod(x, m);
+  if (r < 0.0) {
+    r += m;
+  }
+  return r;
+}
+
+std::vector<double> mod_inputs(double m, std::mt19937_64& gen) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {0.0,      -0.0,     m,        -m,
+                            DBL_MAX,  -DBL_MAX, 1e300,    -1e300,
+                            DBL_TRUE_MIN, -DBL_TRUE_MIN, inf, -inf,
+                            std::numeric_limits<double>::quiet_NaN()};
+  auto with_neighbours = [&](double x) {
+    for (double v : {x, std::nextafter(x, -inf), std::nextafter(x, inf)}) {
+      xs.push_back(v);
+      xs.push_back(-v);
+    }
+  };
+  for (double k : {1.0, 2.0, 3.0, 7.0, 1000.0, 0x1p20 + 1.0, 0x1p40 + 3.0,
+                   0x1p51 - 1.0, 0x1p52 - 1.0, 0x1p52, 0x1p52 + 2.0, 0x1p53,
+                   0x1p60}) {
+    with_neighbours(k * m);
+  }
+  std::uniform_int_distribution<std::uint64_t> k_dist(1, 1ull << 53);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> exp_dist(-60, 70);
+  for (int i = 0; i < 4000; ++i) {
+    with_neighbours(static_cast<double>(k_dist(gen) >> (i % 53)) * m);
+    xs.push_back(std::ldexp(m * unit(gen), exp_dist(gen)));
+    xs.push_back(m * 1e6 * unit(gen));
+  }
+  for (int i = 0; i < 20000; ++i) {
+    xs.push_back(std::bit_cast<double>(gen()));
+  }
+  return xs;
+}
+
+TEST(ExactFmod, BitwiseEqualToStdFmod) {
+  std::mt19937_64 gen(0x5EED);
+  std::vector<double> moduli = {0.5, 400.0, 800.0, 1.0 / 3.0, 1e10,
+                                DBL_TRUE_MIN * 12345.0};
+  for (int i = 0; i < 8; ++i) {
+    moduli.push_back(std::bit_cast<double>(gen()));  // any sign, NaN, inf
+  }
+  std::size_t cases = 0;
+  std::size_t mismatches = 0;
+  for (double m : moduli) {
+    for (double x : mod_inputs(m, gen)) {
+      ++cases;
+      const bool fmod_ok = std::bit_cast<std::uint64_t>(exact_fmod(x, m)) ==
+                           std::bit_cast<std::uint64_t>(std::fmod(x, m));
+      const bool mod_ok =
+          std::bit_cast<std::uint64_t>(positive_mod(x, m)) ==
+          std::bit_cast<std::uint64_t>(fmod_positive_mod(x, m));
+      if (!fmod_ok || !mod_ok) {
+        if (++mismatches <= 10) {
+          char buf[96];
+          std::snprintf(buf, sizeof buf, "x=%a m=%a", x, m);
+          ADD_FAILURE() << buf << (fmod_ok ? " positive_mod" : " exact_fmod");
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << cases << " cases";
+  EXPECT_GT(cases, 500000u);
+}
+
 
 TEST(RunningStats, MatchesDirectComputation) {
   RunningStats s;
