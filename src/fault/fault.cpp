@@ -51,12 +51,6 @@ std::string_view to_string(FaultKind kind) {
       return "site-slow";
     case FaultKind::kSpuriousBusy:
       return "spurious-busy";
-    case FaultKind::kTelemetryCorruption:
-      return "telemetry-corruption";
-    case FaultKind::kTelemetryTruncation:
-      return "telemetry-truncation";
-    case FaultKind::kTelemetryReorder:
-      return "telemetry-reorder";
   }
   return "unknown";
 }

@@ -40,9 +40,6 @@ enum class FaultKind {
   kSiteHang,          // tester site stops making progress (chunk never ends)
   kSiteSlow,          // tester site degraded (chunk cost multiplied)
   kSpuriousBusy,      // site rejects work it should accept (severity = prob.)
-  kTelemetryCorruption,  // telemetry channel flips packet bits
-  kTelemetryTruncation,  // telemetry channel cuts packets short
-  kTelemetryReorder,     // telemetry channel swaps adjacent packets
 };
 
 [[nodiscard]] std::string_view to_string(FaultKind kind);
@@ -59,6 +56,8 @@ enum class FaultKind {
 ///   "fabric"         NodeFailure                flat node    packet slot
 ///   "array"          DeadPin / ProbeContactLoss site         touchdown
 ///   "site"           SiteHang/Slow/SpuriousBusy site         virtual tick
+///   "link.fwd"/      LossOfSignal / SyncLoss /  (unused)     protocol slot
+///   "link.rev"       FrameCorruption
 ///
 /// `severity` is a 0..1 knob: drift distance, glitch probability/amplitude,
 /// or the affected fraction when `index` is kAllIndices.

@@ -304,8 +304,8 @@ private:
   /// Decoders/parsers are total over arbitrary input only because they
   /// *report* failure instead of trusting the bytes; dropping that report
   /// turns hostile input into silent garbage. Applies to any call whose
-  /// name starts with decode/parse in src/ (telemetry::decode_payload,
-  /// util::parse_thread_count, ...).
+  /// name starts with decode/parse in src/ (usb::decode_pid,
+  /// FrameCodec::decode, util::parse_thread_count, ...).
   static bool is_decode_call(std::string_view name) {
     return name.size() >= 6 &&
            (name.substr(0, 6) == "decode" || name.substr(0, 5) == "parse");

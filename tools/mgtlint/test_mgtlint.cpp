@@ -528,14 +528,14 @@ TEST(MgtlintContracts, UncheckedStatusVoidCastAndAllowlistedFine) {
 
 TEST(MgtlintContracts, UncheckedDecodeBad) {
   EXPECT_TRUE(fires("src/a.cpp", R"(
-    void f(const std::uint8_t* p, std::size_t n, Record& out) {
-      telemetry::decode_payload(PacketType::kWaveformChunk, p, n, out);
+    void f(std::uint8_t byte) {
+      usb::decode_pid(byte);
     }
   )",
                     "no-unchecked-decode"));
   EXPECT_TRUE(fires("src/a.cpp", R"(
     void f(const char* raw) {
-      util::parse_env_u64(raw);
+      util::parse_thread_count(raw);
     }
   )",
                     "no-unchecked-decode"));
@@ -549,12 +549,12 @@ TEST(MgtlintContracts, UncheckedDecodeBad) {
 
 TEST(MgtlintContracts, UncheckedDecodeCheckedResultFine) {
   EXPECT_FALSE(fires("src/a.cpp", R"(
-    bool f(const std::uint8_t* p, std::size_t n, Record& out) {
-      if (!telemetry::decode_payload(PacketType::kWaveformChunk, p, n, out)) {
+    bool f(std::uint8_t byte, const char* raw) {
+      if (!usb::decode_pid(byte)) {
         return false;
       }
-      const auto v = util::parse_env_u64(raw);
-      return parse_env_flag(raw).has_value();
+      const auto v = util::parse_thread_count(raw);
+      return usb::decode_pid(byte).has_value();
     }
   )",
                      "no-unchecked-decode"));
@@ -563,13 +563,13 @@ TEST(MgtlintContracts, UncheckedDecodeCheckedResultFine) {
 TEST(MgtlintContracts, UncheckedDecodeVoidCastAllowAndNonSrcFine) {
   EXPECT_FALSE(fires("src/a.cpp", R"(
     void f(const char* raw) {
-      (void)util::parse_env_u64(raw);
+      (void)util::parse_thread_count(raw);
     }
   )",
                      "no-unchecked-decode"));
   EXPECT_FALSE(fires("src/a.cpp", R"(
     void f(const char* raw) {
-      util::parse_env_u64(raw);  // mgtlint:allow(no-unchecked-decode)
+      util::parse_thread_count(raw);  // mgtlint:allow(no-unchecked-decode)
     }
   )",
                      "no-unchecked-decode"));
@@ -577,7 +577,7 @@ TEST(MgtlintContracts, UncheckedDecodeVoidCastAllowAndNonSrcFine) {
   // decoders for side effects on counters.
   EXPECT_FALSE(fires("tests/t.cpp", R"(
     void f(const char* raw) {
-      util::parse_env_u64(raw);
+      util::parse_thread_count(raw);
     }
   )",
                      "no-unchecked-decode"));
