@@ -10,6 +10,8 @@ OutputBuffer::OutputBuffer(Config config, Rng rng)
     : config_(config), rng_(rng) {
   MGT_CHECK(config_.rise_2080.ps() > 0.0);
   MGT_CHECK(config_.pole_count >= 1);
+  MGT_CHECK(static_cast<std::size_t>(config_.pole_count) <=
+            sig::FilterChain::kMaxPoles);
   MGT_CHECK(config_.dac_step.mv() > 0.0);
   MGT_CHECK(config_.levels.voh > config_.levels.vol);
 }

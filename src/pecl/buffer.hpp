@@ -28,7 +28,8 @@ public:
     /// DAC compliance range for either rail.
     Millivolts v_min{1000.0};
     Millivolts v_max{3000.0};
-    /// Bandwidth realized as this many cascaded poles (2 = S-shaped edges).
+    /// Bandwidth realized as this many cascaded poles (2 = S-shaped edges),
+    /// at most sig::FilterChain::kMaxPoles.
     int pole_count = 2;
   };
 

@@ -10,6 +10,8 @@ Channel::Channel(Config config) : config_(std::move(config)) {
   MGT_CHECK(config_.gain > 0.0 && config_.gain <= 1.0,
             "passive channel gain must be in (0, 1]");
   MGT_CHECK(config_.pole_count >= 1);
+  MGT_CHECK(static_cast<std::size_t>(config_.pole_count) <=
+            FilterChain::kMaxPoles);
   MGT_CHECK(config_.delay.ps() >= 0.0);
 }
 

@@ -22,7 +22,8 @@ public:
     double gain = 1.0;
     /// 20-80 % rise time contributed by the channel's bandwidth (0 = none).
     Picoseconds rise_2080{0.0};
-    /// Number of poles realizing that rise time (1 or 2 typical).
+    /// Number of poles realizing that rise time (1 or 2 typical, at most
+    /// FilterChain::kMaxPoles).
     int pole_count = 1;
   };
 

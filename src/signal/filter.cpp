@@ -12,12 +12,12 @@ const double kLn4 = std::log(4.0);
 
 FilterChain& FilterChain::add_pole(Picoseconds tau) {
   MGT_CHECK(tau.ps() > 0.0, "pole time constant must be positive");
+  MGT_CHECK(taus_.size() < kMaxPoles, "filter chain is full (kMaxPoles)");
   taus_.push_back(tau.ps());
   state_.push_back(0.0);
   // The memoized alpha rows are per-stage; changing the cascade drops them.
   memo_rows_ = 0;
   memo_next_ = 0;
-  memo_last_ = 0;
   memo_alpha_.assign(kAlphaMemoRows * taus_.size(), 0.0);
   return *this;
 }
@@ -60,12 +60,8 @@ void FilterChain::reset(Millivolts v) {
 
 const double* FilterChain::alpha_row(Picoseconds dt) {
   const double dt_ps = dt.ps();
-  if (memo_last_ < memo_rows_ && memo_dt_[memo_last_] == dt_ps) {
-    return memo_alpha_.data() + memo_last_ * taus_.size();
-  }
   for (std::size_t r = 0; r < memo_rows_; ++r) {
     if (memo_dt_[r] == dt_ps) {
-      memo_last_ = r;
       return memo_alpha_.data() + r * taus_.size();
     }
   }
@@ -81,7 +77,6 @@ const double* FilterChain::alpha_row(Picoseconds dt) {
     row[i] = 1.0 - std::exp(-dt_ps / taus_[i]);
   }
   memo_dt_[r] = dt_ps;
-  memo_last_ = r;
   return row;
 }
 

@@ -21,9 +21,14 @@ namespace mgt::sig {
 /// preserving bias).
 class FilterChain {
 public:
+  /// Most poles one chain may hold. The renderer has one window kernel per
+  /// pole count up to this cap. The largest chain a bench or example builds
+  /// has 7 (a slow-lead DUT behind the 3-pole stimulus).
+  static constexpr std::size_t kMaxPoles = 8;
+
   FilterChain() = default;
 
-  /// Adds a pole with the given time constant.
+  /// Adds a pole with the given time constant; throws past kMaxPoles.
   FilterChain& add_pole(Picoseconds tau);
 
   /// Adds a pole specified by its 20-80 % rise time (tau = t_r / ln 4).
@@ -64,14 +69,17 @@ public:
   [[nodiscard]] bool at_rest(Millivolts u, Picoseconds dt_max);
 
 private:
+  // The renderer's window kernel steps the stage states in locals.
+  friend class WindowKernel;
+
   /// Returns the per-stage alphas 1 - exp(-dt/tau) for this dt, computing
   /// and memoizing the row on first sight of the dt value. The renderer
   /// revisits a handful of distinct dt values (the grid step, the rest
-  /// bound and the edge fragments around them) millions of times, so this
+  /// bound and the edge fragments around them) in every window, so this
   /// removes exp() from the per-sample path while staying byte-identical: a
   /// memoized alpha is the very double the direct computation would
-  /// produce. The row that hit last is tried before the scan, because
-  /// consecutive grid steps almost always repeat the same dt.
+  /// produce. The row stays valid only until the next call, which may
+  /// evict it; the renderer copies the rows it keeps.
   const double* alpha_row(Picoseconds dt);
 
   static constexpr std::size_t kAlphaMemoRows = 8;
@@ -85,7 +93,6 @@ private:
   std::vector<double> memo_alpha_;  // kAlphaMemoRows x pole_count, row-major
   std::size_t memo_rows_ = 0;       // valid rows
   std::size_t memo_next_ = 0;       // round-robin replacement cursor
-  std::size_t memo_last_ = 0;       // row of the last hit or insertion
 };
 
 /// 20-80 % rise time of a single pole: tau * ln 4.

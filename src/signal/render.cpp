@@ -1,29 +1,43 @@
 #include "signal/render.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace mgt::sig {
 
-namespace {
+/// Core sample loop shared by render() and render_chunk(), one kernel per
+/// pole count: steps the chain through grid samples [k_start, k_end) of the
+/// grid anchored at t_begin, delivering samples with index >= k_emit to
+/// sinks (the one just before k_emit goes out as context). The chain is
+/// reset to the steady state of the stream level at sample k_start.
+///
+/// The stage states live in locals for the whole window and go back into
+/// the chain at its end. The step and at_rest loops are FilterChain::step
+/// and FilterChain::at_rest with the same operations, operands and order,
+/// so every sample is byte-identical to stepping the chain per sample. The
+/// alpha memo stays the only source of alphas; rows are copied by value,
+/// so a memo eviction cannot leave a stale alpha behind.
+class WindowKernel {
+public:
+  template <std::size_t N>
+  static void run(const EdgeStream& stream, FilterChain& chain,
+                  const RenderConfig& config, Picoseconds t_begin,
+                  std::size_t k_start, std::size_t k_emit, std::size_t k_end,
+                  const std::vector<WaveformSink*>& sinks);
+};
 
-/// Core sample loop shared by render() and render_chunk(): steps `chain`
-/// through grid samples [k_start, k_end) of the grid anchored at t_begin,
-/// delivering samples with index >= k_emit to sinks (the one just before
-/// k_emit goes out as context). The chain must already be reset to the
-/// steady state of the stream level at sample k_start.
-void run_window(const EdgeStream& stream, FilterChain& chain,
-                const RenderConfig& config, Picoseconds t_begin,
-                std::size_t k_start, std::size_t k_emit, std::size_t k_end,
-                const std::vector<WaveformSink*>& sinks) {
+template <std::size_t N>
+void WindowKernel::run(const EdgeStream& stream, FilterChain& chain,
+                       const RenderConfig& config, Picoseconds t_begin,
+                       std::size_t k_start, std::size_t k_emit,
+                       std::size_t k_end,
+                       const std::vector<WaveformSink*>& sinks) {
   const double dt = config.sample_step.ps();
-
-  auto level_to_mv = [&](bool level) {
-    return level ? config.levels.voh : config.levels.vol;
-  };
 
   const double t_start =
       t_begin.ps() + static_cast<double>(k_start) * dt;
@@ -38,13 +52,69 @@ void run_window(const EdgeStream& stream, FilterChain& chain,
       trs.begin());
 
   bool level = stream.level_at(Picoseconds{t_start});
-  chain.reset(level_to_mv(level));
+  chain.reset(level ? config.levels.voh : config.levels.vol);
+
+  // step()'s gain-scaled input for each level, by its exact expression.
+  const double mid = chain.midpoint_mv_;
+  const double gain = chain.gain_;
+  const double x_lo = mid + gain * (config.levels.vol.mv() - mid);
+  const double x_hi = mid + gain * (config.levels.voh.mv() - mid);
+
+  // Bound on the grid steps a quiescent run may skip: a hair above dt, so
+  // the few-ulp spread of t_begin + k * dt stays under it, yet tight enough
+  // that a stage stalled one ulp from its input under alpha(dt) still
+  // passes at_rest (under a 2 * dt bound almost none does).
+  const double dt_max = dt * (1.0 + 0x1p-20);
+
+  std::array<double, N> s{};  // stage states, mV
+  std::copy_n(chain.state_.begin(), N, s.begin());
+  double pass = chain.passthrough_;
+  // Alpha rows of dt_max (for at_rest) and of the last step's dt.
+  std::array<double, N> a_max{};
+  std::array<double, N> a_step{};
+  double dt_step = dt;
+  if constexpr (N > 0) {
+    std::copy_n(chain.alpha_row(Picoseconds{dt_max}), N, a_max.begin());
+    std::copy_n(chain.alpha_row(Picoseconds{dt}), N, a_step.begin());
+  }
+
+  auto step = [&](double x, double h) {
+    pass = x;
+    if constexpr (N > 0) {
+      if (h != dt_step) {
+        dt_step = h;
+        std::copy_n(chain.alpha_row(Picoseconds{h}), N, a_step.begin());
+      }
+      for (std::size_t i = 0; i < N; ++i) {
+        s[i] += (x - s[i]) * a_step[i];
+        x = s[i];
+      }
+    }
+  };
+  auto output = [&] {
+    if constexpr (N == 0) {
+      return pass;
+    } else {
+      return s[N - 1];
+    }
+  };
+  auto at_rest = [&](double x) {
+    if constexpr (N == 0) {
+      return pass == x;
+    } else {
+      for (std::size_t i = 0; i < N; ++i) {
+        if (s[i] + (x - s[i]) * a_max[i] != s[i]) {
+          return false;
+        }
+        x = s[i];
+      }
+      return true;
+    }
+  };
 
   // Emitted samples accumulate into a SoA block and go out whole; the
-  // chain stepping below matches the per-sample engine step for step
-  // (quiescent runs skip only steps that provably change nothing), so the
   // sample values (and the block-partitioned delivery, for sinks honoring
-  // the on_block contract) are byte-identical to it.
+  // the on_block contract) are byte-identical to the per-sample engine.
   SampleBlock block;
   auto flush = [&] {
     if (block.size == 0) {
@@ -56,50 +126,43 @@ void run_window(const EdgeStream& stream, FilterChain& chain,
     block.clear();
   };
 
-  auto emit = [&](std::size_t k, double t_sample, Millivolts v) {
+  auto emit = [&](std::size_t k, double t_sample, double v) {
     if (k >= k_emit) {
-      block.push(t_sample, v.mv());
+      block.push(t_sample, v);
       if (block.full()) {
         flush();
       }
     } else if (k + 1 == k_emit) {
       for (WaveformSink* sink : sinks) {
-        sink->on_context(Picoseconds{t_sample}, v);
+        sink->on_context(Picoseconds{t_sample}, Millivolts{v});
       }
     }
   };
 
-  // Bound on the grid steps a quiescent run may skip: a hair above dt, so
-  // the few-ulp spread of t_begin + k * dt stays under it, yet tight enough
-  // that a stage stalled one ulp from its input under alpha(dt) still
-  // passes at_rest (under a 2 * dt bound almost none does).
-  const double dt_max = dt * (1.0 + 0x1p-20);
-
   double now = t_start;
-  double v_prev = chain.output().mv();
+  double v_prev = output();
   for (std::size_t k = k_start; k < k_end; ++k) {
     const double t_sample = t_begin.ps() + static_cast<double>(k) * dt;
     // Advance exactly through any transitions before this sample.
     while (next_tr < trs.size() && trs[next_tr].time.ps() <= t_sample) {
       const double t_tr = trs[next_tr].time.ps();
       if (t_tr > now) {
-        chain.step(level_to_mv(level), Picoseconds{t_tr - now});
+        step(level ? x_hi : x_lo, t_tr - now);
         now = t_tr;
       }
       level = trs[next_tr].level;
       ++next_tr;
     }
     if (t_sample > now) {
-      chain.step(level_to_mv(level), Picoseconds{t_sample - now});
+      step(level ? x_hi : x_lo, t_sample - now);
       now = t_sample;
     }
-    const Millivolts v = chain.output();
+    const double v = output();
     emit(k, t_sample, v);
     // Quiescent run: if no stage can move under any step up to dt_max, every
     // step until the next transition returns v unchanged, so the samples
     // before it go out without stepping the chain.
-    if (v.mv() == v_prev &&
-        chain.at_rest(level_to_mv(level), Picoseconds{dt_max})) {
+    if (v == v_prev && at_rest(level ? x_hi : x_lo)) {
       const double t_next = next_tr < trs.size()
                                 ? trs[next_tr].time.ps()
                                 : std::numeric_limits<double>::infinity();
@@ -113,9 +176,36 @@ void run_window(const EdgeStream& stream, FilterChain& chain,
         now = t_j;
       }
     }
-    v_prev = v.mv();
+    v_prev = v;
   }
   flush();
+
+  std::copy_n(s.begin(), N, chain.state_.begin());
+  chain.passthrough_ = pass;
+}
+
+namespace {
+
+using WindowFn = void (*)(const EdgeStream&, FilterChain&, const RenderConfig&,
+                          Picoseconds, std::size_t, std::size_t, std::size_t,
+                          const std::vector<WaveformSink*>&);
+
+template <std::size_t... N>
+constexpr std::array<WindowFn, sizeof...(N)> window_kernels(
+    std::index_sequence<N...>) {
+  return {&WindowKernel::run<N>...};
+}
+
+// One kernel per pole count 0..kMaxPoles; add_pole enforces the cap.
+constexpr auto kWindowKernels = window_kernels(
+    std::make_index_sequence<FilterChain::kMaxPoles + 1>{});
+
+void run_window(const EdgeStream& stream, FilterChain& chain,
+                const RenderConfig& config, Picoseconds t_begin,
+                std::size_t k_start, std::size_t k_emit, std::size_t k_end,
+                const std::vector<WaveformSink*>& sinks) {
+  kWindowKernels[chain.pole_count()](stream, chain, config, t_begin, k_start,
+                                     k_emit, k_end, sinks);
 }
 
 }  // namespace

@@ -468,6 +468,14 @@ TEST(OutputBuffer, ChainHasConfiguredPoles) {
   EXPECT_NEAR(buffer.realized_rise_2080().ps(), config.rise_2080.ps(), 1.0);
 }
 
+TEST(OutputBuffer, PoleCountAboveCapThrows) {
+  OutputBuffer::Config config;
+  config.pole_count = 8;
+  EXPECT_NO_THROW(OutputBuffer(config, Rng(31)));
+  config.pole_count = 9;
+  EXPECT_THROW(OutputBuffer(config, Rng(31)), Error);
+}
+
 // --------------------------------------------------------------- sampler --
 
 TEST(Sampler, StrobeSchedule) {

@@ -17,7 +17,9 @@
 //     every crossing pair that straddles a chunk boundary);
 //   - quiescent skip: render() and render_chunk() emit exactly the samples
 //     and context of a per-sample copy of the render loop, over flat runs,
-//     on-grid transitions, far-from-zero grids and 0/1/4-pole chains;
+//     on-grid transitions, far-from-zero grids, bursts of transitions
+//     inside one grid interval, and chains of 0..kMaxPoles poles (one per
+//     render kernel);
 //   - the alpha memo under eviction churn, and the one-mod eye fold for
 //     samples before t_ref, against direct computations.
 
@@ -508,19 +510,25 @@ sig::EdgeStream run_stream(Picoseconds ui, Picoseconds t0,
 
 std::vector<sig::FilterChain> skip_chains() {
   sig::FilterChain none;
-  sig::FilterChain one;
-  one.add_pole(Picoseconds{20.0});
-  sig::FilterChain four;
-  four.add_pole(Picoseconds{12.0})
-      .add_pole(Picoseconds{30.0})
-      .add_pole(Picoseconds{5.0})
-      .add_pole(Picoseconds{45.0})
-      .set_gain(0.8, Millivolts{2000.0});
   sig::FilterChain lossy_none;
   lossy_none.set_gain(0.6, Millivolts{1900.0});
   sig::FilterChain slow;  // never settles within a run: no skip
   slow.add_pole(Picoseconds{5e4});
-  return {none, one, four, lossy_none, slow};
+  std::vector<sig::FilterChain> chains = {none, lossy_none, slow};
+  // One chain per pole count 1..kMaxPoles, so every render kernel runs:
+  // distinct taus, rotated per count, and a gain on every other chain.
+  const double taus[] = {20.0, 12.0, 30.0, 5.0, 45.0, 8.0, 60.0, 3.0};
+  for (std::size_t n = 1; n <= sig::FilterChain::kMaxPoles; ++n) {
+    sig::FilterChain chain;
+    for (std::size_t j = 0; j < n; ++j) {
+      chain.add_pole(Picoseconds{taus[(j + n - 1) % std::size(taus)]});
+    }
+    if (n % 2 == 0) {
+      chain.set_gain(0.8, Millivolts{2000.0});
+    }
+    chains.push_back(chain);
+  }
+  return chains;
 }
 
 TEST(QuiescentSkip, LongFlatRunsMatchPerSampleStepping) {
@@ -603,6 +611,39 @@ TEST(QuiescentSkip, StreamWithoutTransitions) {
   }
 }
 
+TEST(QuiescentSkip, BurstsInsideOneGridInterval) {
+  // Eleven transitions inside one 0.5 ps grid interval, every 1000 ps: each
+  // burst puts 12 distinct fragment dts through the 8-row alpha memo, which
+  // evicts the rows of the grid step and the rest bound between two at_rest
+  // checks. A kernel holding a memo row by pointer would read another dt's
+  // alphas after the first burst. Under a swing of a few hundred ulps the
+  // chain hovers where at_rest decides by the last bit, so a smaller alpha
+  // read from a refilled row calls it at rest too early.
+  sig::EdgeStream stream;
+  bool level = false;
+  for (int b = 0; b < 20; ++b) {
+    const double t0 = 1000.0 * (b + 1) + 0.5 * (b % 5);
+    const double scale = 0.5 / (170.0 + b);
+    for (int j = 0; j < 11; ++j) {
+      level = !level;
+      stream.push(Picoseconds{t0 + scale * (j + 1) * (j + 1)}, level);
+    }
+  }
+  for (double swing : {800.0, 1e-10}) {
+    SCOPED_TRACE(swing);
+    sig::RenderConfig rc;
+    rc.levels = sig::PeclLevels{Millivolts{1600.0 + swing}, Millivolts{1600.0}};
+    std::size_t at_rest = 0;
+    for (const sig::FilterChain& chain : skip_chains()) {
+      SCOPED_TRACE(chain.pole_count());
+      at_rest += check_skip(stream, chain, rc, Picoseconds{0},
+                            Picoseconds{21500.0},
+                            sig::RenderChunking{5000, 1200});
+    }
+    EXPECT_GT(at_rest, 100000u);
+  }
+}
+
 TEST(QuiescentSkip, AtRestOnlyAtAFixedPoint) {
   sig::FilterChain chain;
   chain.add_pole(Picoseconds{20.0}).add_pole(Picoseconds{10.0});
@@ -634,8 +675,8 @@ TEST(QuiescentSkip, AtRestOnlyAtAFixedPoint) {
 
 TEST(AlphaMemo, EvictionChurnMatchesDirectStepping) {
   // Eleven distinct dts (more than the 8 memo rows), visited in cycles,
-  // repeats and reversals, so rows are evicted round-robin and the
-  // last-hit row keeps changing. Every output must equal stepping with
+  // repeats and reversals, so rows are evicted round-robin and refilled.
+  // Every output must equal stepping with
   // alpha = 1 - exp(-dt/tau) computed afresh.
   const std::vector<double> taus = {7.0, 19.5, 33.0};
   const double gain = 0.85, mid = 2000.0;
@@ -654,7 +695,7 @@ TEST(AlphaMemo, EvictionChurnMatchesDirectStepping) {
     for (std::size_t i = 0; i < dts.size(); ++i) {
       order.push_back(rep % 2 == 0 ? i : dts.size() - 1 - i);
       if (i % 3 == 0) {
-        order.push_back(order.back());  // a repeat: last-hit fast path
+        order.push_back(order.back());  // a repeat: hits the row just filled
       }
       order.push_back(0);  // the grid step between fragments
     }

@@ -275,6 +275,16 @@ TEST(Filter, InvalidPoleThrows) {
   EXPECT_THROW(chain.set_gain(0.0, Millivolts{0.0}), Error);
 }
 
+TEST(Filter, NinthPoleThrows) {
+  FilterChain chain;
+  for (std::size_t i = 0; i < FilterChain::kMaxPoles; ++i) {
+    chain.add_pole(Picoseconds{10.0 + static_cast<double>(i)});
+  }
+  EXPECT_EQ(chain.pole_count(), 8u);
+  EXPECT_THROW(chain.add_pole(Picoseconds{20.0}), Error);
+  EXPECT_EQ(chain.pole_count(), 8u);
+}
+
 // --------------------------------------------------------------- render --
 
 TEST(Render, SquareWaveLevelsAndCrossings) {
@@ -464,6 +474,15 @@ TEST(Channel, InvalidGainThrows) {
   config.gain = 1.5;
   EXPECT_THROW(Channel{config}, Error);
   config.gain = 0.0;
+  EXPECT_THROW(Channel{config}, Error);
+}
+
+TEST(Channel, PoleCountAboveCapThrows) {
+  Channel::Config config;
+  config.rise_2080 = Picoseconds{30.0};
+  config.pole_count = 8;
+  EXPECT_NO_THROW(Channel{config});
+  config.pole_count = 9;
   EXPECT_THROW(Channel{config}, Error);
 }
 
