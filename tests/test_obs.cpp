@@ -6,9 +6,9 @@
 //  - registry semantics: registration, reset, disabled mode, spans,
 //    profile scopes, the bench JSON document,
 //  - the determinism contract itself: a mixed workload (eye acquisition,
-//    wafer probing, link ARQ, vortex routing) must yield byte-identical
-//    snapshots at MGT_THREADS 0/1/8, and identical simulation results with
-//    the obs layer enabled and disabled.
+//    wafer probing, link ARQ, vortex routing, one scheduled service plan)
+//    must yield byte-identical snapshots at MGT_THREADS 0/1/8, and identical
+//    simulation results with the obs layer enabled and disabled.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +22,8 @@
 #include "minitester/array.hpp"
 #include "obs/benchjson.hpp"
 #include "obs/obs.hpp"
+#include "service/plan.hpp"
+#include "service/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
@@ -332,6 +334,15 @@ void run_workload() {
   }
   std::vector<vortex::Delivery> deliveries;
   (void)fabric.drain(deliveries, 256);
+
+  service::Scheduler sched(service::Scheduler::Config{}, 41);
+  service::TestPlan plan;
+  plan.kind = service::PlanKind::kEyeScan;
+  plan.tenant = "obs";
+  plan.shards = 2;
+  plan.chunks_per_shard = 2;
+  (void)sched.submit(plan);
+  (void)sched.drain(10'000);
 }
 
 std::string snapshot_at(std::size_t threads) {
@@ -349,6 +360,7 @@ TEST_F(ObsTest, SnapshotByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.find("counter minitester.dies"), std::string::npos);
   EXPECT_NE(serial.find("counter link.delivered"), std::string::npos);
   EXPECT_NE(serial.find("counter vortex.injected"), std::string::npos);
+  EXPECT_NE(serial.find("counter service.admitted"), std::string::npos);
   EXPECT_EQ(snapshot_at(1), serial) << "1 thread vs serial";
   EXPECT_EQ(snapshot_at(8), serial) << "8 threads vs serial";
 }

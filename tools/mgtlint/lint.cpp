@@ -1,10 +1,10 @@
 #include "lint.hpp"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <tuple>
 
-#include "index.hpp"
 #include "parse.hpp"
 
 namespace mgtlint {
@@ -14,13 +14,7 @@ namespace {
 // ------------------------------------------------------------- rule logic --
 
 bool has_unit_suffix(std::string_view name) {
-  for (const std::string_view s :
-       {"_ps", "_mv", "_gbps", "_ghz", "_ui"}) {
-    if (name.size() > s.size() && name.ends_with(s)) {
-      return true;
-    }
-  }
-  return false;
+  return !unit_from_suffix(name).empty();
 }
 
 bool is_header(FileKind k) {
@@ -29,6 +23,14 @@ bool is_header(FileKind k) {
 
 bool in_src(FileKind k) {
   return k == FileKind::kSourceHeader || k == FileKind::kSourceImpl;
+}
+
+/// Wall-clock reads: no-wall-clock flags them outside bench/, and
+/// no-wallclock-metric flags them inside a metric sink's arguments anywhere.
+bool wallclock_source(std::string_view name) {
+  return name == "steady_clock" || name == "system_clock" ||
+         name == "high_resolution_clock" || name == "clock_gettime" ||
+         name == "gettimeofday" || name == "rdtsc" || name == "__rdtsc";
 }
 
 class Linter {
@@ -98,10 +100,10 @@ private:
                "time() reads the wall clock; results must not depend on it "
                "outside bench/");
       }
-      if (t.text == "system_clock" || t.text == "steady_clock") {
+      if (wallclock_source(t.text)) {
         report(i, rules::kWallClock,
-               "std::chrono::" + std::string(t.text) +
-                   " is wall-clock state; only bench/ may time itself");
+               "'" + std::string(t.text) +
+                   "' reads wall-clock state; only bench/ may time itself");
       }
     }
     // Range-for (or explicit .begin()) over an unordered container declared
@@ -148,12 +150,6 @@ private:
   }
 
   // --- wall-clock into metrics ---
-
-  static bool wallclock_source(std::string_view name) {
-    return name == "steady_clock" || name == "system_clock" ||
-           name == "high_resolution_clock" || name == "clock_gettime" ||
-           name == "gettimeofday" || name == "rdtsc" || name == "__rdtsc";
-  }
 
   /// Wall-clock values flowing into an obs metric sink. The obs snapshot is
   /// contractually deterministic, so a clock read anywhere in the argument
@@ -615,6 +611,103 @@ private:
   int brace_depth_ = 0;
 };
 
+// ------------------------------------------------- unit-flow-raw-double --
+
+/// One parsed buffer plus its repo classification.
+struct ParsedUnit {
+  ParsedFile parsed;
+  FileKind kind;
+};
+
+struct DeclSig {
+  std::string file;
+  FileKind kind;
+  std::size_t line;
+  std::vector<std::string> param_types;
+};
+
+/// Every function declaration of the project, by unqualified name. Merging
+/// overloads and same-named methods over-approximates, which the rule
+/// compensates for by demanding that every declaration agrees.
+using DeclMap = std::map<std::string, std::vector<DeclSig>>;
+
+/// Generic container/observer method names that resolve to many unrelated
+/// classes; the unit-flow rule never fires through them (a histogram may
+/// legitimately observe picosecond values).
+bool generic_method_name(std::string_view name) {
+  static const std::set<std::string_view> kGeneric = {
+      "observe", "add",     "set",     "record",  "push_back", "emplace_back",
+      "insert",  "push",    "emplace", "count",   "resize",    "reserve",
+      "fill",    "assign",  "append",  "at",      "store",     "exchange",
+  };
+  return kGeneric.count(name) != 0U;
+}
+
+/// A call in src/ or examples/ passes a unit-carrying value (`t.ps()`,
+/// `delay_ps`) to a raw double parameter of a function declared in a header,
+/// i.e. a unit-blind public API. Fails silent on parse uncertainty: no
+/// resolved declaration, no finding.
+void check_unit_flow(const ParsedUnit& u, const DeclMap& decls,
+                     std::vector<Diagnostic>& diags) {
+  if (!in_src(u.kind) && u.kind != FileKind::kExampleFile) {
+    return;
+  }
+  for (const auto& cs : u.parsed.calls) {
+    if (generic_method_name(cs.callee)) {
+      continue;
+    }
+    const auto dit = decls.find(cs.callee);
+    if (dit == decls.end()) {
+      continue;
+    }
+    for (std::size_t a = 0; a < cs.arg_units.size(); ++a) {
+      const std::string& unit = cs.arg_units[a];
+      if (unit.empty()) {
+        continue;
+      }
+      // Every known declaration with enough parameters must agree that
+      // this position is a raw double, and at least one of them must sit
+      // in a header (the public API surface). Disagreement or a strong
+      // type anywhere → no finding.
+      bool all_raw_double = true;
+      std::size_t considered = 0;
+      const DeclSig* header_decl = nullptr;
+      for (const auto& d : dit->second) {
+        if (a >= d.param_types.size()) {
+          continue;
+        }
+        ++considered;
+        const std::string& ty = d.param_types[a];
+        if (ty != "double" && ty != "float") {
+          all_raw_double = false;
+          break;
+        }
+        // src/util/ is the unit-agnostic numeric substrate (rng, digest,
+        // hashing): raw doubles there are the contract, not an omission.
+        if (d.kind == FileKind::kSourceHeader &&
+            repo_relative(d.file).rfind("src/util/", 0) != 0) {
+          header_decl = &d;
+        }
+      }
+      if (considered == 0 || !all_raw_double || header_decl == nullptr) {
+        continue;
+      }
+      const auto allow = u.parsed.allow.find(cs.line);
+      if (allow != u.parsed.allow.end() &&
+          allow->second.count(std::string(rules::kUnitFlow)) != 0U) {
+        continue;
+      }
+      diags.push_back(
+          {u.parsed.path, cs.line, cs.column, std::string(rules::kUnitFlow),
+           "unit-carrying value (" + unit + ") passed to raw double "
+               "parameter " + std::to_string(a + 1) + " of '" + cs.callee +
+               "' (" + repo_relative(header_decl->file) + ":" +
+               std::to_string(header_decl->line) + "); take " + unit +
+               " in the API so the unit survives the call boundary"});
+    }
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- public API --
@@ -665,7 +758,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {rules::kRand, "rand()/srand() use hidden global state"},
       {rules::kTime, "time() reads the wall clock outside bench/"},
       {rules::kWallClock,
-       "std::chrono wall clocks outside bench/ break determinism"},
+       "wall-clock reads (std::chrono clocks, clock_gettime, rdtsc) outside "
+       "bench/ break determinism"},
       {rules::kUnorderedIter,
        "iterating an unordered container has unspecified order"},
       {rules::kUnitDouble,
@@ -686,14 +780,6 @@ const std::vector<RuleInfo>& rule_catalog() {
       {rules::kWallclockMetric,
        "wall-clock value feeds a deterministic obs metric sink"},
       {rules::kUnboundedWait, "blocking wait/join without a deadline in src/"},
-      {rules::kParallelMutation,
-       "lambda under parallel_for mutates shared state (possibly via a "
-       "function in another file)",
-       true},
-      {rules::kNondetFlow,
-       "wall-clock/rand-derived value flows into a deterministic sink "
-       "across file boundaries",
-       true},
       {rules::kUnitFlow,
        "unit-carrying value passed to a raw double parameter of a public "
        "API declared elsewhere",
@@ -716,6 +802,7 @@ std::vector<Diagnostic> lint_project(const std::vector<ProjectInput>& files) {
   std::vector<Diagnostic> diags;
   std::vector<ParsedUnit> units;
   units.reserve(files.size());
+  DeclMap decls;
   for (const auto& f : files) {
     const FileKind kind = classify_path(f.path);
     auto file_diags = lint_source(f.path, f.content, kind);
@@ -723,11 +810,13 @@ std::vector<Diagnostic> lint_project(const std::vector<ProjectInput>& files) {
                  std::make_move_iterator(file_diags.begin()),
                  std::make_move_iterator(file_diags.end()));
     units.push_back({parse_source(f.path, f.content), kind});
+    for (const auto& fn : units.back().parsed.functions) {
+      decls[fn.name].push_back({f.path, kind, fn.line, fn.param_types});
+    }
   }
-  auto project_diags = run_project_rules(units);
-  diags.insert(diags.end(),
-               std::make_move_iterator(project_diags.begin()),
-               std::make_move_iterator(project_diags.end()));
+  for (const auto& u : units) {
+    check_unit_flow(u, decls, diags);
+  }
   std::sort(diags.begin(), diags.end(),
             [](const Diagnostic& a, const Diagnostic& b) {
               return std::tie(a.file, a.line, a.column, a.rule, a.message) <

@@ -1,13 +1,10 @@
 // mgtlint: repo-specific static analysis for the mgt reproduction.
 //
-// v2 is a two-layer analyzer:
-//
-//   per-file rules   - the fast token-level checks of v1 (determinism,
-//                      unit safety, contract hygiene), one buffer at a time
-//   cross-TU rules   - a project-wide pass over a symbol index built from
-//                      every file of one invocation: parallel-capture
-//                      discipline, determinism escape analysis, and
-//                      unit-safety flow across declaration boundaries
+// Three stages: a lexer (parse.hpp) feeds every rule; the per-file rules
+// (determinism, unit safety, contract hygiene) are token-level checks on one
+// buffer at a time; and one cross-TU rule, unit-flow-raw-double, reads a
+// heuristic parse (parse.hpp) of every file of one invocation to match call
+// sites in one file against declarations in another.
 //
 // The library half (this header) lints in-memory buffers so the rules are
 // unit-testable; main.cpp wraps it in a directory walker. The one way to
@@ -69,11 +66,8 @@ inline constexpr std::string_view kUncheckedStatus = "no-unchecked-status";
 inline constexpr std::string_view kUncheckedDecode = "no-unchecked-decode";
 inline constexpr std::string_view kWallclockMetric = "no-wallclock-metric";
 inline constexpr std::string_view kUnboundedWait = "no-unbounded-wait";
-// Cross-TU families (v2): these need the whole-project index and only fire
-// from lint_project, never from single-buffer lint_source.
-inline constexpr std::string_view kParallelMutation =
-    "no-shared-mutation-in-parallel";
-inline constexpr std::string_view kNondetFlow = "no-nondet-flow";
+// Cross-TU: needs every file's declarations, so it only fires from
+// lint_project, never from single-buffer lint_source.
 inline constexpr std::string_view kUnitFlow = "unit-flow-raw-double";
 }  // namespace rules
 
@@ -81,7 +75,7 @@ inline constexpr std::string_view kUnitFlow = "unit-flow-raw-double";
 struct RuleInfo {
   std::string_view id;
   std::string_view summary;  // one line, imperative
-  bool cross_tu = false;     // needs the project index (lint_project only)
+  bool cross_tu = false;     // needs every file (lint_project only)
 };
 
 /// The full catalog, one entry per rule, stable order.
@@ -102,8 +96,8 @@ struct ProjectInput {
 };
 
 /// Lints a whole project in one invocation: per-file rules on every buffer
-/// plus the cross-TU rule families over the combined symbol index. Results
-/// are sorted by (file, line, column, rule).
+/// plus the cross-TU rule over the declarations of all of them. Results are
+/// sorted by (file, line, column, rule).
 std::vector<Diagnostic> lint_project(const std::vector<ProjectInput>& files);
 
 /// Formats a diagnostic as "file:line:col: [rule] message".

@@ -1,6 +1,6 @@
 // mgtlint CLI: walks the given files/directories, reads every .cpp/.hpp/.h
-// once, runs the per-file rules on each buffer plus the cross-TU rule
-// families over the combined project index, and prints findings as
+// once, runs the per-file rules on each buffer plus the cross-TU rule over
+// the declarations of all of them, and prints findings as
 // `file:line:col: [rule] message`.
 //
 //   mgtlint <file-or-dir>...   lint, print every finding
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
   // One read per file: lint_project wants every buffer at once so the
-  // cross-TU index sees the whole project.
+  // cross-TU rule sees every declaration of the project.
   std::vector<mgtlint::ProjectInput> inputs;
   for (const auto& file : files) {
     std::string text;
