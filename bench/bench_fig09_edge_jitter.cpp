@@ -29,11 +29,12 @@ void run_reproduction(ReportTable& table) {
                        fmt(ratio, 2), bench::verdict(ratio, 7.5, 1.2));
 
   // Cross-check against extreme-value theory for pure Gaussian RJ.
-  const double theory =
-      sig::expected_gaussian_pp(falling.count, falling.rms.ps());
+  const Picoseconds theory =
+      sig::expected_gaussian_pp(falling.count, falling.rms);
   table.add_comparison("extreme-value prediction", "p-p consistent with rms",
-                       fmt_unit(theory, "ps", 1),
-                       bench::verdict(theory, falling.peak_to_peak.ps(), 4.0));
+                       fmt_unit(theory.ps(), "ps", 1),
+                       bench::verdict(theory.ps(), falling.peak_to_peak.ps(),
+                                      4.0));
 
   // Rising edges of the same chain behave identically (no quoted number).
   const auto rising = sys.measure_single_edge_jitter(10000, true);

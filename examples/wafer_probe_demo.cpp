@@ -9,7 +9,6 @@
 #include "minitester/array.hpp"
 #include "minitester/minitester.hpp"
 #include "minitester/shmoo.hpp"
-#include "minitester/wafermap.hpp"
 
 int main() {
   using namespace mgt;
@@ -106,24 +105,9 @@ int main() {
               "x%.1f throughput)\n",
               wafer.touchdowns, wafer.total_time_s, serial_time,
               serial_time / wafer.total_time_s);
-  std::printf("  %zu fails, %zu overkills, %zu escapes, %.0f dies/hour\n\n",
+  std::printf("  %zu fails, %zu overkills, %zu escapes, %.0f dies/hour\n",
               wafer.fails, wafer.overkills, wafer.escapes,
               wafer.dies_per_hour());
 
-  // --- Wafer map with clustered defects --------------------------------------
-  WaferMap::Config map_config;
-  map_config.diameter_dies = 24;
-  map_config.background_defect_rate = 0.02;
-  map_config.cluster_count = 2;
-  WaferMap map(map_config, Rng(77));
-  const auto outcome = map.probe(16, [](Defect defect) {
-    // The BIST screen catches everything except marginal weak drivers.
-    return defect == Defect::None || defect == Defect::WeakDrive;
-  });
-  std::printf("Wafer map (%zu dies, %zu defective, clustered):\n%s",
-              map.die_count(), map.defect_count(),
-              outcome.ascii_art().c_str());
-  std::printf("yield %.1f %% over %zu touchdowns\n", outcome.yield * 100.0,
-              outcome.touchdowns);
   return 0;
 }

@@ -3,9 +3,11 @@
 // A single pole driven by a step settles exponentially; the 20-80 % rise
 // time of one pole is tau * ln(4). Cascading two identical poles gives a
 // more realistic S-shaped edge. The state update is exact for piecewise-
-// constant input, which is exactly what an NRZ edge stream provides — so
-// the renderer introduces no numerical integration error at transition
-// boundaries.
+// constant input, which is what an NRZ edge stream gives the first stage.
+// A later stage's input is the previous stage's output, which moves during
+// the step; step() holds it at its end-of-step value, so each later stage
+// leads the continuous-time response by dt/2. The lead is a constant delay,
+// independent of where an edge falls inside the step.
 #pragma once
 
 #include <array>
@@ -52,8 +54,8 @@ public:
   void reset(Millivolts v);
 
   /// Advances the chain by dt with constant input u; returns the output.
-  /// Exact for each stage given stage input constant over dt; with the fine
-  /// steps the renderer uses, inter-stage error is negligible.
+  /// Exact for the first stage; each later stage takes the previous
+  /// stage's end-of-step output as its constant input and so leads by dt/2.
   Millivolts step(Millivolts u, Picoseconds dt);
 
   /// Output without advancing time.

@@ -37,19 +37,20 @@ EdgeStream JitterSource::apply(const EdgeStream& in) {
   return out;
 }
 
-double expected_gaussian_pp(std::size_t n, double sigma) {
-  if (n < 2 || sigma <= 0.0) {
-    return 0.0;
+Picoseconds expected_gaussian_pp(std::size_t n, Picoseconds sigma) {
+  if (n < 2 || sigma.ps() <= 0.0) {
+    return Picoseconds{0.0};
   }
   const double ln_n = std::log(static_cast<double>(n));
   const double a = std::sqrt(2.0 * ln_n);
   // Asymptotic mean of the max of n standard normal deviates.
   const double expected_max =
       a - (std::log(ln_n) + std::log(4.0 * std::numbers::pi)) / (2.0 * a);
-  return 2.0 * expected_max * sigma;
+  return Picoseconds{2.0 * expected_max * sigma.ps()};
 }
 
-double expected_total_jitter_pp(std::size_t n, double rj_sigma, double dj_pp) {
+Picoseconds expected_total_jitter_pp(std::size_t n, Picoseconds rj_sigma,
+                                     Picoseconds dj_pp) {
   return dj_pp + expected_gaussian_pp(n, rj_sigma);
 }
 

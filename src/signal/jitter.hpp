@@ -57,10 +57,11 @@ private:
 /// Expected peak-to-peak spread of n samples of a zero-mean Gaussian with
 /// standard deviation sigma (asymptotic extreme-value formula). This is what
 /// a scope's "p-p jitter over n edges" converges to for pure RJ.
-double expected_gaussian_pp(std::size_t n, double sigma);
+Picoseconds expected_gaussian_pp(std::size_t n, Picoseconds sigma);
 
 /// Dual-Dirac total jitter estimate: TJ(pp over n edges) = DJ_pp + RJ p-p
 /// spread over n edges.
-double expected_total_jitter_pp(std::size_t n, double rj_sigma, double dj_pp);
+Picoseconds expected_total_jitter_pp(std::size_t n, Picoseconds rj_sigma,
+                                     Picoseconds dj_pp);
 
 }  // namespace mgt::sig

@@ -4,7 +4,6 @@
 
 #include "digital/dlc.hpp"
 #include "digital/jtag.hpp"
-#include "digital/sequencer.hpp"
 #include "digital/usb.hpp"
 #include "minitester/minitester.hpp"
 #include "signal/edge.hpp"
@@ -113,17 +112,6 @@ TEST(EdgeCases, JtagTckCyclesAccumulate) {
   EXPECT_GE(after_reset, 6u);  // 5 reset clocks + idle entry
   host.read_idcode();
   EXPECT_GT(host.tck_cycles(), after_reset + 32);
-}
-
-TEST(EdgeCases, SequencerEmitLiteralWidthValidation) {
-  EXPECT_THROW(dig::TestSequencer({dig::seq::emit_literal(1, 0),
-                                   dig::seq::halt()})
-                   .run(),
-               Error);
-  EXPECT_THROW(dig::TestSequencer({dig::seq::emit_literal(1, 33),
-                                   dig::seq::halt()})
-                   .run(),
-               Error);
 }
 
 // ---------------------------------------------------------------- framing --

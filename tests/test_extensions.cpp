@@ -1,15 +1,11 @@
-// Tests for the extension modules: SRAM pattern store, microcoded test
-// sequencer, dual-Dirac BER extrapolation, traffic patterns, wafer maps,
-// and transmitter deskew calibration.
+// Tests for the extension modules: dual-Dirac BER extrapolation, traffic
+// patterns, and transmitter deskew calibration.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "analysis/berextrap.hpp"
-#include "digital/sequencer.hpp"
-#include "digital/sram.hpp"
 #include "minitester/minitester.hpp"
-#include "minitester/wafermap.hpp"
 #include "testbed/calibration.hpp"
 #include "testbed/receiver.hpp"
 #include "util/error.hpp"
@@ -18,157 +14,6 @@
 
 namespace mgt {
 namespace {
-
-// ------------------------------------------------------------------ sram --
-
-TEST(SyncSram, ReadLatencyIsHonored) {
-  dig::SyncSram sram(dig::SyncSram::Config{.depth_words = 16,
-                                           .read_latency = 3});
-  sram.write_word(2, 0xDEADBEEF);
-  // Issue the read manually and count cycles to data.
-  auto r0 = sram.clock(dig::SyncSram::Command{.write = false, .address = 2});
-  EXPECT_FALSE(r0.has_value());
-  auto r1 = sram.clock(std::nullopt);
-  EXPECT_FALSE(r1.has_value());
-  auto r2 = sram.clock(std::nullopt);
-  EXPECT_FALSE(r2.has_value());
-  auto r3 = sram.clock(std::nullopt);
-  ASSERT_TRUE(r3.has_value());
-  EXPECT_EQ(*r3, 0xDEADBEEFu);
-}
-
-TEST(SyncSram, BlockingHelpersRoundTrip) {
-  dig::SyncSram sram;
-  for (std::uint32_t a = 0; a < 64; ++a) {
-    sram.write_word(a, a * 0x01010101u);
-  }
-  for (std::uint32_t a = 0; a < 64; ++a) {
-    EXPECT_EQ(sram.read_word(a), a * 0x01010101u);
-  }
-}
-
-TEST(SyncSram, OutOfRangeThrows) {
-  dig::SyncSram sram(dig::SyncSram::Config{.depth_words = 4});
-  EXPECT_THROW(sram.write_word(4, 0), Error);
-}
-
-TEST(SramPatternStore, StoreLoadRoundTrip) {
-  dig::SyncSram sram;
-  dig::SramPatternStore store(sram);
-  Rng rng(1);
-  const auto pattern = BitVector::random(10000, rng);
-  store.store(100, pattern);
-  std::uint64_t cycles = 0;
-  const auto back = store.load(100, 10000, &cycles);
-  EXPECT_EQ(back, pattern);
-  // Pipelined streaming: N words in ~N + latency cycles, not N * latency.
-  const std::uint64_t words = (10000 + 31) / 32;
-  EXPECT_LE(cycles, words + 8);
-}
-
-TEST(SramPatternStore, CapacityEnforced) {
-  dig::SyncSram sram(dig::SyncSram::Config{.depth_words = 4});
-  dig::SramPatternStore store(sram);
-  EXPECT_EQ(store.capacity_bits(), 128u);
-  EXPECT_THROW(store.store(0, BitVector(129, true)), Error);
-  EXPECT_THROW(store.load(3, 64), Error);
-}
-
-// -------------------------------------------------------------- sequencer --
-
-TEST(Sequencer, EmitLiteral) {
-  dig::TestSequencer sequencer({dig::seq::emit_literal(0b1011, 4),
-                                dig::seq::halt()});
-  EXPECT_EQ(sequencer.run().to_string(), "1101");  // LSB first
-}
-
-TEST(Sequencer, NestedLoopsMultiply) {
-  // for 3: { for 2: emit "10" } -> "10" * 6
-  dig::TestSequencer sequencer({
-      dig::seq::loop_begin(3),
-      dig::seq::loop_begin(2),
-      dig::seq::emit_literal(0b01, 2),
-      dig::seq::loop_end(),
-      dig::seq::loop_end(),
-      dig::seq::halt(),
-  });
-  EXPECT_EQ(sequencer.run().to_string(), "101010101010");
-}
-
-TEST(Sequencer, PatternBankReference) {
-  std::map<std::uint32_t, BitVector> banks;
-  banks[7] = BitVector::from_string("11001");
-  dig::TestSequencer sequencer({dig::seq::emit_pattern(7, 2),
-                                dig::seq::halt()},
-                               banks);
-  EXPECT_EQ(sequencer.run().to_string(), "1100111001");
-}
-
-TEST(Sequencer, CallAndReturn) {
-  // main: call 3; emit "0"; halt.   sub@3: emit "11"; ret.
-  dig::TestSequencer sequencer({
-      dig::seq::call(3),
-      dig::seq::emit_literal(0, 1),
-      dig::seq::halt(),
-      dig::seq::emit_literal(0b11, 2),
-      dig::seq::ret(),
-  });
-  EXPECT_EQ(sequencer.run().to_string(), "110");
-}
-
-TEST(Sequencer, EquivalentToAlgorithmicPattern) {
-  // A loop emitting 4 ones then 4 zeros == patterns::square.
-  dig::TestSequencer sequencer({
-      dig::seq::loop_begin(10),
-      dig::seq::emit_literal(0x0, 4),
-      dig::seq::emit_literal(0xF, 4),
-      dig::seq::loop_end(),
-      dig::seq::halt(),
-  });
-  EXPECT_EQ(sequencer.run(), dig::patterns::square(80, 4));
-}
-
-TEST(Sequencer, MalformedProgramsThrow) {
-  EXPECT_THROW(dig::TestSequencer({dig::seq::loop_end(), dig::seq::halt()})
-                   .run(),
-               Error);
-  EXPECT_THROW(dig::TestSequencer({dig::seq::ret(), dig::seq::halt()}).run(),
-               Error);
-  EXPECT_THROW(dig::TestSequencer({dig::seq::emit_literal(1, 1)}).run(),
-               Error);  // runs off the end
-  EXPECT_THROW(dig::TestSequencer({dig::seq::loop_begin(2),
-                                   dig::seq::halt()})
-                   .run(),
-               Error);  // halt inside open loop
-  EXPECT_THROW(dig::TestSequencer({dig::seq::emit_pattern(9, 1),
-                                   dig::seq::halt()})
-                   .run(),
-               Error);  // missing bank
-}
-
-TEST(Sequencer, WatchdogCatchesRunaway) {
-  dig::SequencerLimits limits;
-  limits.max_steps = 100;
-  // Infinite subroutine recursion is cut by the call-stack bound; a giant
-  // loop is cut by the watchdog.
-  dig::TestSequencer sequencer({
-      dig::seq::loop_begin(1u << 30),
-      dig::seq::emit_literal(1, 1),
-      dig::seq::loop_end(),
-      dig::seq::halt(),
-  },
-                               {}, limits);
-  EXPECT_THROW(sequencer.run(), Error);
-}
-
-TEST(Sequencer, LoopStackOverflowDetected) {
-  std::vector<dig::SeqInstruction> program;
-  for (int i = 0; i < 10; ++i) {
-    program.push_back(dig::seq::loop_begin(1));
-  }
-  program.push_back(dig::seq::halt());
-  EXPECT_THROW(dig::TestSequencer(program).run(), Error);
-}
 
 // ------------------------------------------------------------- berextrap --
 
@@ -301,64 +146,6 @@ TEST(Traffic, PermutationPatternsDeliverEverything) {
     EXPECT_GT(result.fairness, 0.95);
     EXPECT_GE(result.p99_latency_slots, result.mean_latency_slots);
   }
-}
-
-// -------------------------------------------------------------- wafermap --
-
-TEST(WaferMap, GeometryIsCircular) {
-  minitester::WaferMap map(minitester::WaferMap::Config{}, Rng(1));
-  // Corners are outside, center is inside.
-  EXPECT_FALSE(map.in_wafer(0, 0));
-  EXPECT_FALSE(map.in_wafer(19, 19));
-  EXPECT_TRUE(map.in_wafer(10, 10));
-  // Die count is close to pi*r^2.
-  const double expected = 3.14159 * 10.0 * 10.0;
-  EXPECT_NEAR(static_cast<double>(map.die_count()), expected,
-              expected * 0.1);
-}
-
-TEST(WaferMap, ClustersRaiseLocalDefectDensity) {
-  minitester::WaferMap::Config config;
-  config.background_defect_rate = 0.0;
-  config.cluster_count = 1;
-  config.cluster_radius_dies = 3.0;
-  config.cluster_defect_rate = 1.0;
-  minitester::WaferMap map(config, Rng(7));
-  // All defects (if any landed on the wafer) are inside one disc of
-  // radius 3 -> a bounding box of ~7x7 dies.
-  std::size_t min_x = 99, max_x = 0, min_y = 99, max_y = 0;
-  std::size_t defects = 0;
-  for (std::size_t y = 0; y < 20; ++y) {
-    for (std::size_t x = 0; x < 20; ++x) {
-      if (map.in_wafer(x, y) &&
-          map.defect_at(x, y) != minitester::Defect::None) {
-        ++defects;
-        min_x = std::min(min_x, x);
-        max_x = std::max(max_x, x);
-        min_y = std::min(min_y, y);
-        max_y = std::max(max_y, y);
-      }
-    }
-  }
-  ASSERT_GT(defects, 0u);
-  EXPECT_LE(max_x - min_x, 7u);
-  EXPECT_LE(max_y - min_y, 7u);
-}
-
-TEST(WaferMap, ProbeFindsExactlyTheDefects) {
-  minitester::WaferMap map(minitester::WaferMap::Config{}, Rng(3));
-  const auto outcome = map.probe(16, [](minitester::Defect defect) {
-    return defect == minitester::Defect::None;  // ideal screen
-  });
-  EXPECT_EQ(outcome.tested, map.die_count());
-  EXPECT_EQ(outcome.fails, map.defect_count());
-  EXPECT_NEAR(outcome.yield,
-              1.0 - static_cast<double>(map.defect_count()) /
-                        static_cast<double>(map.die_count()),
-              1e-9);
-  const auto art = outcome.ascii_art();
-  EXPECT_NE(art.find('.'), std::string::npos);
-  EXPECT_NE(art.find(' '), std::string::npos);
 }
 
 // ------------------------------------------------------------ calibration --

@@ -91,9 +91,9 @@ TEST(Decompose, RealChannelSplitsConsistently) {
 
   const auto tj = ana::measure_crossover_jitter(recorder.crossings(),
                                                 stim.ui, stim.t0);
-  EXPECT_NEAR(d.dj_pp.ps() +
-                  sig::expected_gaussian_pp(tj.count, d.rj_sigma.ps()),
-              tj.peak_to_peak.ps(), 8.0);
+  EXPECT_NEAR(
+      sig::expected_total_jitter_pp(tj.count, d.rj_sigma, d.dj_pp).ps(),
+      tj.peak_to_peak.ps(), 8.0);
 }
 
 // -------------------------------------------------------------- reorder --

@@ -11,7 +11,6 @@
 #include "digital/usb.hpp"
 #include "pecl/clocktree.hpp"
 #include "signal/jitter.hpp"
-#include "testbed/analog_receiver.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -291,84 +290,6 @@ TEST(CaptureRam, MinitesterLoopbackCaptureReadableOverUsb) {
   EXPECT_EQ(capture.size(), ber.bits_compared + ber.alignment);
   // The capture is real data, not a stuck line.
   EXPECT_GT(capture.transition_count(), 100u);
-}
-
-// --------------------------------------------------------- analog receiver --
-
-class AnalogRxFixture : public ::testing::Test {
-protected:
-  testbed::OpticalTransmitter make_tx(std::uint64_t seed,
-                                      double swing_mv = 800.0) {
-    testbed::OpticalTransmitter::Config config;
-    config.channel = core::presets::optical_testbed();
-    config.channel.buffer.levels =
-        sig::PeclLevels{}.with_swing(Millivolts{swing_mv});
-    return testbed::OpticalTransmitter(config, seed);
-  }
-
-  testbed::TestbedPacket make_packet(std::uint64_t seed) {
-    Rng rng(seed);
-    testbed::TestbedPacket p;
-    for (auto& lane : p.payload) {
-      lane = BitVector::random(32, rng);
-    }
-    p.header = static_cast<std::uint8_t>(rng.below(16));
-    return p;
-  }
-};
-
-TEST_F(AnalogRxFixture, RecoversCleanSlot) {
-  auto tx = make_tx(31);
-  testbed::AnalogReceiver rx(testbed::AnalogReceiver::Config{}, Rng(32));
-  const auto packet = make_packet(33);
-  const auto signals = tx.transmit(packet, Picoseconds{0.0});
-  const auto result = rx.receive(signals, Picoseconds{0.0});
-  ASSERT_TRUE(result.captured);
-  EXPECT_EQ(result.packet.header, packet.header);
-  for (std::size_t ch = 0; ch < testbed::kDataChannels; ++ch) {
-    EXPECT_EQ(result.packet.payload[ch], packet.payload[ch]) << "ch " << ch;
-  }
-  EXPECT_GT(result.mean_strobe_margin.mv(), 200.0);
-}
-
-TEST_F(AnalogRxFixture, AgreesWithEdgeDomainReceiver) {
-  auto tx = make_tx(41);
-  testbed::AnalogReceiver analog(testbed::AnalogReceiver::Config{}, Rng(42));
-  testbed::Receiver digital(testbed::Receiver::Config{});
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    const auto packet = make_packet(50 + s);
-    const auto signals = tx.transmit(packet, Picoseconds{0.0});
-    const auto a = analog.receive(signals, Picoseconds{0.0});
-    const auto d = digital.receive(signals, Picoseconds{0.0});
-    ASSERT_TRUE(a.captured && d.captured);
-    for (std::size_t ch = 0; ch < testbed::kDataChannels; ++ch) {
-      EXPECT_EQ(a.packet.payload[ch], d.packet.payload[ch]);
-    }
-  }
-}
-
-TEST_F(AnalogRxFixture, MarginShrinksWithSwing) {
-  double margins[2];
-  int i = 0;
-  for (double swing : {800.0, 300.0}) {
-    auto tx = make_tx(61, swing);
-    testbed::AnalogReceiver rx(testbed::AnalogReceiver::Config{}, Rng(62));
-    const auto result =
-        rx.receive(tx.transmit(make_packet(63), Picoseconds{0.0}),
-                   Picoseconds{0.0});
-    ASSERT_TRUE(result.captured);
-    margins[i++] = result.mean_strobe_margin.mv();
-  }
-  EXPECT_LT(margins[1], 0.5 * margins[0]);
-}
-
-TEST_F(AnalogRxFixture, DeadClockMeansNoCapture) {
-  auto tx = make_tx(71);
-  testbed::AnalogReceiver rx(testbed::AnalogReceiver::Config{}, Rng(72));
-  auto signals = tx.transmit(make_packet(73), Picoseconds{0.0});
-  signals.clock = sig::EdgeStream{false};
-  const auto result = rx.receive(signals, Picoseconds{0.0});
-  EXPECT_FALSE(result.captured);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "digital/dlc.hpp"
 #include "digital/jtag.hpp"
 #include "digital/pattern.hpp"
-#include "digital/sequencer.hpp"
 #include "digital/usb.hpp"
 #include "minitester/dut.hpp"
 #include "pecl/delayline.hpp"
@@ -326,30 +325,28 @@ INSTANTIATE_TEST_SUITE_P(Lot, DelayLineLot,
                          ::testing::Range<std::uint64_t>(100, 116));
 
 // ---------------------------------------------------------------------------
-// Property: sequencer loops == pattern-memory looping.
+// Property: a read past the loaded length loops the pattern memory.
 // ---------------------------------------------------------------------------
 
-class SequencerVsMemory : public ::testing::TestWithParam<std::uint64_t> {};
+class PatternMemoryLoop : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SequencerVsMemory, LoopedBankMatchesLoopedMemory) {
+TEST_P(PatternMemoryLoop, LoopedReadEqualsConcatenation) {
   Rng rng(GetParam());
   const std::size_t cell = 8 + rng.below(24);
   const std::size_t reps = 2 + rng.below(6);
   const auto pattern = BitVector::random(cell, rng);
 
-  std::map<std::uint32_t, BitVector> banks;
-  banks[0] = pattern;
-  dig::TestSequencer sequencer(
-      {dig::seq::emit_pattern(0, static_cast<std::uint32_t>(reps)),
-       dig::seq::halt()},
-      banks);
+  BitVector expected;
+  for (std::size_t r = 0; r < reps; ++r) {
+    expected.append(pattern);
+  }
 
   dig::PatternMemory memory;
   memory.load(pattern);
-  EXPECT_EQ(sequencer.run(), memory.read(cell * reps));
+  EXPECT_EQ(memory.read(cell * reps), expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SequencerVsMemory,
+INSTANTIATE_TEST_SUITE_P(Seeds, PatternMemoryLoop,
                          ::testing::Range<std::uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 // sinks and channels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "signal/channel.hpp"
 #include "signal/edge.hpp"
@@ -196,17 +198,20 @@ TEST(Jitter, ApplyPreservesWellFormedness) {
 }
 
 TEST(Jitter, ExpectedGaussianPpGrowsWithN) {
-  const double pp_1k = expected_gaussian_pp(1000, 3.2);
-  const double pp_10k = expected_gaussian_pp(10000, 3.2);
+  const Picoseconds pp_1k = expected_gaussian_pp(1000, Picoseconds{3.2});
+  const Picoseconds pp_10k = expected_gaussian_pp(10000, Picoseconds{3.2});
   EXPECT_GT(pp_10k, pp_1k);
   // Paper's Fig 9: 3.2 ps rms shows ~24 ps p-p on a 10^4-edge acquisition.
-  EXPECT_NEAR(pp_10k, 24.0, 2.0);
-  EXPECT_EQ(expected_gaussian_pp(0, 3.2), 0.0);
-  EXPECT_EQ(expected_gaussian_pp(100, 0.0), 0.0);
+  EXPECT_NEAR(pp_10k.ps(), 24.0, 2.0);
+  EXPECT_EQ(expected_gaussian_pp(0, Picoseconds{3.2}).ps(), 0.0);
+  EXPECT_EQ(expected_gaussian_pp(100, Picoseconds{0.0}).ps(), 0.0);
 }
 
 TEST(Jitter, TotalJitterAddsDjToRj) {
-  EXPECT_NEAR(expected_total_jitter_pp(10000, 3.2, 23.0), 47.0, 2.0);
+  EXPECT_NEAR(expected_total_jitter_pp(10000, Picoseconds{3.2},
+                                       Picoseconds{23.0})
+                  .ps(),
+              47.0, 2.0);
 }
 
 // --------------------------------------------------------------- filter --
@@ -305,24 +310,73 @@ TEST(Render, SquareWaveLevelsAndCrossings) {
   EXPECT_NEAR(amplitude.settled_low().mv(), 1600.0, 5.0);
 }
 
-TEST(Render, CrossingTimeMatchesSinglePoleAnalytic) {
-  // One rising step through a single pole: 50 % crossing at tau*ln(2).
-  EdgeStream s(false);
-  s.push(Picoseconds{1000.0}, true);
-  FilterChain chain;
-  const double tau = 40.0;
-  chain.add_pole(Picoseconds{tau});
-  RenderConfig config;
-  config.levels = PeclLevels{Millivolts{1000.0}, Millivolts{0.0}};
-  config.sample_step = Picoseconds{0.5};
-  CrossingRecorder crossings(Millivolts{500.0});
-  render(s, chain, config, Picoseconds{0.0}, Picoseconds{2000.0},
-         {&crossings});
-  ASSERT_EQ(crossings.crossings().size(), 1u);
-  EXPECT_TRUE(crossings.crossings()[0].rising);
-  EXPECT_NEAR(crossings.crossings()[0].time.ps(),
-              1000.0 + tau * std::log(2.0), 0.05);
+// Step response of n equal unit poles at t = x * tau: the Erlang CDF,
+// 1 - exp(-x) * sum_{k<n} x^k / k!.
+double erlang_cdf(std::size_t n, double x) {
+  double term = 1.0;
+  double sum = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    sum += term;
+    term *= x / static_cast<double>(k + 1);
+  }
+  return 1.0 - std::exp(-x) * sum;
 }
+
+// 50 % delay of n equal unit poles (bisection on the Erlang CDF).
+double erlang_median(std::size_t n) {
+  double lo = 0.0;
+  double hi = 2.0 * static_cast<double>(n) + 2.0;
+  for (int i = 0; i < 100; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (erlang_cdf(n, mid) < 0.5 ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+class RenderPoles : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RenderPoles, CrossingTimeMatchesAnalyticLessPoleLead) {
+  // One rising step through N equal poles. The first pole is exact; each
+  // later pole is stepped on the previous stage's end-of-step value and
+  // leads the continuous-time response by dt/2. The lead is a constant
+  // delay: the crossing keeps its place relative to the edge for every
+  // sub-grid edge phase.
+  const std::size_t poles = GetParam();
+  const double tau = 20.0;
+  const double dt = 0.5;
+  const double expected = tau * erlang_median(poles) -
+                          static_cast<double>(poles - 1) * dt / 2.0;
+  double min_delay = 1e9;
+  double max_delay = -1e9;
+  for (int phase = 0; phase < 8; ++phase) {
+    const double edge = 1000.0 + dt * phase / 8.0;
+    EdgeStream s(false);
+    s.push(Picoseconds{edge}, true);
+    FilterChain chain;
+    for (std::size_t i = 0; i < poles; ++i) {
+      chain.add_pole(Picoseconds{tau});
+    }
+    RenderConfig config;
+    config.levels = PeclLevels{Millivolts{1000.0}, Millivolts{0.0}};
+    config.sample_step = Picoseconds{dt};
+    CrossingRecorder crossings(Millivolts{500.0});
+    render(s, chain, config, Picoseconds{0.0}, Picoseconds{2000.0},
+           {&crossings});
+    ASSERT_EQ(crossings.crossings().size(), 1u);
+    EXPECT_TRUE(crossings.crossings()[0].rising);
+    const double delay = crossings.crossings()[0].time.ps() - edge;
+    EXPECT_NEAR(delay, expected, 0.02) << "edge phase " << phase << "/8";
+    min_delay = std::min(min_delay, delay);
+    max_delay = std::max(max_delay, delay);
+  }
+  EXPECT_LT(max_delay - min_delay, 0.005);  // under 5 fs
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Poles, RenderPoles, ::testing::Range<std::size_t>(1, 9),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::to_string(info.param);
+    });
 
 TEST(Render, TransitionsWithinOneSampleStepAreExact) {
   // An edge at a non-grid time must not be quantized to the grid.
