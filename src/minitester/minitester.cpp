@@ -111,7 +111,8 @@ std::vector<ana::BathtubPoint> MiniTester::bathtub(std::size_t n_bits,
 }
 
 std::size_t MiniTester::center_strobe(std::size_t n_bits) {
-  const auto scan = bathtub(n_bits, 2);
+  constexpr std::size_t kCodeStep = 2;
+  const auto scan = bathtub(n_bits, kCodeStep);
   // Longest run of minimum-BER points; center the strobe within it.
   double best_ber = 1.0;
   for (const auto& p : scan) {
@@ -135,10 +136,10 @@ std::size_t MiniTester::center_strobe(std::size_t n_bits) {
       run_len = 0;
     }
   }
-  const std::size_t center_idx = best_start + best_len / 2;
-  const double step = strobe_delay_.step().ps();
-  const auto code = static_cast<std::size_t>(
-      scan[center_idx].strobe_offset.ps() / step);
+  // Scan point i was taken at code i * kCodeStep. Dividing its offset by
+  // the step instead truncates at sub-ps vernier steps (27 * 0.67 / 0.67
+  // gives 26.999...).
+  const std::size_t code = (best_start + best_len / 2) * kCodeStep;
   strobe_delay_.set_code(code);
   return code;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -29,7 +30,57 @@ public:
                   const RenderConfig& config, Picoseconds t_begin,
                   std::size_t k_start, std::size_t k_emit, std::size_t k_end,
                   const std::vector<WaveformSink*>& sinks);
+
+  /// The same window for sinks that all read only strobes: delivers, in
+  /// time order and once each, the grid pair (K-1, K) around every strobe,
+  /// K being the first grid index at or after it and past k_emit (the
+  /// sample at k_emit has no predecessor in the delivered sequence, as in
+  /// run<N>). The samples that absorb a transition are stepped exactly as
+  /// run<N> steps them; every stretch between them is jumped with powers of
+  /// the one-grid-step map. No on_context() sample goes out, and the chain
+  /// state is not written back: both callers own a copy of the chain.
+  template <std::size_t N>
+  static void run_sparse(const EdgeStream& stream, FilterChain& chain,
+                         const RenderConfig& config, Picoseconds t_begin,
+                         std::size_t k_start, std::size_t k_emit,
+                         std::size_t k_end,
+                         const std::vector<WaveformSink*>& sinks);
+
+private:
+  /// Where both kernels start a window at grid time t_start.
+  struct Start {
+    std::size_t next_tr;  // first transition at or after t_start
+    bool level;           // stream level at t_start
+    double x_lo;          // step()'s gain-scaled input at each level
+    double x_hi;
+  };
+  /// Resets `chain` to the steady state of the stream level at t_start.
+  static Start start(const EdgeStream& stream, FilterChain& chain,
+                     const RenderConfig& config, double t_start);
 };
+
+WindowKernel::Start WindowKernel::start(const EdgeStream& stream,
+                                        FilterChain& chain,
+                                        const RenderConfig& config,
+                                        double t_start) {
+  const auto& trs = stream.transitions();
+  const bool level = stream.level_at(Picoseconds{t_start});
+  chain.reset(level ? config.levels.voh : config.levels.vol);
+  // step()'s gain-scaled input for each level, by its exact expression.
+  const double mid = chain.midpoint_mv_;
+  const double gain = chain.gain_;
+  return Start{
+      .next_tr = static_cast<std::size_t>(
+          std::lower_bound(trs.begin(), trs.end(), Picoseconds{t_start},
+                           [](const Transition& tr, Picoseconds t) {
+                             return tr.time < t;
+                           }) -
+          trs.begin()),
+      .level = level,
+      .x_lo = mid + gain * (config.levels.vol.mv() - mid),
+      .x_hi = mid + gain * (config.levels.voh.mv() - mid),
+  };
+}
 
 template <std::size_t N>
 void WindowKernel::run(const EdgeStream& stream, FilterChain& chain,
@@ -42,23 +93,12 @@ void WindowKernel::run(const EdgeStream& stream, FilterChain& chain,
   const double t_start =
       t_begin.ps() + static_cast<double>(k_start) * dt;
 
-  // Position in the transition list: first transition at or after t_start.
   const auto& trs = stream.transitions();
-  std::size_t next_tr = static_cast<std::size_t>(
-      std::lower_bound(trs.begin(), trs.end(), Picoseconds{t_start},
-                       [](const Transition& tr, Picoseconds t) {
-                         return tr.time < t;
-                       }) -
-      trs.begin());
-
-  bool level = stream.level_at(Picoseconds{t_start});
-  chain.reset(level ? config.levels.voh : config.levels.vol);
-
-  // step()'s gain-scaled input for each level, by its exact expression.
-  const double mid = chain.midpoint_mv_;
-  const double gain = chain.gain_;
-  const double x_lo = mid + gain * (config.levels.vol.mv() - mid);
-  const double x_hi = mid + gain * (config.levels.voh.mv() - mid);
+  const Start st = start(stream, chain, config, t_start);
+  std::size_t next_tr = st.next_tr;
+  bool level = st.level;
+  const double x_lo = st.x_lo;
+  const double x_hi = st.x_hi;
 
   // Bound on the grid steps a quiescent run may skip: a hair above dt, so
   // the few-ulp spread of t_begin + k * dt stays under it, yet tight enough
@@ -184,28 +224,226 @@ void WindowKernel::run(const EdgeStream& stream, FilterChain& chain,
   chain.passthrough_ = pass;
 }
 
+template <std::size_t N>
+void WindowKernel::run_sparse(const EdgeStream& stream, FilterChain& chain,
+                              const RenderConfig& config, Picoseconds t_begin,
+                              std::size_t k_start, std::size_t k_emit,
+                              std::size_t k_end,
+                              const std::vector<WaveformSink*>& sinks) {
+  const double dt = config.sample_step.ps();
+  auto grid = [&](std::size_t k) {
+    return t_begin.ps() + static_cast<double>(k) * dt;
+  };
+  // First grid index in [lo, k_end) at or after t, else k_end. Grid times
+  // are monotone in the index, so the estimate only needs nudging.
+  auto first_at_or_after = [&](double t, std::size_t lo) {
+    const double est = std::ceil((t - t_begin.ps()) / dt);
+    std::size_t k = k_end;
+    if (est <= static_cast<double>(lo)) {
+      k = lo;
+    } else if (est < static_cast<double>(k_end)) {
+      k = static_cast<std::size_t>(est);
+    }
+    while (k > lo && grid(k - 1) >= t) {
+      --k;
+    }
+    while (k < k_end && grid(k) < t) {
+      ++k;
+    }
+    return k;
+  };
+
+  std::vector<std::size_t> reads;
+  for (const WaveformSink* sink : sinks) {
+    for (const Picoseconds strobe : *sink->strobe_times()) {
+      const std::size_t k = first_at_or_after(strobe.ps(), k_emit + 1);
+      if (k < k_end) {
+        reads.push_back(k - 1);
+        reads.push_back(k);
+      }
+    }
+  }
+  std::sort(reads.begin(), reads.end());
+  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+  if (reads.empty()) {
+    return;
+  }
+
+  const double t_start = grid(k_start);
+  const auto& trs = stream.transitions();
+  const Start st = start(stream, chain, config, t_start);
+  std::size_t next_tr = st.next_tr;
+  bool level = st.level;
+  std::array<double, N> s{};  // stage states, mV
+  std::copy_n(chain.state_.begin(), N, s.begin());
+  double pass = chain.passthrough_;
+
+  // run<N>'s step, with the same operations and alpha source.
+  auto step = [&](double x, double h) {
+    pass = x;
+    if constexpr (N > 0) {
+      const double* alpha = chain.alpha_row(Picoseconds{h});
+      for (std::size_t i = 0; i < N; ++i) {
+        s[i] += (x - s[i]) * alpha[i];
+        x = s[i];
+      }
+    }
+  };
+
+  // In deviation form d = s - x one step of dt at constant input x is
+  // d_i' = (1 - a_i) d_i + a_i d_{i-1}' (d_{-1}' = 0): a lower-triangular
+  // map M of the alphas alone, the same at both levels. powers[j] holds
+  // M^(2^j), squared up on first need.
+  using Matrix = std::array<std::array<double, N>, N>;
+  std::vector<Matrix> powers;
+  if constexpr (N > 0) {
+    const double* alpha = chain.alpha_row(Picoseconds{dt});
+    Matrix m{};
+    for (std::size_t i = 0; i < N; ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        m[i][j] = alpha[i] * m[i - 1][j];
+      }
+      m[i][i] = 1.0 - alpha[i];
+    }
+    powers.push_back(m);
+  }
+  // n steps of dt at constant input x.
+  auto jump = [&](std::size_t n, double x) {
+    pass = x;
+    if constexpr (N > 0) {
+      std::array<double, N> d{};
+      for (std::size_t i = 0; i < N; ++i) {
+        d[i] = s[i] - x;
+      }
+      for (std::size_t p = 0; n != 0; ++p, n >>= 1) {
+        if (p == powers.size()) {
+          const Matrix& a = powers.back();
+          Matrix sq{};
+          for (std::size_t i = 0; i < N; ++i) {
+            for (std::size_t j = 0; j <= i; ++j) {
+              for (std::size_t l = j; l <= i; ++l) {
+                sq[i][j] += a[i][l] * a[l][j];
+              }
+            }
+          }
+          powers.push_back(sq);
+        }
+        if ((n & 1) != 0) {
+          const Matrix& a = powers[p];
+          std::array<double, N> out{};
+          for (std::size_t i = 0; i < N; ++i) {
+            for (std::size_t l = 0; l <= i; ++l) {
+              out[i] += a[i][l] * d[l];
+            }
+          }
+          d = out;
+        }
+      }
+      for (std::size_t i = 0; i < N; ++i) {
+        s[i] = x + d[i];
+      }
+    }
+  };
+  auto output = [&] {
+    if constexpr (N == 0) {
+      return pass;
+    } else {
+      return s[N - 1];
+    }
+  };
+
+  // Grid sample k_start: transitions exactly at t_start switch the level
+  // without a step, as in run<N>.
+  std::size_t k = k_start;
+  double now = t_start;
+  while (next_tr < trs.size() && trs[next_tr].time.ps() <= t_start) {
+    level = trs[next_tr].level;
+    ++next_tr;
+  }
+  auto advance_to = [&](std::size_t target) {
+    while (k < target) {
+      // The grid sample that absorbs the next transition.
+      const std::size_t k_tr =
+          next_tr < trs.size()
+              ? first_at_or_after(trs[next_tr].time.ps(), k + 1)
+              : k_end;
+      const std::size_t free_to = std::min(k_tr - 1, target);
+      if (free_to > k) {
+        jump(free_to - k, level ? st.x_hi : st.x_lo);
+        k = free_to;
+        now = grid(k);
+      }
+      if (k == target) {
+        break;
+      }
+      // run<N>'s loop body at sample k_tr.
+      k = k_tr;
+      const double t_sample = grid(k);
+      while (next_tr < trs.size() && trs[next_tr].time.ps() <= t_sample) {
+        const double t_tr = trs[next_tr].time.ps();
+        if (t_tr > now) {
+          step(level ? st.x_hi : st.x_lo, t_tr - now);
+          now = t_tr;
+        }
+        level = trs[next_tr].level;
+        ++next_tr;
+      }
+      if (t_sample > now) {
+        step(level ? st.x_hi : st.x_lo, t_sample - now);
+        now = t_sample;
+      }
+    }
+  };
+
+  SampleBlock block;
+  auto flush = [&] {
+    for (WaveformSink* sink : sinks) {
+      sink->on_block(block);
+    }
+    block.clear();
+  };
+  for (const std::size_t r : reads) {
+    advance_to(r);
+    block.push(grid(r), output());
+    if (block.full()) {
+      flush();
+    }
+  }
+  if (block.size != 0) {
+    flush();
+  }
+}
+
 namespace {
 
 using WindowFn = void (*)(const EdgeStream&, FilterChain&, const RenderConfig&,
                           Picoseconds, std::size_t, std::size_t, std::size_t,
                           const std::vector<WaveformSink*>&);
 
-template <std::size_t... N>
+template <bool Sparse, std::size_t... N>
 constexpr std::array<WindowFn, sizeof...(N)> window_kernels(
     std::index_sequence<N...>) {
-  return {&WindowKernel::run<N>...};
+  return {(Sparse ? &WindowKernel::run_sparse<N> : &WindowKernel::run<N>)...};
 }
 
-// One kernel per pole count 0..kMaxPoles; add_pole enforces the cap.
-constexpr auto kWindowKernels = window_kernels(
+// One kernel of each kind per pole count 0..kMaxPoles; add_pole enforces
+// the cap.
+constexpr auto kDenseKernels = window_kernels<false>(
+    std::make_index_sequence<FilterChain::kMaxPoles + 1>{});
+constexpr auto kSparseKernels = window_kernels<true>(
     std::make_index_sequence<FilterChain::kMaxPoles + 1>{});
 
 void run_window(const EdgeStream& stream, FilterChain& chain,
                 const RenderConfig& config, Picoseconds t_begin,
                 std::size_t k_start, std::size_t k_emit, std::size_t k_end,
                 const std::vector<WaveformSink*>& sinks) {
-  kWindowKernels[chain.pole_count()](stream, chain, config, t_begin, k_start,
-                                     k_emit, k_end, sinks);
+  const bool strobes_only =
+      std::all_of(sinks.begin(), sinks.end(), [](const WaveformSink* sink) {
+        return sink->strobe_times() != nullptr;
+      });
+  const auto& kernels = strobes_only ? kSparseKernels : kDenseKernels;
+  kernels[chain.pole_count()](stream, chain, config, t_begin, k_start, k_emit,
+                              k_end, sinks);
 }
 
 }  // namespace

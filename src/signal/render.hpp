@@ -14,6 +14,16 @@
 // edge phase (to within 5 fs), so it moves no crossing relative to another
 // and adds no jitter. The linear interpolation done by downstream sinks
 // between grid samples adds sub-0.01 ps at the default step.
+//
+// A window whose every sink reads only strobes (WaveformSink::strobe_times)
+// is not rendered densely: the chain is stepped exactly through the grid
+// samples that absorb transitions and jumped over every other stretch by
+// powers of the one-grid-step map, and only the grid pair around each
+// strobe is delivered. Its samples differ from the dense ones by rounding
+// only: under 1e-10 mV on the mini-tester's 6-pole chain near t = 0, and
+// growing with ulp(t), since the jump steps exactly dt where the dense loop
+// steps t_k - t_{k-1}. Every other window renders densely and
+// byte-identically as described above.
 #pragma once
 
 #include <memory>
@@ -52,6 +62,17 @@ public:
   /// adjacent-sample pairs (crossing interpolation, slope gates) use it to
   /// prime their previous-sample state without counting the sample itself.
   virtual void on_context(Picoseconds, Millivolts) {}
+  /// The sorted times at which this sink reads the waveform, or nullptr
+  /// (the default) for a sink that reads every grid sample. A sink that
+  /// returns a list promises that its state after finish() depends only on
+  /// the grid pair (K-1, K) around each strobe s, K being the first grid
+  /// index of the window past its first with t_K >= s, and is the same for
+  /// any time-ordered subsequence of the grid that holds those pairs. When every sink of a window
+  /// returns a list, render() delivers just those pairs (see the file
+  /// comment) and no on_context() sample.
+  [[nodiscard]] virtual const std::vector<Picoseconds>* strobe_times() const {
+    return nullptr;
+  }
 };
 
 /// Renderer configuration.

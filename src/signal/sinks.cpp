@@ -66,7 +66,7 @@ StrobeSampler::StrobeSampler(std::vector<Picoseconds> strobes, Config config,
   analog_.assign(strobes_.size(), Millivolts{0.0});
 }
 
-void StrobeSampler::capture(Picoseconds strobe, Millivolts v, MvPerPs slope) {
+void StrobeSampler::capture(Millivolts v, MvPerPs slope) {
   bool bit = v >= config_.threshold;
   if (config_.aperture.ps() > 0.0 && slope.mv_per_ps() != 0.0) {
     // Metastability: if the threshold crossing lies within the aperture
@@ -80,7 +80,6 @@ void StrobeSampler::capture(Picoseconds strobe, Millivolts v, MvPerPs slope) {
   bits_.set(next_, bit);
   analog_[next_] = v;
   ++next_;
-  (void)strobe;
 }
 
 void StrobeSampler::on_sample(Picoseconds t, Millivolts v) {
@@ -98,29 +97,12 @@ void StrobeSampler::on_sample(Picoseconds t, Millivolts v) {
       const double frac = span > 0.0 ? (s - prev_t_) / span : 0.0;
       const double v_at_strobe = prev_v_ + frac * (v.mv() - prev_v_);
       const double slope = span > 0.0 ? (v.mv() - prev_v_) / span : 0.0;
-      capture(Picoseconds{s}, Millivolts{v_at_strobe}, MvPerPs{slope});
+      capture(Millivolts{v_at_strobe}, MvPerPs{slope});
     }
   }
   prev_t_ = t.ps();
   prev_v_ = v.mv();
   have_prev_ = true;
-}
-
-void StrobeSampler::on_block(const SampleBlock& block) {
-  if (block.size == 0) {
-    return;
-  }
-  if (have_prev_ && (next_ >= strobes_.size() ||
-                     strobes_[next_].ps() > block.t[block.size - 1])) {
-    // No strobe falls at or before this block's last sample: the
-    // per-sample loop would only walk the pair state forward.
-    prev_t_ = block.t[block.size - 1];
-    prev_v_ = block.v[block.size - 1];
-    return;
-  }
-  for (std::size_t i = 0; i < block.size; ++i) {
-    on_sample(Picoseconds{block.t[i]}, Millivolts{block.v[i]});
-  }
 }
 
 void StrobeSampler::finish() {

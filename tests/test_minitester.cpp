@@ -154,6 +154,18 @@ TEST(MiniTester, CenterStrobeLandsMidEye) {
   EXPECT_EQ(tester.run_loopback(1024).errors, 0u);
 }
 
+TEST(MiniTester, CenterStrobeReturnsAScannedVernierCode) {
+  // The scan strides two codes, so the centre is an even code. Recovering
+  // it from the 0.67 ps offset by division truncated to 123 here.
+  MiniTester::Config config;
+  config.strobe_delay = core::presets::strobe_delay(pecl::TimingMode::kVernier);
+  MiniTester tester(config, 2);
+  tester.program_prbs(7, 1);
+  tester.start();
+  EXPECT_EQ(tester.center_strobe(160), 124u);
+  EXPECT_EQ(tester.strobe_code(), 124u);
+}
+
 TEST(MiniTester, StrobeAtEyeEdgeFails) {
   MiniTester tester(MiniTester::Config{}, 6);
   tester.program_prbs(7, 0xACE1);

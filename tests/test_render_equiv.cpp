@@ -21,7 +21,10 @@
 //     inside one grid interval, and chains of 0..kMaxPoles poles (one per
 //     render kernel);
 //   - the alpha memo under eviction churn, and the one-mod eye fold for
-//     samples before t_ref, against direct computations.
+//     samples before t_ref, against direct computations;
+//   - the sparse strobe walk, the one render path that is not exact: a
+//     render into samplers alone against the same render kept dense by a
+//     second, every-sample sink, within a 1e-8 mV bound.
 
 #include <gtest/gtest.h>
 
@@ -33,7 +36,11 @@
 #include <vector>
 
 #include "analysis/eye.hpp"
+#include "core/presets.hpp"
+#include "core/test_system.hpp"
+#include "minitester/dut.hpp"
 #include "minitester/shmoo.hpp"
+#include "pecl/sampler.hpp"
 #include "signal/batch.hpp"
 #include "signal/edge.hpp"
 #include "signal/filter.hpp"
@@ -792,6 +799,184 @@ TEST(EyeFold, OneModMatchesTwoFmodsBeforeAndAfterTref) {
     EXPECT_EQ(dbits(eye.level_high().mv()), dbits(ref.high.mean()));
     EXPECT_EQ(dbits(eye.level_low().mv()), dbits(ref.low.mean()));
   }
+}
+
+// ------------------------------------------------- sparse strobe walk ----
+
+// The bound on |sparse - dense| at a strobe. The walk jumps stretches with
+// powers of the one-step map at exactly dt where the dense loop steps
+// t_k - t_{k-1}, a few ulps off, and groups its additions differently.
+constexpr double kSparseBoundMv = 1e-8;
+
+// Renders the window into one sampler alone, which takes the sparse walk,
+// and into a twin sampler beside a WaveformTrace, which keeps the render
+// dense.
+void expect_sparse_matches_dense(const sig::EdgeStream& stream,
+                                 const sig::FilterChain& chain,
+                                 const sig::RenderConfig& rc,
+                                 Picoseconds t_begin, Picoseconds t_end,
+                                 const std::vector<Picoseconds>& strobes,
+                                 const sig::StrobeSampler::Config& config) {
+  sig::StrobeSampler sparse{strobes, config, Rng(9)};
+  sig::render(stream, chain, rc, t_begin, t_end, {&sparse});
+  sig::StrobeSampler dense{strobes, config, Rng(9)};
+  sig::WaveformTrace every_sample{std::numeric_limits<std::size_t>::max()};
+  sig::render(stream, chain, rc, t_begin, t_end, {&dense, &every_sample});
+  EXPECT_EQ(every_sample.size(), 1u);  // the dense path ran
+
+  EXPECT_EQ(sparse.missed(), dense.missed());
+  const double th = config.threshold.mv();
+  for (std::size_t i = 0; i < strobes.size(); ++i) {
+    const double v = dense.analog()[i].mv();
+    EXPECT_LE(std::abs(sparse.analog()[i].mv() - v), kSparseBoundMv)
+        << "strobe " << i;
+    if (std::abs(v - th) > kSparseBoundMv) {
+      EXPECT_EQ(sparse.bits()[i], dense.bits()[i]) << "strobe " << i;
+    }
+  }
+}
+
+// Strobes that probe the walk where it can go wrong: around every
+// transition (within one grid step before and after it, on it, two in one
+// grid interval), exactly on grid times, mid-bit, and outside the window.
+std::vector<Picoseconds> probing_strobes(const sig::EdgeStream& stream,
+                                         Picoseconds t_begin,
+                                         Picoseconds t_end, double dt) {
+  std::vector<Picoseconds> out;
+  const double t0 = t_begin.ps();
+  for (const sig::Transition& tr : stream.transitions()) {
+    const double t = tr.time.ps();
+    for (double off : {-0.7, -0.3, -0.1, 0.0, 0.05, 0.1, 0.45, 0.9, 25.0}) {
+      out.push_back(Picoseconds{t + off});
+    }
+    // The grid time at or after the transition, and the one before it.
+    const double k = std::ceil((t - t0) / dt);
+    out.push_back(Picoseconds{t0 + k * dt});
+    out.push_back(Picoseconds{t0 + (k - 1.0) * dt});
+  }
+  for (double t = t0 + 137.25; t < t_end.ps(); t += 211.0) {
+    out.push_back(Picoseconds{t});
+  }
+  out.push_back(t_begin);
+  out.push_back(Picoseconds{t0 - 5.0});
+  out.push_back(Picoseconds{t0 - 0.2});
+  out.push_back(Picoseconds{t_end.ps() - 0.1});
+  out.push_back(Picoseconds{t_end.ps() + 3.0});
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Runt pulses (a fraction of a grid step to a few steps wide) between
+// flat runs, shifted to `t0`.
+sig::EdgeStream runt_stream(double t0) {
+  sig::EdgeStream stream;
+  bool level = false;
+  double t = t0 + 300.0;
+  for (double width : {0.1, 0.3, 0.5, 0.7, 1.3, 2.0, 4.5, 9.0, 0.25}) {
+    level = !level;
+    stream.push(Picoseconds{t}, level);
+    level = !level;
+    stream.push(Picoseconds{t + width}, level);
+    t += 433.3;
+  }
+  return stream;
+}
+
+TEST(SparseStrobe, MatchesDenseAtAdversarialStrobes) {
+  const Picoseconds ui{400.0};
+  std::size_t cases = 0;
+  for (double t0 : {0.0, 1e6 + 0.123456789}) {
+    SCOPED_TRACE(t0);
+    const std::vector<sig::EdgeStream> streams = {
+        run_stream(ui, Picoseconds{t0}, hash_jitter(11, 4.0)),
+        test_stream(17, 40, ui).shifted(Picoseconds{t0}),
+        runt_stream(t0),
+        sig::EdgeStream{true},
+    };
+    const Picoseconds t_begin{t0 - 123.4};
+    const Picoseconds t_end{t0 + 4000.0};
+    for (std::size_t si = 0; si < streams.size(); ++si) {
+      SCOPED_TRACE(si);
+      for (double step : {0.5, 0.3}) {
+        sig::RenderConfig rc;
+        rc.sample_step = Picoseconds{step};
+        const auto strobes =
+            probing_strobes(streams[si], t_begin, t_end, step);
+        for (const sig::FilterChain& chain : skip_chains()) {
+          SCOPED_TRACE(chain.pole_count());
+          for (double rj : {0.0, 2.0}) {
+            const sig::StrobeSampler::Config config{
+                .threshold = rc.levels.midpoint(),
+                .strobe_rj_sigma = Picoseconds{rj},
+            };
+            expect_sparse_matches_dense(streams[si], chain, rc, t_begin,
+                                        t_end, strobes, config);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2u * 4u * 2u * (3u + sig::FilterChain::kMaxPoles) * 2u);
+}
+
+TEST(SparseStrobe, MiniTesterAcquisitionsMatchDenseBitForBit) {
+  // 2,000 loopback acquisitions through the mini-tester's capture path at
+  // 2.5 Gbps (its DUT leads make a 6-pole chain): 50 PRBS seeds, each
+  // scanned across the UI in 40 10-ps strobe codes as a bathtub does,
+  // with the sampler's aperture and strobe RJ. Every bit must agree.
+  core::TestSystem system(core::presets::minitester(GbitsPerSec{2.5}), 42);
+  const minitester::WlpDut dut{minitester::WlpDut::Config{}};
+  const pecl::PeclSampler::Config sampler;
+  const std::size_t n_bits = 128;
+  const std::size_t warmup = 16;
+  std::size_t acquisitions = 0;
+  std::size_t bit_diffs = 0;
+  double max_diff = 0.0;
+  for (std::uint64_t prbs_seed = 1; prbs_seed <= 50; ++prbs_seed) {
+    system.program_prbs(7, prbs_seed);
+    system.start();
+    for (std::size_t code = 0; code < 40; ++code) {
+      core::Stimulus stim = system.generate(n_bits);
+      const sig::EdgeStream edges = dut.respond(stim.edges);
+      sig::FilterChain chain = stim.chain;
+      const double stim_delay = chain.group_delay().ps();
+      dut.contribute(chain, stim.levels.midpoint());
+      const double t0 = stim.t0.ps() + dut.loopback_delay().ps() +
+                        (chain.group_delay().ps() - stim_delay);
+      const auto strobes = pecl::PeclSampler::strobe_schedule(
+          Picoseconds{t0 + static_cast<double>(warmup) * stim.ui.ps() +
+                      10.0 * static_cast<double>(code)},
+          stim.ui, n_bits - warmup - 1);
+
+      sig::StrobeSampler::Config config{
+          .threshold = sig::attenuated(stim.levels, chain.gain()).midpoint(),
+          .strobe_rj_sigma = sampler.strobe_rj_sigma,
+          .aperture = sampler.aperture,
+      };
+      const sig::RenderConfig rc{.levels = stim.levels,
+                                 .sample_step = sampler.sample_step};
+      const Picoseconds t_begin = strobes.front() - Picoseconds{2000.0};
+      const Picoseconds t_end = strobes.back() + Picoseconds{2000.0};
+      sig::StrobeSampler sparse{strobes, config, Rng(acquisitions)};
+      sig::render(edges, chain, rc, t_begin, t_end, {&sparse});
+      sig::StrobeSampler dense{strobes, config, Rng(acquisitions)};
+      sig::WaveformTrace every_sample{std::numeric_limits<std::size_t>::max()};
+      sig::render(edges, chain, rc, t_begin, t_end, {&dense, &every_sample});
+
+      ASSERT_EQ(sparse.missed(), 0u);
+      ASSERT_EQ(dense.missed(), 0u);
+      bit_diffs += sparse.bits().hamming_distance(dense.bits());
+      for (std::size_t i = 0; i < strobes.size(); ++i) {
+        max_diff = std::max(max_diff, std::abs(sparse.analog()[i].mv() -
+                                               dense.analog()[i].mv()));
+      }
+      ++acquisitions;
+    }
+  }
+  EXPECT_EQ(acquisitions, 2000u);
+  EXPECT_EQ(bit_diffs, 0u);
+  EXPECT_LE(max_diff, kSparseBoundMv);
 }
 
 }  // namespace
