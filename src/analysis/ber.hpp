@@ -51,6 +51,7 @@ struct BathtubPoint {
 /// (longest contiguous run of passing points times the step), i.e. the
 /// timing margin a production test would report.
 Picoseconds bathtub_opening(const std::vector<BathtubPoint>& scan,
+                            // mgtlint:allow(raw-double-param): a BER.
                             double threshold);
 
 }  // namespace mgt::ana

@@ -54,10 +54,11 @@ Picoseconds BathtubFit::eye_at_ber(double ber) const {
   return right_edge - left_edge;  // negative = closed at this BER
 }
 
-bool fit_line(const std::vector<double>& xs, const std::vector<double>& ys,
-              double& m, double& c) {
+std::optional<LineFit> fit_line(const std::vector<double>& xs,
+                                const std::vector<double>& ys) {
+  MGT_CHECK(xs.size() == ys.size(), "fit_line needs one y per x");
   if (xs.size() < 2) {
-    return false;
+    return std::nullopt;
   }
   const auto n = static_cast<double>(xs.size());
   double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
@@ -69,11 +70,10 @@ bool fit_line(const std::vector<double>& xs, const std::vector<double>& ys,
   }
   const double denom = n * sxx - sx * sx;
   if (denom == 0.0) {
-    return false;
+    return std::nullopt;
   }
-  m = (n * sxy - sx * sy) / denom;
-  c = (sy - m * sx) / n;
-  return true;
+  const double m = (n * sxy - sx * sy) / denom;
+  return LineFit{m, (sy - m * sx) / n};
 }
 
 BathtubFit fit_bathtub(const std::vector<BathtubPoint>& scan,
@@ -107,17 +107,18 @@ BathtubFit fit_bathtub(const std::vector<BathtubPoint>& scan,
   }
 
   // Left wall: Q rises moving right (into the eye): Q = (x - mu)/sigma.
-  double ml = 0.0, cl = 0.0, mr = 0.0, cr = 0.0;
-  const bool left_ok = fit_line(lx, lq, ml, cl) && ml > 0.0;
+  const auto left = fit_line(lx, lq);
+  const bool left_ok = left && left->slope > 0.0;
   // Right wall: Q falls moving right: Q = (mu - x)/sigma.
-  const bool right_ok = fit_line(rx, rq, mr, cr) && mr < 0.0;
+  const auto right = fit_line(rx, rq);
+  const bool right_ok = right && right->slope < 0.0;
   if (!left_ok || !right_ok) {
     return fit;
   }
-  fit.left_sigma = Picoseconds{1.0 / ml};
-  fit.left_mu = Picoseconds{-cl / ml};
-  fit.right_sigma = Picoseconds{-1.0 / mr};
-  fit.right_mu = Picoseconds{-cr / mr};
+  fit.left_sigma = Picoseconds{1.0 / left->slope};
+  fit.left_mu = Picoseconds{-left->intercept / left->slope};
+  fit.right_sigma = Picoseconds{-1.0 / right->slope};
+  fit.right_mu = Picoseconds{-right->intercept / right->slope};
   fit.points_used = lx.size() + rx.size();
   return fit;
 }

@@ -54,17 +54,18 @@ JitterDecomposition decompose_jitter(
       rq.push_back(inverse_normal_cdf(p));
     }
   }
-  double ml = 0.0, cl = 0.0, mr = 0.0, cr = 0.0;
-  if (lq.size() < 3 || rq.size() < 3 || !fit_line(lq, lx, ml, cl) ||
-      !fit_line(rq, rx, mr, cr)) {
+  if (lq.size() < 3 || rq.size() < 3) {
     return out;
   }
+  const auto left = fit_line(lq, lx);
+  const auto right = fit_line(rq, rx);
   // x = sigma*Q + mu on both tails (sigma = slope).
-  if (ml <= 0.0 || mr <= 0.0) {
+  if (!left || !right || left->slope <= 0.0 || right->slope <= 0.0) {
     return out;
   }
-  const double sigma = (ml + mr) / 2.0;
-  const double dj = cr - cl;  // separation of the dual-Dirac means
+  const double sigma = (left->slope + right->slope) / 2.0;
+  // Separation of the dual-Dirac means.
+  const double dj = right->intercept - left->intercept;
   out.rj_sigma = Picoseconds{sigma};
   out.dj_pp = Picoseconds{std::max(0.0, dj)};
   out.valid = true;

@@ -22,6 +22,7 @@ struct JitterDecomposition {
   bool valid = false;
 
   /// Total jitter peak-to-peak extrapolated to the given BER.
+  // mgtlint:allow(raw-double-param): a BER is a probability.
   [[nodiscard]] Picoseconds tj_at_ber(double ber) const;
 };
 
@@ -31,6 +32,7 @@ struct JitterDecomposition {
 /// (0.06 default) or the blend inflates the fitted sigma.
 JitterDecomposition decompose_jitter(
     const std::vector<sig::Crossing>& crossings, Picoseconds ui,
-    Picoseconds t_ref = Picoseconds{0}, double tail_fraction = 0.06);
+    Picoseconds t_ref = Picoseconds{0},
+    double tail_fraction = 0.06);  // mgtlint:allow(raw-double-param)
 
 }  // namespace mgt::ana

@@ -34,9 +34,11 @@ struct FaultSweepPoint {
 /// The runner owns the whole rebuild-and-measure cycle (construct the
 /// system with the severity-scaled FaultPlan, run traffic, compare bits) so
 /// the sweep stays agnostic of which component is being degraded.
+// mgtlint:allow(raw-double-param): severity is a fraction of full fault.
 using FaultRunner = std::function<BerResult(double severity)>;
 
 /// Optional probe returning the horizontal eye opening at a severity.
+// mgtlint:allow(raw-double-param): severity is a fraction of full fault.
 using EyeProbe = std::function<Picoseconds(double severity)>;
 
 /// Sweeps `severities` (caller-chosen grid, typically 0 -> 1) through the
@@ -49,6 +51,7 @@ std::vector<FaultSweepPoint> fault_sweep(const std::vector<double>& severities,
 /// True when BER never decreases as severity increases, within `tolerance`
 /// (absolute BER slack for counting noise at low error counts).
 bool ber_monotonic_nondecreasing(const std::vector<FaultSweepPoint>& sweep,
+                                 // mgtlint:allow(raw-double-param): a BER.
                                  double tolerance = 0.0);
 
 /// One point of a link-layer fault sweep: how much of the injected frame
@@ -74,6 +77,7 @@ struct LinkSweepPoint {
 /// rebuild-and-transfer cycle (fresh LinkChannel over a severity-scaled
 /// FaultPlan, offer a payload stream, read stats()) so the sweep stays
 /// agnostic of transport and protocol configuration.
+// mgtlint:allow(raw-double-param): severity is a fraction of full fault.
 using LinkRunner = std::function<LinkSweepPoint(double severity)>;
 
 /// Sweeps `severities` through the link runner.

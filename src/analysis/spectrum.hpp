@@ -47,6 +47,7 @@ struct Tone {
   Picoseconds amplitude{0.0};
 };
 std::vector<Tone> find_tones(const std::vector<SpectrumBin>& spectrum,
+                             // mgtlint:allow(raw-double-param): a ratio.
                              double floor_factor = 6.0);
 
 }  // namespace mgt::ana

@@ -48,7 +48,7 @@ public:
   /// margin and scales the effective corruption severity down.
   using Transport = std::function<TransferOutcome(
       const testbed::TestbedPacket& packet, std::uint64_t tick,
-      double severity_scale)>;
+      double severity_scale)>;  // mgtlint:allow(raw-double-param)
 
   struct Config {
     testbed::SlotFormat format{};

@@ -62,9 +62,13 @@ public:
   WaferResult probe_wafer(std::size_t n_dies);
 
   /// Pure throughput model (no signal simulation): wall time to probe
-  /// `n_dies` with `n_testers` sites per touchdown.
+  /// `n_dies` with `n_testers` sites per touchdown. Every time is in
+  /// seconds: a production-floor scale no strong type in util/units.hpp
+  /// carries.
   static double wafer_time_s(std::size_t n_dies, std::size_t n_testers,
+                             // mgtlint:allow(raw-double-param): seconds
                              double touchdown_overhead_s,
+                             // mgtlint:allow(raw-double-param): seconds
                              double per_die_test_s);
 
   [[nodiscard]] const Config& config() const { return config_; }

@@ -19,10 +19,12 @@ struct Shmoo {
   std::vector<double> ys;
   std::vector<std::vector<double>> ber;
 
-  /// Fraction of grid points at or below `pass_threshold`.
+  /// Fraction of grid points at or below `pass_threshold` (a BER).
+  // mgtlint:allow(raw-double-param): a BER.
   [[nodiscard]] double pass_fraction(double pass_threshold) const;
 
   /// ASCII rendering: '.' pass, 'x' marginal (< 10x threshold), '#' fail.
+  // mgtlint:allow(raw-double-param): a BER.
   [[nodiscard]] std::string ascii_art(double pass_threshold) const;
 };
 
@@ -33,6 +35,7 @@ struct Shmoo {
 /// capturing one by reference.
 Shmoo run_shmoo(std::string x_label, std::vector<double> xs,
                 std::string y_label, std::vector<double> ys,
+                // mgtlint:allow(raw-double-param): axes in the labels' units
                 const std::function<double(double x, double y)>& measure);
 
 }  // namespace mgt::minitester

@@ -95,20 +95,24 @@ public:
   /// family: wider muxes carry more input-to-input skew and propagation
   /// delay, faster (narrower) final stages run tighter. `skew_scale`
   /// stresses the deterministic skew (1.0 = nominal part).
+  // mgtlint:allow(raw-double-param): skew_scale multiplies the nominal skew.
   static MuxStage stage_for_fan_in(std::size_t fan_in, double skew_scale = 1.0);
 
   /// Validated tree from an output-first fan-in list (e.g. {4, 8} is a
   /// final 4:1 fed by 8:1 stages -> 32 lanes). Each fan-in must be in
   /// [2, 64], at most 6 stages, total lanes at most 4096.
   static Config from_fan_ins(const std::vector<std::size_t>& fan_ins,
+                             // mgtlint:allow(raw-double-param): as above.
                              double skew_scale = 1.0);
 
   /// Single-stage 16:1 serializer (arXiv 2401.15755, 5 Gbps class).
+  // mgtlint:allow(raw-double-param): skew_scale multiplies the nominal skew.
   static Config serializer_16to1(double skew_scale = 1.0);
 
   /// 4:1 + 8:1, 32 DLC lanes: the Section-1 extension tree reaching
   /// 10 Gbps at 312.5 Mbps/lane. Values match the original extension
   /// study so historical bench rows stay comparable.
+  // mgtlint:allow(raw-double-param): skew_scale multiplies the nominal skew.
   static Config extension_32lane(double skew_scale = 1.0);
 
 private:

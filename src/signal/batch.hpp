@@ -25,6 +25,8 @@ struct SampleBlock {
 
   [[nodiscard]] bool full() const { return size == kCapacity; }
   void clear() { size = 0; }
+  // The hot SoA append: `t_sample` in ps, `v_sample` in mV, the raw doubles
+  // of on_sample. mgtlint:allow(raw-double-param)
   void push(double t_sample, double v_sample) {
     t[size] = t_sample;
     v[size] = v_sample;

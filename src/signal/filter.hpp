@@ -37,6 +37,7 @@ public:
   FilterChain& add_pole_rise_2080(Picoseconds rise);
 
   /// Sets AC gain (1.0 = lossless) applied around the midpoint reference.
+  // mgtlint:allow(raw-double-param): gain is a voltage ratio.
   FilterChain& set_gain(double gain, Millivolts midpoint);
 
   [[nodiscard]] std::size_t pole_count() const { return taus_.size(); }

@@ -21,6 +21,7 @@ struct PeclLevels {
     return Millivolts{(voh.mv() + vol.mv()) / 2.0};
   }
   /// Voltage at the given fraction of the swing (0 = VOL, 1 = VOH).
+  // mgtlint:allow(raw-double-param): a fraction of the swing.
   [[nodiscard]] Millivolts at_fraction(double f) const {
     return Millivolts{vol.mv() + f * swing().mv()};
   }
@@ -60,6 +61,7 @@ struct PeclLevels {
 /// Rails as seen after AC attenuation by `gain` around the midpoint (what
 /// a lossy channel does to the levels at the measurement plane).
 [[nodiscard]] inline PeclLevels attenuated(const PeclLevels& levels,
+                                           // mgtlint:allow(raw-double-param)
                                            double gain) {
   const double mid = levels.midpoint().mv();
   return PeclLevels{Millivolts{mid + gain * (levels.voh.mv() - mid)},

@@ -110,6 +110,7 @@ public:
 
   /// Runs `n_slots` of random traffic at `offered_load` (injection
   /// probability per port per slot), then drains the fabric.
+  // mgtlint:allow(raw-double-param): offered_load is a probability.
   RunStats run(double offered_load, std::size_t n_slots);
 
   [[nodiscard]] const Config& config() const { return config_; }

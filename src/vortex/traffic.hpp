@@ -26,6 +26,7 @@ enum class TrafficPattern {
 /// Destination for a packet from `source` under the pattern.
 std::uint32_t traffic_destination(TrafficPattern pattern, std::size_t source,
                                   std::size_t ports, Rng& rng,
+                                  // mgtlint:allow(raw-double-param)
                                   double hotspot_fraction = 0.5,
                                   std::size_t hotspot_port = 0);
 
@@ -50,8 +51,11 @@ struct TrafficResult {
 /// traffic generation parallelizes across ports (util::parallel_for) with
 /// results identical at every MGT_THREADS setting; the fabric steps
 /// serially.
+/// `load` and `hotspot_fraction` are probabilities.
 TrafficResult run_traffic(const Geometry& geometry, TrafficPattern pattern,
+                          // mgtlint:allow(raw-double-param)
                           double load, std::size_t slots, std::uint64_t seed,
+                          // mgtlint:allow(raw-double-param)
                           double hotspot_fraction = 0.5);
 
 }  // namespace mgt::vortex

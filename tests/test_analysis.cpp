@@ -384,6 +384,18 @@ TEST(BerExtrap, DegenerateScansAreInvalid) {
   EXPECT_FALSE(fit_bathtub(flat).valid());
 }
 
+TEST(BerExtrap, FitLineChecksSizesAndFitsExactly) {
+  // A ys shorter than xs used to be read past its end.
+  EXPECT_THROW(fit_line({0.0, 1.0, 2.0}, {1.0, 3.0}), mgt::Error);
+  EXPECT_THROW(fit_line({0.0, 1.0}, {1.0, 3.0, 5.0}), mgt::Error);
+  const auto fit = fit_line({0.0, 1.0, 2.0}, {1.0, 3.0, 5.0});
+  ASSERT_TRUE(fit.has_value());
+  EXPECT_DOUBLE_EQ(fit->slope, 2.0);
+  EXPECT_DOUBLE_EQ(fit->intercept, 1.0);
+  EXPECT_FALSE(fit_line({1.0}, {2.0}).has_value());
+  EXPECT_FALSE(fit_line({1.0, 1.0}, {0.0, 2.0}).has_value());  // vertical
+}
+
 // ------------------------------------------------- jitter decomposition --
 
 TEST(Decompose, RecoversKnownRjDjSplit) {

@@ -1,11 +1,8 @@
 #include "lint.hpp"
 
-#include <algorithm>
-#include <map>
 #include <set>
-#include <tuple>
 
-#include "parse.hpp"
+#include "lex.hpp"
 
 namespace mgtlint {
 
@@ -33,10 +30,19 @@ bool wallclock_source(std::string_view name) {
          name == "gettimeofday" || name == "rdtsc" || name == "__rdtsc";
 }
 
+/// raw-double-param's scope: src/ headers outside the unit-agnostic
+/// numeric (util/) and metrics (obs/) layers.
+bool raw_double_scope(std::string_view path, FileKind kind) {
+  const std::string rel = repo_relative(path);
+  return kind == FileKind::kSourceHeader && !rel.starts_with("src/util/") &&
+         !rel.starts_with("src/obs/");
+}
+
 class Linter {
 public:
   Linter(std::string_view path, std::string_view content, FileKind kind)
-      : path_(path), kind_(kind), lexed_(lex(content)) {}
+      : path_(path), kind_(kind), lexed_(lex(content)),
+        raw_double_scope_(raw_double_scope(path, kind)) {}
 
   std::vector<Diagnostic> run() {
     collect_unordered_names();
@@ -45,6 +51,7 @@ public:
       check_determinism(i);
       check_wallclock_metric(i);
       check_units(i);
+      check_raw_double_param(i);
       check_contracts(i);
       check_unbounded_wait(i);
       track_classes(i);
@@ -253,6 +260,84 @@ private:
                    "util/units.hpp");
       }
     }
+  }
+
+  /// A raw `double` parameter declared in a src/ header outside the
+  /// unit-agnostic util/ and obs/ layers. A ps or mV value that crosses an
+  /// API as a bare double loses its unit at the boundary, and nothing then
+  /// stops a caller passing `.ps()` where a UI count was meant. Values with
+  /// no unit (BER, Q, gains, fractions) carry an allow saying what they are.
+  void check_raw_double_param(std::size_t i) {
+    if (!raw_double_scope_ || tok(i).text != "double" || next_is(i, "(")) {
+      return;  // out of scope, or a `double(x)` cast
+    }
+    // Declarator: cv/ref/pointer decoration, an optional name, then the end
+    // of the parameter.
+    std::size_t j = i + 1;
+    while (j < size() && (tok(j).text == "const" || tok(j).text == "&" ||
+                          tok(j).text == "*")) {
+      ++j;
+    }
+    std::string_view name;
+    if (j < size() && tok(j).kind == TokKind::kIdent) {
+      name = tok(j++).text;
+      if (has_unit_suffix(name)) {
+        return;  // unit-suffix-double already reports this token
+      }
+    }
+    if (j >= size() || (tok(j).text != "," && tok(j).text != ")" &&
+                        tok(j).text != "=")) {
+      return;
+    }
+    // The type must start a list entry: `(double`, `, const double`.
+    std::size_t k = i;
+    while (k > 0 && tok(k - 1).text == "const") {
+      --k;
+    }
+    if (k == 0 || (tok(k - 1).text != "(" && tok(k - 1).text != ",")) {
+      return;
+    }
+    // Walk back to the '(' that opens the list, skipping balanced groups. A
+    // statement or brace boundary first means no parameter list; an unclosed
+    // '<' on the way means a template argument (`tuple<int, double, int>`).
+    int depth = 0;
+    int angles = 0;
+    while (k > 0) {
+      const std::string_view x = tok(--k).text;
+      if (x == ")" || x == "]" || x == "}") {
+        ++depth;
+      } else if (x == "(" || x == "[" || x == "{") {
+        if (depth-- == 0) {
+          break;
+        }
+      } else if (x == ";") {
+        return;
+      } else if (depth == 0 && x == "<") {
+        ++angles;
+      } else if (depth == 0 && x == ">") {
+        --angles;
+      }
+    }
+    if (tok(k).text != "(" || depth >= 0 || angles > 0 || k == 0) {
+      return;
+    }
+    // A parameter list follows a name (`f(`, `function<void(`) or
+    // `operator()(`. Statement keywords, lambdas (`](`) and C-style casts
+    // (`= (double)n`) open no API.
+    static const std::set<std::string_view> kStatement = {
+        "for", "if", "while", "switch", "catch", "sizeof", "alignof",
+        "decltype", "return"};
+    const Token& head = tok(k - 1);
+    if (head.text != ")" && (head.kind != TokKind::kIdent ||
+                             kStatement.count(head.text) != 0U)) {
+      return;
+    }
+    report(i, rules::kRawDoubleParam,
+           "raw double parameter" +
+               (name.empty() ? std::string() : " '" + std::string(name) + "'") +
+               " in a src/ header carries no unit; take a strong type from "
+               "util/units.hpp, or mgtlint:allow(raw-double-param) a "
+               "dimensionless value");
   }
 
   // --- contract hygiene ---
@@ -602,6 +687,7 @@ private:
   std::string_view path_;
   FileKind kind_;
   LexResult lexed_;
+  bool raw_double_scope_;  // a src/ header outside util/ and obs/
   std::vector<Diagnostic> diags_;
   std::set<std::string> unordered_names_;
   std::vector<ClassScope> class_stack_;
@@ -610,103 +696,6 @@ private:
   int pending_class_depth_ = 0;
   int brace_depth_ = 0;
 };
-
-// ------------------------------------------------- unit-flow-raw-double --
-
-/// One parsed buffer plus its repo classification.
-struct ParsedUnit {
-  ParsedFile parsed;
-  FileKind kind;
-};
-
-struct DeclSig {
-  std::string file;
-  FileKind kind;
-  std::size_t line;
-  std::vector<std::string> param_types;
-};
-
-/// Every function declaration of the project, by unqualified name. Merging
-/// overloads and same-named methods over-approximates, which the rule
-/// compensates for by demanding that every declaration agrees.
-using DeclMap = std::map<std::string, std::vector<DeclSig>>;
-
-/// Generic container/observer method names that resolve to many unrelated
-/// classes; the unit-flow rule never fires through them (a histogram may
-/// legitimately observe picosecond values).
-bool generic_method_name(std::string_view name) {
-  static const std::set<std::string_view> kGeneric = {
-      "observe", "add",     "set",     "record",  "push_back", "emplace_back",
-      "insert",  "push",    "emplace", "count",   "resize",    "reserve",
-      "fill",    "assign",  "append",  "at",      "store",     "exchange",
-  };
-  return kGeneric.count(name) != 0U;
-}
-
-/// A call in src/ or examples/ passes a unit-carrying value (`t.ps()`,
-/// `delay_ps`) to a raw double parameter of a function declared in a header,
-/// i.e. a unit-blind public API. Fails silent on parse uncertainty: no
-/// resolved declaration, no finding.
-void check_unit_flow(const ParsedUnit& u, const DeclMap& decls,
-                     std::vector<Diagnostic>& diags) {
-  if (!in_src(u.kind) && u.kind != FileKind::kExampleFile) {
-    return;
-  }
-  for (const auto& cs : u.parsed.calls) {
-    if (generic_method_name(cs.callee)) {
-      continue;
-    }
-    const auto dit = decls.find(cs.callee);
-    if (dit == decls.end()) {
-      continue;
-    }
-    for (std::size_t a = 0; a < cs.arg_units.size(); ++a) {
-      const std::string& unit = cs.arg_units[a];
-      if (unit.empty()) {
-        continue;
-      }
-      // Every known declaration with enough parameters must agree that
-      // this position is a raw double, and at least one of them must sit
-      // in a header (the public API surface). Disagreement or a strong
-      // type anywhere → no finding.
-      bool all_raw_double = true;
-      std::size_t considered = 0;
-      const DeclSig* header_decl = nullptr;
-      for (const auto& d : dit->second) {
-        if (a >= d.param_types.size()) {
-          continue;
-        }
-        ++considered;
-        const std::string& ty = d.param_types[a];
-        if (ty != "double" && ty != "float") {
-          all_raw_double = false;
-          break;
-        }
-        // src/util/ is the unit-agnostic numeric substrate (rng, digest,
-        // hashing): raw doubles there are the contract, not an omission.
-        if (d.kind == FileKind::kSourceHeader &&
-            repo_relative(d.file).rfind("src/util/", 0) != 0) {
-          header_decl = &d;
-        }
-      }
-      if (considered == 0 || !all_raw_double || header_decl == nullptr) {
-        continue;
-      }
-      const auto allow = u.parsed.allow.find(cs.line);
-      if (allow != u.parsed.allow.end() &&
-          allow->second.count(std::string(rules::kUnitFlow)) != 0U) {
-        continue;
-      }
-      diags.push_back(
-          {u.parsed.path, cs.line, cs.column, std::string(rules::kUnitFlow),
-           "unit-carrying value (" + unit + ") passed to raw double "
-               "parameter " + std::to_string(a + 1) + " of '" + cs.callee +
-               "' (" + repo_relative(header_decl->file) + ":" +
-               std::to_string(header_decl->line) + "); take " + unit +
-               " in the API so the unit survives the call boundary"});
-    }
-  }
-}
 
 }  // namespace
 
@@ -780,49 +769,16 @@ const std::vector<RuleInfo>& rule_catalog() {
       {rules::kWallclockMetric,
        "wall-clock value feeds a deterministic obs metric sink"},
       {rules::kUnboundedWait, "blocking wait/join without a deadline in src/"},
-      {rules::kUnitFlow,
-       "unit-carrying value passed to a raw double parameter of a public "
-       "API declared elsewhere",
-       true},
+      {rules::kRawDoubleParam,
+       "raw double parameter in a src/ header (outside util/ and obs/); "
+       "take a strong unit type or justify the dimensionless value"},
   };
   return kCatalog;
 }
 
 std::vector<Diagnostic> lint_source(std::string_view path,
-                                    std::string_view content, FileKind kind) {
-  return Linter(path, content, kind).run();
-}
-
-std::vector<Diagnostic> lint_source(std::string_view path,
                                     std::string_view content) {
-  return lint_source(path, content, classify_path(path));
-}
-
-std::vector<Diagnostic> lint_project(const std::vector<ProjectInput>& files) {
-  std::vector<Diagnostic> diags;
-  std::vector<ParsedUnit> units;
-  units.reserve(files.size());
-  DeclMap decls;
-  for (const auto& f : files) {
-    const FileKind kind = classify_path(f.path);
-    auto file_diags = lint_source(f.path, f.content, kind);
-    diags.insert(diags.end(),
-                 std::make_move_iterator(file_diags.begin()),
-                 std::make_move_iterator(file_diags.end()));
-    units.push_back({parse_source(f.path, f.content), kind});
-    for (const auto& fn : units.back().parsed.functions) {
-      decls[fn.name].push_back({f.path, kind, fn.line, fn.param_types});
-    }
-  }
-  for (const auto& u : units) {
-    check_unit_flow(u, decls, diags);
-  }
-  std::sort(diags.begin(), diags.end(),
-            [](const Diagnostic& a, const Diagnostic& b) {
-              return std::tie(a.file, a.line, a.column, a.rule, a.message) <
-                     std::tie(b.file, b.line, b.column, b.rule, b.message);
-            });
-  return diags;
+  return Linter(path, content, classify_path(path)).run();
 }
 
 std::string format_diagnostic(const Diagnostic& d) {

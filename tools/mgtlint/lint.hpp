@@ -1,10 +1,9 @@
 // mgtlint: repo-specific static analysis for the mgt reproduction.
 //
-// Three stages: a lexer (parse.hpp) feeds every rule; the per-file rules
-// (determinism, unit safety, contract hygiene) are token-level checks on one
-// buffer at a time; and one cross-TU rule, unit-flow-raw-double, reads a
-// heuristic parse (parse.hpp) of every file of one invocation to match call
-// sites in one file against declarations in another.
+// Two stages: a lexer (lex.hpp) feeds every rule, and every rule
+// (determinism, unit safety, contract hygiene) is a token-level check on one
+// buffer at a time. No rule needs another file, so a file is linted as soon
+// as it is read.
 //
 // The library half (this header) lints in-memory buffers so the rules are
 // unit-testable; main.cpp wraps it in a directory walker. The one way to
@@ -34,8 +33,7 @@ FileKind classify_path(std::string_view path);
 
 /// Path with everything left of the repo anchor (src/, tests/, bench/,
 /// examples/, tools/) stripped: "/home/u/mgt/src/pecl/mux.hpp" ->
-/// "src/pecl/mux.hpp". Used for the file references inside cross-TU
-/// messages and for path-scoped exemptions.
+/// "src/pecl/mux.hpp". Used for path-scoped exemptions.
 std::string repo_relative(std::string_view path);
 
 /// One finding. `rule` is the stable kebab-case id usable in
@@ -66,39 +64,22 @@ inline constexpr std::string_view kUncheckedStatus = "no-unchecked-status";
 inline constexpr std::string_view kUncheckedDecode = "no-unchecked-decode";
 inline constexpr std::string_view kWallclockMetric = "no-wallclock-metric";
 inline constexpr std::string_view kUnboundedWait = "no-unbounded-wait";
-// Cross-TU: needs every file's declarations, so it only fires from
-// lint_project, never from single-buffer lint_source.
-inline constexpr std::string_view kUnitFlow = "unit-flow-raw-double";
+inline constexpr std::string_view kRawDoubleParam = "raw-double-param";
 }  // namespace rules
 
 /// Rule metadata, consumed by --list-rules.
 struct RuleInfo {
   std::string_view id;
   std::string_view summary;  // one line, imperative
-  bool cross_tu = false;     // needs every file (lint_project only)
 };
 
 /// The full catalog, one entry per rule, stable order.
 const std::vector<RuleInfo>& rule_catalog();
 
-/// Lints one in-memory buffer with the per-file rules. `path` is used for
-/// classification (unless a kind is passed) and for the diagnostics' file
-/// field.
+/// Lints one in-memory buffer with every rule. `path` is used for
+/// classification and for the diagnostics' file field.
 std::vector<Diagnostic> lint_source(std::string_view path,
                                     std::string_view content);
-std::vector<Diagnostic> lint_source(std::string_view path,
-                                    std::string_view content, FileKind kind);
-
-/// One input buffer of a project-wide invocation.
-struct ProjectInput {
-  std::string path;
-  std::string content;
-};
-
-/// Lints a whole project in one invocation: per-file rules on every buffer
-/// plus the cross-TU rule over the declarations of all of them. Results are
-/// sorted by (file, line, column, rule).
-std::vector<Diagnostic> lint_project(const std::vector<ProjectInput>& files);
 
 /// Formats a diagnostic as "file:line:col: [rule] message".
 std::string format_diagnostic(const Diagnostic& d);

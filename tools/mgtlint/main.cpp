@@ -1,6 +1,6 @@
-// mgtlint CLI: walks the given files/directories, reads every .cpp/.hpp/.h
-// once, runs the per-file rules on each buffer plus the cross-TU rule over
-// the declarations of all of them, and prints findings as
+// mgtlint CLI: walks the given files/directories, lints every .cpp/.hpp/.h
+// as it reads it (no rule needs another file, so no buffer outlives its own
+// lint), and prints the findings sorted by file and position as
 // `file:line:col: [rule] message`.
 //
 //   mgtlint <file-or-dir>...   lint, print every finding
@@ -12,8 +12,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "lint.hpp"
@@ -65,9 +67,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[a];
     if (arg == "--list-rules") {
       for (const auto& r : mgtlint::rule_catalog()) {
-        std::printf("%-32.*s %s%.*s\n", static_cast<int>(r.id.size()),
-                    r.id.data(), r.cross_tu ? "[cross-tu] " : "",
-                    static_cast<int>(r.summary.size()), r.summary.data());
+        std::printf("%-32.*s %.*s\n", static_cast<int>(r.id.size()),
+                    r.id.data(), static_cast<int>(r.summary.size()),
+                    r.summary.data());
       }
       return 0;
     }
@@ -93,19 +95,22 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  // One read per file: lint_project wants every buffer at once so the
-  // cross-TU rule sees every declaration of the project.
-  std::vector<mgtlint::ProjectInput> inputs;
+  std::vector<mgtlint::Diagnostic> diags;
   for (const auto& file : files) {
     std::string text;
     if (!read_file(file, text)) {
       std::fprintf(stderr, "mgtlint: cannot read %s\n", file.c_str());
       return 2;
     }
-    inputs.push_back({file, std::move(text)});
+    auto found = mgtlint::lint_source(file, text);
+    diags.insert(diags.end(), std::make_move_iterator(found.begin()),
+                 std::make_move_iterator(found.end()));
   }
-
-  const std::vector<mgtlint::Diagnostic> diags = mgtlint::lint_project(inputs);
+  std::sort(diags.begin(), diags.end(),
+            [](const mgtlint::Diagnostic& a, const mgtlint::Diagnostic& b) {
+              return std::tie(a.file, a.line, a.column, a.rule, a.message) <
+                     std::tie(b.file, b.line, b.column, b.rule, b.message);
+            });
   for (const auto& diag : diags) {
     std::printf("%s\n", mgtlint::format_diagnostic(diag).c_str());
   }
