@@ -72,8 +72,9 @@ public:
   [[nodiscard]] bool at_rest(Millivolts u, Picoseconds dt_max);
 
 private:
-  // The renderer's window kernel steps the stage states in locals.
-  friend class WindowKernel;
+  // The renderer's window walk steps its own copy of the stage states.
+  template <std::size_t N>
+  friend class Walk;
 
   /// Returns the per-stage alphas 1 - exp(-dt/tau) for this dt, computing
   /// and memoizing the row on first sight of the dt value. The renderer

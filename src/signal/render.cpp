@@ -11,311 +11,184 @@
 
 namespace mgt::sig {
 
-/// Core sample loop shared by render() and render_chunk(), one kernel per
-/// pole count: steps the chain through grid samples [k_start, k_end) of the
-/// grid anchored at t_begin, delivering samples with index >= k_emit to
-/// sinks (the one just before k_emit goes out as context). The chain is
-/// reset to the steady state of the stream level at sample k_start.
+/// The exact advance of one window's filter chain along the grid
+/// t_begin + k * dt, for a chain of N poles. The walk starts at grid sample
+/// k_start with every stage at the steady state of the stream level there,
+/// mid + gain * (v - mid), and owns its stage states for the whole window;
+/// nothing is written back, since render() and render_chunk() own a copy
+/// of the chain. Both delivery loops construct their walk as a local and
+/// every method is inline, so no sample reloads or re-stores the states
+/// through the chain's heap vector.
 ///
-/// The stage states live in locals for the whole window and go back into
-/// the chain at its end. The step and at_rest loops are FilterChain::step
-/// and FilterChain::at_rest with the same operations, operands and order,
-/// so every sample is byte-identical to stepping the chain per sample. The
-/// alpha memo stays the only source of alphas; rows are copied by value,
-/// so a memo eviction cannot leave a stale alpha behind.
-class WindowKernel {
+/// to() and at_rest() are FilterChain::step and FilterChain::at_rest with
+/// the same operations, operands and order, so every dense sample is
+/// byte-identical to stepping the chain per sample. The alpha memo stays
+/// the only source of alphas; rows are copied by value, so a memo eviction
+/// cannot leave a stale alpha behind.
+template <std::size_t N>
+class Walk {
 public:
-  template <std::size_t N>
-  static void run(const EdgeStream& stream, FilterChain& chain,
-                  const RenderConfig& config, Picoseconds t_begin,
-                  std::size_t k_start, std::size_t k_emit, std::size_t k_end,
-                  const std::vector<WaveformSink*>& sinks);
-
-  /// The same window for sinks that all read only strobes: delivers, in
-  /// time order and once each, the grid pair (K-1, K) around every strobe,
-  /// K being the first grid index at or after it and past k_emit (the
-  /// sample at k_emit has no predecessor in the delivered sequence, as in
-  /// run<N>). The samples that absorb a transition are stepped exactly as
-  /// run<N> steps them; every stretch between them is jumped with powers of
-  /// the one-grid-step map. No on_context() sample goes out, and the chain
-  /// state is not written back: both callers own a copy of the chain.
-  template <std::size_t N>
-  static void run_sparse(const EdgeStream& stream, FilterChain& chain,
-                         const RenderConfig& config, Picoseconds t_begin,
-                         std::size_t k_start, std::size_t k_emit,
-                         std::size_t k_end,
-                         const std::vector<WaveformSink*>& sinks);
-
-private:
-  /// Where both kernels start a window at grid time t_start.
-  struct Start {
-    std::size_t next_tr;  // first transition at or after t_start
-    bool level;           // stream level at t_start
-    double x_lo;          // step()'s gain-scaled input at each level
-    double x_hi;
-  };
-  /// Resets `chain` to the steady state of the stream level at t_start.
-  static Start start(const EdgeStream& stream, FilterChain& chain,
-                     const RenderConfig& config, double t_start);
-};
-
-WindowKernel::Start WindowKernel::start(const EdgeStream& stream,
-                                        FilterChain& chain,
-                                        const RenderConfig& config,
-                                        double t_start) {
-  const auto& trs = stream.transitions();
-  const bool level = stream.level_at(Picoseconds{t_start});
-  chain.reset(level ? config.levels.voh : config.levels.vol);
-  // step()'s gain-scaled input for each level, by its exact expression.
-  const double mid = chain.midpoint_mv_;
-  const double gain = chain.gain_;
-  return Start{
-      .next_tr = static_cast<std::size_t>(
-          std::lower_bound(trs.begin(), trs.end(), Picoseconds{t_start},
-                           [](const Transition& tr, Picoseconds t) {
-                             return tr.time < t;
-                           }) -
-          trs.begin()),
-      .level = level,
-      .x_lo = mid + gain * (config.levels.vol.mv() - mid),
-      .x_hi = mid + gain * (config.levels.voh.mv() - mid),
-  };
-}
-
-template <std::size_t N>
-void WindowKernel::run(const EdgeStream& stream, FilterChain& chain,
-                       const RenderConfig& config, Picoseconds t_begin,
-                       std::size_t k_start, std::size_t k_emit,
-                       std::size_t k_end,
-                       const std::vector<WaveformSink*>& sinks) {
-  const double dt = config.sample_step.ps();
-
-  const double t_start =
-      t_begin.ps() + static_cast<double>(k_start) * dt;
-
-  const auto& trs = stream.transitions();
-  const Start st = start(stream, chain, config, t_start);
-  std::size_t next_tr = st.next_tr;
-  bool level = st.level;
-  const double x_lo = st.x_lo;
-  const double x_hi = st.x_hi;
-
-  // Bound on the grid steps a quiescent run may skip: a hair above dt, so
-  // the few-ulp spread of t_begin + k * dt stays under it, yet tight enough
-  // that a stage stalled one ulp from its input under alpha(dt) still
-  // passes at_rest (under a 2 * dt bound almost none does).
-  const double dt_max = dt * (1.0 + 0x1p-20);
-
-  std::array<double, N> s{};  // stage states, mV
-  std::copy_n(chain.state_.begin(), N, s.begin());
-  double pass = chain.passthrough_;
-  // Alpha rows of dt_max (for at_rest) and of the last step's dt.
-  std::array<double, N> a_max{};
-  std::array<double, N> a_step{};
-  double dt_step = dt;
-  if constexpr (N > 0) {
-    std::copy_n(chain.alpha_row(Picoseconds{dt_max}), N, a_max.begin());
-    std::copy_n(chain.alpha_row(Picoseconds{dt}), N, a_step.begin());
+  Walk(const EdgeStream& stream, FilterChain& chain,
+       const RenderConfig& config, Picoseconds t_begin, std::size_t k_start)
+      : trs_(stream.transitions()),
+        chain_(chain),
+        t_begin_(t_begin.ps()),
+        dt_(config.sample_step.ps()),
+        // Bound on the grid steps a quiescent run may skip: a hair above
+        // dt, so the few-ulp spread of t_begin + k * dt stays under it,
+        // yet tight enough that a stage stalled one ulp from its input
+        // under alpha(dt) still passes at_rest (under a 2 * dt bound
+        // almost none does).
+        dt_max_(dt_ * (1.0 + 0x1p-20)),
+        // step()'s gain-scaled input at each level, by its exact
+        // expression.
+        x_lo_(chain.midpoint_mv_ +
+              chain.gain_ * (config.levels.vol.mv() - chain.midpoint_mv_)),
+        x_hi_(chain.midpoint_mv_ +
+              chain.gain_ * (config.levels.voh.mv() - chain.midpoint_mv_)),
+        now_(grid(k_start)),
+        level_(stream.level_at(Picoseconds{now_})),
+        next_tr_(static_cast<std::size_t>(
+            std::lower_bound(trs_.begin(), trs_.end(), Picoseconds{now_},
+                             [](const Transition& tr, Picoseconds t) {
+                               return tr.time < t;
+                             }) -
+            trs_.begin())),
+        dt_step_(dt_) {
+    s_.fill(input());
+    if constexpr (N == 0) {
+      pass_ = input();
+    } else {
+      std::copy_n(chain.alpha_row(Picoseconds{dt_max_}), N, a_max_.begin());
+      std::copy_n(chain.alpha_row(Picoseconds{dt_}), N, a_step_.begin());
+    }
   }
 
-  auto step = [&](double x, double h) {
-    pass = x;
-    if constexpr (N > 0) {
-      if (h != dt_step) {
-        dt_step = h;
-        std::copy_n(chain.alpha_row(Picoseconds{h}), N, a_step.begin());
-      }
-      for (std::size_t i = 0; i < N; ++i) {
-        s[i] += (x - s[i]) * a_step[i];
-        x = s[i];
-      }
-    }
-  };
-  auto output = [&] {
-    if constexpr (N == 0) {
-      return pass;
-    } else {
-      return s[N - 1];
-    }
-  };
-  auto at_rest = [&](double x) {
-    if constexpr (N == 0) {
-      return pass == x;
-    } else {
-      for (std::size_t i = 0; i < N; ++i) {
-        if (s[i] + (x - s[i]) * a_max[i] != s[i]) {
-          return false;
-        }
-        x = s[i];
-      }
-      return true;
-    }
-  };
-
-  // Emitted samples accumulate into a SoA block and go out whole; the
-  // sample values (and the block-partitioned delivery, for sinks honoring
-  // the on_block contract) are byte-identical to the per-sample engine.
-  SampleBlock block;
-  auto flush = [&] {
-    if (block.size == 0) {
-      return;
-    }
-    for (WaveformSink* sink : sinks) {
-      sink->on_block(block);
-    }
-    block.clear();
-  };
-
-  auto emit = [&](std::size_t k, double t_sample, double v) {
-    if (k >= k_emit) {
-      block.push(t_sample, v);
-      if (block.full()) {
-        flush();
-      }
-    } else if (k + 1 == k_emit) {
-      for (WaveformSink* sink : sinks) {
-        sink->on_context(Picoseconds{t_sample}, Millivolts{v});
-      }
-    }
-  };
-
-  double now = t_start;
-  double v_prev = output();
-  for (std::size_t k = k_start; k < k_end; ++k) {
-    const double t_sample = t_begin.ps() + static_cast<double>(k) * dt;
-    // Advance exactly through any transitions before this sample.
-    while (next_tr < trs.size() && trs[next_tr].time.ps() <= t_sample) {
-      const double t_tr = trs[next_tr].time.ps();
-      if (t_tr > now) {
-        step(level ? x_hi : x_lo, t_tr - now);
-        now = t_tr;
-      }
-      level = trs[next_tr].level;
-      ++next_tr;
-    }
-    if (t_sample > now) {
-      step(level ? x_hi : x_lo, t_sample - now);
-      now = t_sample;
-    }
-    const double v = output();
-    emit(k, t_sample, v);
-    // Quiescent run: if no stage can move under any step up to dt_max, every
-    // step until the next transition returns v unchanged, so the samples
-    // before it go out without stepping the chain.
-    if (v == v_prev && at_rest(level ? x_hi : x_lo)) {
-      const double t_next = next_tr < trs.size()
-                                ? trs[next_tr].time.ps()
-                                : std::numeric_limits<double>::infinity();
-      while (k + 1 < k_end) {
-        const double t_j = t_begin.ps() + static_cast<double>(k + 1) * dt;
-        if (t_j >= t_next || t_j - now > dt_max) {
-          break;
-        }
-        ++k;
-        emit(k, t_j, v);
-        now = t_j;
-      }
-    }
-    v_prev = v;
+  [[nodiscard]] double grid(std::size_t k) const {
+    return t_begin_ + static_cast<double>(k) * dt_;
   }
-  flush();
 
-  std::copy_n(s.begin(), N, chain.state_.begin());
-  chain.passthrough_ = pass;
-}
-
-template <std::size_t N>
-void WindowKernel::run_sparse(const EdgeStream& stream, FilterChain& chain,
-                              const RenderConfig& config, Picoseconds t_begin,
-                              std::size_t k_start, std::size_t k_emit,
-                              std::size_t k_end,
-                              const std::vector<WaveformSink*>& sinks) {
-  const double dt = config.sample_step.ps();
-  auto grid = [&](std::size_t k) {
-    return t_begin.ps() + static_cast<double>(k) * dt;
-  };
-  // First grid index in [lo, k_end) at or after t, else k_end. Grid times
-  // are monotone in the index, so the estimate only needs nudging.
-  auto first_at_or_after = [&](double t, std::size_t lo) {
-    const double est = std::ceil((t - t_begin.ps()) / dt);
-    std::size_t k = k_end;
+  /// First grid index in [lo, hi) at or after t, else hi. Grid times are
+  /// monotone in the index, so the estimate only needs nudging.
+  [[nodiscard]] std::size_t first_at_or_after(double t, std::size_t lo,
+                                              std::size_t hi) const {
+    const double est = std::ceil((t - t_begin_) / dt_);
+    std::size_t k = hi;
     if (est <= static_cast<double>(lo)) {
       k = lo;
-    } else if (est < static_cast<double>(k_end)) {
+    } else if (est < static_cast<double>(hi)) {
       k = static_cast<std::size_t>(est);
     }
     while (k > lo && grid(k - 1) >= t) {
       --k;
     }
-    while (k < k_end && grid(k) < t) {
+    while (k < hi && grid(k) < t) {
       ++k;
     }
     return k;
-  };
+  }
 
-  std::vector<std::size_t> reads;
-  for (const WaveformSink* sink : sinks) {
-    for (const Picoseconds strobe : *sink->strobe_times()) {
-      const std::size_t k = first_at_or_after(strobe.ps(), k_emit + 1);
-      if (k < k_end) {
-        reads.push_back(k - 1);
-        reads.push_back(k);
+  /// Time of the next transition not yet absorbed, or +inf.
+  [[nodiscard]] double t_next() const {
+    return next_tr_ < trs_.size() ? trs_[next_tr_].time.ps()
+                                  : std::numeric_limits<double>::infinity();
+  }
+
+  /// Advances exactly to grid sample k, at or after the last sample
+  /// reached: steps to each transition at or before t_k and switches the
+  /// level there, then steps to t_k. Returns t_k.
+  double to(std::size_t k) {
+    const double t_sample = grid(k);
+    while (next_tr_ < trs_.size() && trs_[next_tr_].time.ps() <= t_sample) {
+      const double t_tr = trs_[next_tr_].time.ps();
+      if (t_tr > now_) {
+        step(t_tr - now_);
+        now_ = t_tr;
       }
+      level_ = trs_[next_tr_].level;
+      ++next_tr_;
+    }
+    if (t_sample > now_) {
+      step(t_sample - now_);
+      now_ = t_sample;
+    }
+    return t_sample;
+  }
+
+  [[nodiscard]] double output() const {
+    if constexpr (N == 0) {
+      return pass_;
+    } else {
+      return s_[N - 1];
     }
   }
-  std::sort(reads.begin(), reads.end());
-  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
-  if (reads.empty()) {
-    return;
-  }
 
-  const double t_start = grid(k_start);
-  const auto& trs = stream.transitions();
-  const Start st = start(stream, chain, config, t_start);
-  std::size_t next_tr = st.next_tr;
-  bool level = st.level;
-  std::array<double, N> s{};  // stage states, mV
-  std::copy_n(chain.state_.begin(), N, s.begin());
-  double pass = chain.passthrough_;
-
-  // run<N>'s step, with the same operations and alpha source.
-  auto step = [&](double x, double h) {
-    pass = x;
-    if constexpr (N > 0) {
-      const double* alpha = chain.alpha_row(Picoseconds{h});
+  /// True when no stage can move under any step up to dt_max at the
+  /// current level.
+  [[nodiscard]] bool at_rest() const {
+    double x = input();
+    if constexpr (N == 0) {
+      return pass_ == x;
+    } else {
       for (std::size_t i = 0; i < N; ++i) {
-        s[i] += (x - s[i]) * alpha[i];
-        x = s[i];
+        if (s_[i] + (x - s_[i]) * a_max_[i] != s_[i]) {
+          return false;
+        }
+        x = s_[i];
       }
+      return true;
     }
-  };
+  }
+
+  /// Quiescent run from sample k, the walk at rest there: every step until
+  /// the next transition leaves the output unchanged, so each following
+  /// sample before it and within dt_max of the last is reached without
+  /// stepping and handed to reach(j, t_j). Returns the last sample reached.
+  template <typename Reach>
+  std::size_t coast(std::size_t k, std::size_t k_end, const Reach& reach) {
+    const double t_next_tr = t_next();
+    while (k + 1 < k_end) {
+      const double t_j = grid(k + 1);
+      if (t_j >= t_next_tr || t_j - now_ > dt_max_) {
+        break;
+      }
+      ++k;
+      reach(k, t_j);
+      now_ = t_j;
+    }
+    return k;
+  }
 
   // In deviation form d = s - x one step of dt at constant input x is
   // d_i' = (1 - a_i) d_i + a_i d_{i-1}' (d_{-1}' = 0): a lower-triangular
-  // map M of the alphas alone, the same at both levels. powers[j] holds
-  // M^(2^j), squared up on first need.
+  // map M of the alphas alone, the same at both levels.
   using Matrix = std::array<std::array<double, N>, N>;
-  std::vector<Matrix> powers;
-  if constexpr (N > 0) {
-    const double* alpha = chain.alpha_row(Picoseconds{dt});
-    Matrix m{};
-    for (std::size_t i = 0; i < N; ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        m[i][j] = alpha[i] * m[i - 1][j];
+
+  /// Advances from grid sample `from` to k, with no transition in
+  /// (t_from, t_k], by k - from steps of exactly dt at the current level:
+  /// one product with M^(2^j) per set bit j of the count. `powers[j]`
+  /// holds M^(2^j), squared up on first need and kept across calls.
+  void jump(std::size_t from, std::size_t k, std::vector<Matrix>& powers) {
+    const double x = input();
+    if constexpr (N == 0) {
+      pass_ = x;
+    } else {
+      if (powers.empty()) {
+        const double* alpha = chain_.alpha_row(Picoseconds{dt_});
+        Matrix m{};
+        for (std::size_t i = 0; i < N; ++i) {
+          for (std::size_t j = 0; j < i; ++j) {
+            m[i][j] = alpha[i] * m[i - 1][j];
+          }
+          m[i][i] = 1.0 - alpha[i];
+        }
+        powers.push_back(m);
       }
-      m[i][i] = 1.0 - alpha[i];
-    }
-    powers.push_back(m);
-  }
-  // n steps of dt at constant input x.
-  auto jump = [&](std::size_t n, double x) {
-    pass = x;
-    if constexpr (N > 0) {
       std::array<double, N> d{};
       for (std::size_t i = 0; i < N; ++i) {
-        d[i] = s[i] - x;
+        d[i] = s_[i] - x;
       }
-      for (std::size_t p = 0; n != 0; ++p, n >>= 1) {
+      for (std::size_t p = 0, n = k - from; n != 0; ++p, n >>= 1) {
         if (p == powers.size()) {
           const Matrix& a = powers.back();
           Matrix sq{};
@@ -340,110 +213,203 @@ void WindowKernel::run_sparse(const EdgeStream& stream, FilterChain& chain,
         }
       }
       for (std::size_t i = 0; i < N; ++i) {
-        s[i] = x + d[i];
+        s_[i] = x + d[i];
       }
     }
-  };
-  auto output = [&] {
+    now_ = grid(k);
+  }
+
+private:
+  [[nodiscard]] double input() const { return level_ ? x_hi_ : x_lo_; }
+
+  void step(double h) {
+    double x = input();
     if constexpr (N == 0) {
-      return pass;
+      pass_ = x;
     } else {
-      return s[N - 1];
+      if (h != dt_step_) {
+        dt_step_ = h;
+        std::copy_n(chain_.alpha_row(Picoseconds{h}), N, a_step_.begin());
+      }
+      for (std::size_t i = 0; i < N; ++i) {
+        s_[i] += (x - s_[i]) * a_step_[i];
+        x = s_[i];
+      }
     }
-  };
+  }
 
-  // Grid sample k_start: transitions exactly at t_start switch the level
-  // without a step, as in run<N>.
-  std::size_t k = k_start;
-  double now = t_start;
-  while (next_tr < trs.size() && trs[next_tr].time.ps() <= t_start) {
-    level = trs[next_tr].level;
-    ++next_tr;
-  }
-  auto advance_to = [&](std::size_t target) {
-    while (k < target) {
-      // The grid sample that absorbs the next transition.
-      const std::size_t k_tr =
-          next_tr < trs.size()
-              ? first_at_or_after(trs[next_tr].time.ps(), k + 1)
-              : k_end;
-      const std::size_t free_to = std::min(k_tr - 1, target);
-      if (free_to > k) {
-        jump(free_to - k, level ? st.x_hi : st.x_lo);
-        k = free_to;
-        now = grid(k);
-      }
-      if (k == target) {
-        break;
-      }
-      // run<N>'s loop body at sample k_tr.
-      k = k_tr;
-      const double t_sample = grid(k);
-      while (next_tr < trs.size() && trs[next_tr].time.ps() <= t_sample) {
-        const double t_tr = trs[next_tr].time.ps();
-        if (t_tr > now) {
-          step(level ? st.x_hi : st.x_lo, t_tr - now);
-          now = t_tr;
-        }
-        level = trs[next_tr].level;
-        ++next_tr;
-      }
-      if (t_sample > now) {
-        step(level ? st.x_hi : st.x_lo, t_sample - now);
-        now = t_sample;
-      }
-    }
-  };
-
-  SampleBlock block;
-  auto flush = [&] {
-    for (WaveformSink* sink : sinks) {
-      sink->on_block(block);
-    }
-    block.clear();
-  };
-  for (const std::size_t r : reads) {
-    advance_to(r);
-    block.push(grid(r), output());
-    if (block.full()) {
-      flush();
-    }
-  }
-  if (block.size != 0) {
-    flush();
-  }
-}
+  const std::vector<Transition>& trs_;
+  FilterChain& chain_;
+  const double t_begin_;
+  const double dt_;
+  const double dt_max_;
+  const double x_lo_;
+  const double x_hi_;
+  double now_;              // time the stage states stand at, ps
+  bool level_;              // stream level at now_
+  std::size_t next_tr_;     // first transition not yet absorbed
+  double pass_ = 0.0;       // N == 0: the last step's gain-scaled input
+  std::array<double, N> s_{};       // stage states, mV
+  std::array<double, N> a_max_{};   // alpha row of dt_max, for at_rest
+  std::array<double, N> a_step_{};  // alpha row of the last step's dt
+  double dt_step_;
+};
 
 namespace {
 
-using WindowFn = void (*)(const EdgeStream&, FilterChain&, const RenderConfig&,
-                          Picoseconds, std::size_t, std::size_t, std::size_t,
-                          const std::vector<WaveformSink*>&);
+/// Samples accumulate into a SoA block and go out whole, so every sink sees
+/// the block-partitioned delivery the on_block contract allows.
+class Delivery {
+public:
+  explicit Delivery(const std::vector<WaveformSink*>& sinks) : sinks_(sinks) {}
 
-template <bool Sparse, std::size_t... N>
-constexpr std::array<WindowFn, sizeof...(N)> window_kernels(
-    std::index_sequence<N...>) {
-  return {(Sparse ? &WindowKernel::run_sparse<N> : &WindowKernel::run<N>)...};
+  void push(double t, double v) {
+    block_.push(t, v);
+    if (block_.full()) {
+      flush();
+    }
+  }
+
+  void flush() {
+    if (block_.size == 0) {
+      return;
+    }
+    for (WaveformSink* sink : sinks_) {
+      sink->on_block(block_);
+    }
+    block_.clear();
+  }
+
+private:
+  const std::vector<WaveformSink*>& sinks_;
+  SampleBlock block_;
+};
+
+/// One window of the grid t_begin + k * dt: the chain starts at grid sample
+/// k_start, samples from k_emit up to k_end go to the sinks, and the one
+/// just before k_emit primes them as on_context().
+struct Window {
+  const EdgeStream& stream;
+  const RenderConfig& config;
+  Picoseconds t_begin;
+  std::size_t k_start;
+  std::size_t k_emit;
+  std::size_t k_end;
+  const std::vector<WaveformSink*>& sinks;
+};
+
+/// Delivers every sample of the window, reaching each with Walk::to
+/// except over quiescent runs.
+template <std::size_t N>
+void deliver_every_sample(const Window& w, FilterChain& chain) {
+  Walk<N> walk(w.stream, chain, w.config, w.t_begin, w.k_start);
+  Delivery out(w.sinks);
+  auto emit = [&](std::size_t k, double t_sample, double v) {
+    if (k >= w.k_emit) {
+      out.push(t_sample, v);
+    } else if (k + 1 == w.k_emit) {
+      for (WaveformSink* sink : w.sinks) {
+        sink->on_context(Picoseconds{t_sample}, Millivolts{v});
+      }
+    }
+  };
+  double v_prev = walk.output();
+  for (std::size_t k = w.k_start; k < w.k_end; ++k) {
+    const double t_sample = walk.to(k);
+    const double v = walk.output();
+    emit(k, t_sample, v);
+    if (v == v_prev && walk.at_rest()) {
+      k = walk.coast(k, w.k_end,
+                     [&](std::size_t j, double t_j) { emit(j, t_j, v); });
+    }
+    v_prev = v;
+  }
+  out.flush();
 }
 
-// One kernel of each kind per pole count 0..kMaxPoles; add_pole enforces
-// the cap.
-constexpr auto kDenseKernels = window_kernels<false>(
-    std::make_index_sequence<FilterChain::kMaxPoles + 1>{});
-constexpr auto kSparseKernels = window_kernels<true>(
-    std::make_index_sequence<FilterChain::kMaxPoles + 1>{});
+/// The window for sinks that all read only strobes: delivers, in time order
+/// and once each, the grid pair (K-1, K) around every strobe, K being the
+/// first grid index at or after it and past k_emit (the sample at k_emit
+/// has no predecessor in the delivered sequence, as in the dense loop).
+/// The samples that absorb a transition are reached with Walk::to exactly
+/// as the dense loop reaches them; every stretch between them is jumped.
+/// No on_context() sample goes out.
+template <std::size_t N>
+void deliver_strobe_pairs(const Window& w, FilterChain& chain) {
+  Walk<N> walk(w.stream, chain, w.config, w.t_begin, w.k_start);
+  std::vector<std::size_t> reads;
+  for (const WaveformSink* sink : w.sinks) {
+    for (const Picoseconds strobe : *sink->strobe_times()) {
+      const std::size_t k =
+          walk.first_at_or_after(strobe.ps(), w.k_emit + 1, w.k_end);
+      if (k < w.k_end) {
+        reads.push_back(k - 1);
+        reads.push_back(k);
+      }
+    }
+  }
+  std::sort(reads.begin(), reads.end());
+  reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+  if (reads.empty()) {
+    return;
+  }
+
+  std::vector<typename Walk<N>::Matrix> powers;
+  std::size_t k = w.k_start;
+  walk.to(k);
+  Delivery out(w.sinks);
+  for (const std::size_t r : reads) {
+    while (k < r) {
+      // The grid sample that absorbs the next transition.
+      const std::size_t k_tr =
+          walk.first_at_or_after(walk.t_next(), k + 1, w.k_end);
+      const std::size_t free_to = std::min(k_tr - 1, r);
+      if (free_to > k) {
+        walk.jump(k, free_to, powers);
+        k = free_to;
+      }
+      if (k < r) {
+        k = k_tr;
+        walk.to(k);
+      }
+    }
+    out.push(walk.grid(r), walk.output());
+  }
+  out.flush();
+}
+
+/// Picks the delivery loop once per window.
+template <std::size_t N>
+void walk_window(const Window& w, FilterChain& chain) {
+  const bool strobes_only =
+      std::all_of(w.sinks.begin(), w.sinks.end(), [](const WaveformSink* s) {
+        return s->strobe_times() != nullptr;
+      });
+  if (strobes_only) {
+    deliver_strobe_pairs<N>(w, chain);
+  } else {
+    deliver_every_sample<N>(w, chain);
+  }
+}
+
+using WindowFn = void (*)(const Window&, FilterChain&);
+
+template <std::size_t... N>
+constexpr std::array<WindowFn, sizeof...(N)> window_kernels(
+    std::index_sequence<N...>) {
+  return {&walk_window<N>...};
+}
+
+// One kernel per pole count 0..kMaxPoles; add_pole enforces the cap.
+constexpr auto kKernels =
+    window_kernels(std::make_index_sequence<FilterChain::kMaxPoles + 1>{});
 
 void run_window(const EdgeStream& stream, FilterChain& chain,
                 const RenderConfig& config, Picoseconds t_begin,
                 std::size_t k_start, std::size_t k_emit, std::size_t k_end,
                 const std::vector<WaveformSink*>& sinks) {
-  const bool strobes_only =
-      std::all_of(sinks.begin(), sinks.end(), [](const WaveformSink* sink) {
-        return sink->strobe_times() != nullptr;
-      });
-  const auto& kernels = strobes_only ? kSparseKernels : kDenseKernels;
-  kernels[chain.pole_count()](stream, chain, config, t_begin, k_start, k_emit,
-                              k_end, sinks);
+  kKernels[chain.pole_count()](
+      Window{stream, config, t_begin, k_start, k_emit, k_end, sinks}, chain);
 }
 
 }  // namespace

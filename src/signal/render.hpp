@@ -15,15 +15,20 @@
 // and adds no jitter. The linear interpolation done by downstream sinks
 // between grid samples adds sub-0.01 ps at the default step.
 //
-// A window whose every sink reads only strobes (WaveformSink::strobe_times)
-// is not rendered densely: the chain is stepped exactly through the grid
-// samples that absorb transitions and jumped over every other stretch by
-// powers of the one-grid-step map, and only the grid pair around each
-// strobe is delivered. Its samples differ from the dense ones by rounding
-// only: under 1e-10 mV on the mini-tester's 6-pole chain near t = 0, and
-// growing with ulp(t), since the jump steps exactly dt where the dense loop
-// steps t_k - t_{k-1}. Every other window renders densely and
-// byte-identically as described above.
+// Every window runs on one exact walk of the chain, one per pole count: it
+// starts at the steady state of the stream level at the window's first
+// sample and reaches a grid sample by a step to each transition before it,
+// then one to the sample. Two delivery loops use it. The dense loop
+// reaches every grid sample and delivers it, skipping only the steps of
+// quiescent runs, which move no stage; its samples are byte-identical to
+// stepping the chain per sample. A window whose every sink reads only
+// strobes (WaveformSink::strobe_times) takes the strobe loop instead: it
+// reaches only the grid samples that absorb transitions, jumps every other
+// stretch by powers of the one-grid-step map, and delivers only the grid
+// pair around each strobe. Its samples differ from the dense ones by
+// rounding only: under 1e-10 mV on the mini-tester's 6-pole chain near
+// t = 0, and growing with ulp(t), since the jump steps exactly dt where
+// the dense loop steps t_k - t_{k-1}.
 #pragma once
 
 #include <memory>

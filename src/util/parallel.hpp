@@ -22,7 +22,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "util/rng.hpp"
 
@@ -104,22 +103,9 @@ class ThreadPool {
 /// the tasks run inline on the caller in index order; otherwise they run on
 /// a shared ThreadPool with static chunk assignment. Tasks must be
 /// independent and must not share mutable state; any result whose value
-/// could depend on execution order must instead be produced per-task and
-/// combined afterwards in index order (see parallel_ordered_reduce).
+/// could depend on execution order must instead be produced into a slot per
+/// task and folded afterwards in index order, as sig::accumulate_chunked
+/// merges its chunk sinks.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& task);
-
-/// Produces produce(i) for i in [0, n) (in parallel) and folds the results
-/// into `acc` strictly in index order: acc = combine(acc, r_0), then r_1,
-/// ... r_{n-1}. This is the fixed-order reduction every parallel merge in
-/// the library must use.
-template <typename T, typename Produce, typename Combine>
-void parallel_ordered_reduce(std::size_t n, T& acc, Produce&& produce,
-                             Combine&& combine) {
-  std::vector<T> partial(n);
-  parallel_for(n, [&](std::size_t i) { partial[i] = produce(i); });
-  for (std::size_t i = 0; i < n; ++i) {
-    combine(acc, partial[i]);
-  }
-}
 
 }  // namespace mgt::util

@@ -139,23 +139,6 @@ TEST(ParallelLayer, ParallelForCoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ParallelLayer, OrderedReduceIsOrderInsensitiveToThreads) {
-  // Floating-point accumulation is order sensitive, so agreement across
-  // thread counts proves the fold really runs in task-index order.
-  auto run = [](std::size_t threads) {
-    util::ScopedThreads scoped(threads);
-    double acc = 0.0;
-    util::parallel_ordered_reduce<double>(
-        1000, acc, [](std::size_t i) { return 1.0 / (1.0 + double(i)); },
-        [](double& a, double r) { a = (a + r) * 1.0000001; });
-    return acc;
-  };
-  const double reference = run(0);
-  for (std::size_t threads : kThreadSettings) {
-    EXPECT_EQ(run(threads), reference) << threads << " threads";
-  }
-}
-
 TEST(ParallelLayer, FirstTaskExceptionPropagates) {
   for (std::size_t threads : kThreadSettings) {
     util::ScopedThreads scoped(threads);

@@ -407,7 +407,8 @@ std::string describe(const EngineConfig& c) {
                   " n_bits=" + std::to_string(c.n_bits) +
                   " ui_ps=" + std::to_string(c.ui_ps) + " taus=[";
   for (std::size_t i = 0; i < c.taus_ps.size(); ++i) {
-    s += (i ? "," : "") + std::to_string(c.taus_ps[i]);
+    s += i ? "," : "";
+    s += std::to_string(c.taus_ps[i]);
   }
   s += "] gain=" + std::to_string(c.gain) +
        " jitter_ps=" + std::to_string(c.jitter_ps) +

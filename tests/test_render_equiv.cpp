@@ -24,7 +24,8 @@
 //     samples before t_ref, against direct computations;
 //   - the sparse strobe walk, the one render path that is not exact: a
 //     render into samplers alone against the same render kept dense by a
-//     second, every-sample sink, within a 1e-8 mV bound.
+//     second, every-sample sink, within a 1e-8 mV bound, and a digest
+//     that pins its adversarial samples bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -46,6 +47,7 @@
 #include "signal/filter.hpp"
 #include "signal/render.hpp"
 #include "signal/sinks.hpp"
+#include "util/digest.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -882,7 +884,13 @@ sig::EdgeStream runt_stream(double t0) {
   return stream;
 }
 
-TEST(SparseStrobe, MatchesDenseAtAdversarialStrobes) {
+// Calls fn(stream, chain, rc, t_begin, t_end, strobes, config) on every
+// adversarial window: four streams (jittered runs, PRBS, runts, no edge)
+// near t = 0 and near 1e6 ps, two grid steps, every skip_chains() chain
+// (0..kMaxPoles poles, gains 0.6 and 0.8), with and without strobe RJ, the
+// strobes from probing_strobes(). Returns the number of windows.
+template <typename Fn>
+std::size_t for_each_adversarial_window(const Fn& fn) {
   const Picoseconds ui{400.0};
   std::size_t cases = 0;
   for (double t0 : {0.0, 1e6 + 0.123456789}) {
@@ -909,15 +917,46 @@ TEST(SparseStrobe, MatchesDenseAtAdversarialStrobes) {
                 .threshold = rc.levels.midpoint(),
                 .strobe_rj_sigma = Picoseconds{rj},
             };
-            expect_sparse_matches_dense(streams[si], chain, rc, t_begin,
-                                        t_end, strobes, config);
+            fn(streams[si], chain, rc, t_begin, t_end, strobes, config);
             ++cases;
           }
         }
       }
     }
   }
-  EXPECT_EQ(cases, 2u * 4u * 2u * (3u + sig::FilterChain::kMaxPoles) * 2u);
+  return cases;
+}
+
+constexpr std::size_t kAdversarialWindows =
+    2u * 4u * 2u * (3u + sig::FilterChain::kMaxPoles) * 2u;
+
+TEST(SparseStrobe, MatchesDenseAtAdversarialStrobes) {
+  EXPECT_EQ(for_each_adversarial_window(expect_sparse_matches_dense),
+            kAdversarialWindows);
+}
+
+TEST(SparseStrobe, AdversarialWindowsKeepTheirBits) {
+  // The walk's samples are not the dense ones, so the bound above cannot
+  // show that a change to the walk left them alone. This digest of every
+  // strobe's analog value over the adversarial windows was recorded on the
+  // sparse kernel as first written, with its own copy of the dense step;
+  // a change that moves any value by one ulp changes it. It depends on the
+  // libm exp() behind the alphas.
+  util::Fnv64 digest;
+  const std::size_t cases = for_each_adversarial_window(
+      [&](const sig::EdgeStream& stream, const sig::FilterChain& chain,
+          const sig::RenderConfig& rc, Picoseconds t_begin, Picoseconds t_end,
+          const std::vector<Picoseconds>& strobes,
+          const sig::StrobeSampler::Config& config) {
+        sig::StrobeSampler sparse{strobes, config, Rng(9)};
+        sig::render(stream, chain, rc, t_begin, t_end, {&sparse});
+        digest.mix_u64(sparse.missed());
+        for (const Millivolts v : sparse.analog()) {
+          digest.mix_double(v.mv());
+        }
+      });
+  EXPECT_EQ(cases, kAdversarialWindows);
+  EXPECT_EQ(digest.digest(), 0x8e60e2183fde85f2ULL);
 }
 
 TEST(SparseStrobe, MiniTesterAcquisitionsMatchDenseBitForBit) {

@@ -332,8 +332,9 @@ std::string run_chaos_scenario(const Scheduler::Config& config,
 TEST(ServiceChaos, AccountingStaysExactUnderChaos) {
   Scheduler sched(chaos_config(chaos_plan(404)), /*seed=*/11);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(sched.submit(plan("t" + std::to_string(i % 2), 3, 3, 2))
-                    .accepted);
+    std::string tenant = "t";
+    tenant += std::to_string(i % 2);
+    ASSERT_TRUE(sched.submit(plan(tenant, 3, 3, 2)).accepted);
   }
   ASSERT_TRUE(sched.drain(100'000));
 

@@ -141,8 +141,9 @@ LexResult lex(std::string_view src) {
         ++j;
       }
       if (j < src.size() && src[j] == '(') {
-        const std::string close =
-            ")" + std::string(src.substr(i + 2, j - (i + 2))) + "\"";
+        std::string close = ")";
+        close += src.substr(i + 2, j - (i + 2));
+        close += '"';
         const auto end = src.find(close, j + 1);
         const std::size_t stop =
             end == std::string_view::npos ? src.size() : end + close.size();

@@ -108,9 +108,10 @@ private:
                "outside bench/");
       }
       if (wallclock_source(t.text)) {
-        report(i, rules::kWallClock,
-               "'" + std::string(t.text) +
-                   "' reads wall-clock state; only bench/ may time itself");
+        std::string message = "'";
+        message += t.text;
+        message += "' reads wall-clock state; only bench/ may time itself";
+        report(i, rules::kWallClock, std::move(message));
       }
     }
     // Range-for (or explicit .begin()) over an unordered container declared
@@ -731,7 +732,8 @@ std::string repo_relative(std::string_view path) {
     if (path.starts_with(anchor)) {
       return std::string(path);
     }
-    const std::string probe = "/" + std::string(anchor);
+    std::string probe = "/";
+    probe += anchor;
     const auto pos = path.rfind(probe);
     if (pos != std::string_view::npos) {
       return std::string(path.substr(pos + 1));
