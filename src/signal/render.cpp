@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -16,9 +17,14 @@ namespace mgt::sig {
 /// k_start with every stage at the steady state of the stream level there,
 /// mid + gain * (v - mid), and owns its stage states for the whole window;
 /// nothing is written back, since render() and render_chunk() own a copy
-/// of the chain. Both delivery loops construct their walk as a local and
-/// every method is inline, so no sample reloads or re-stores the states
-/// through the chain's heap vector.
+/// of the chain. Every delivery loop constructs its walk as a local, the
+/// constructor and every method are inlined, and the per-stage loops of
+/// the constructor, step() and at_rest() are folds over constant stage
+/// indices with no closure holding the walk's address. So the compiler can
+/// split the walk into scalars and keep the stage states and alpha rows of
+/// the dense and side-change loops in registers, with no store and reload
+/// of a state per sample (GCC 12 at -O3; jump() indexes by loop variables,
+/// so the strobe loop keeps its walk in memory).
 ///
 /// to() and at_rest() are FilterChain::step and FilterChain::at_rest with
 /// the same operations, operands and order, so every dense sample is
@@ -28,8 +34,11 @@ namespace mgt::sig {
 template <std::size_t N>
 class Walk {
 public:
-  Walk(const EdgeStream& stream, FilterChain& chain,
-       const RenderConfig& config, Picoseconds t_begin, std::size_t k_start)
+  // Inlined into every loop, so the walk's address never leaves it and
+  // its members can be split into scalars.
+  [[gnu::always_inline]] Walk(const EdgeStream& stream, FilterChain& chain,
+                              const RenderConfig& config,
+                              Picoseconds t_begin, std::size_t k_start)
       : trs_(stream.transitions()),
         chain_(chain),
         t_begin_(t_begin.ps()),
@@ -55,12 +64,13 @@ public:
                              }) -
             trs_.begin())),
         dt_step_(dt_) {
-    s_.fill(input());
+    const double x = input();
     if constexpr (N == 0) {
-      pass_ = input();
+      pass_ = x;
     } else {
-      std::copy_n(chain.alpha_row(Picoseconds{dt_max_}), N, a_max_.begin());
-      std::copy_n(chain.alpha_row(Picoseconds{dt_}), N, a_step_.begin());
+      fill(s_, x, Stages{});
+      copy_row(a_max_, chain.alpha_row(Picoseconds{dt_max_}), Stages{});
+      copy_row(a_step_, chain.alpha_row(Picoseconds{dt_}), Stages{});
     }
   }
 
@@ -126,17 +136,10 @@ public:
   /// True when no stage can move under any step up to dt_max at the
   /// current level.
   [[nodiscard]] bool at_rest() const {
-    double x = input();
     if constexpr (N == 0) {
-      return pass_ == x;
+      return pass_ == input();
     } else {
-      for (std::size_t i = 0; i < N; ++i) {
-        if (s_[i] + (x - s_[i]) * a_max_[i] != s_[i]) {
-          return false;
-        }
-        x = s_[i];
-      }
-      return true;
+      return stages_at_rest(input(), Stages{});
     }
   }
 
@@ -157,6 +160,33 @@ public:
       now_ = t_j;
     }
     return k;
+  }
+
+  /// True when every grid step of the window, t_k - t_{k-1} for k < k_end,
+  /// is at most dt_max, so that a coast() ends only at the sample before
+  /// the next transition or at the window's end. A grid time
+  /// fl(t_begin + fl(k * dt)) is rounded twice, each time by at most half
+  /// an ulp of a magnitude under T = 2 * (|t_begin| + k_end * dt), so a
+  /// step differs from dt by at most 2 * ulp(T); dt_max - dt is exact by
+  /// Sterbenz's lemma, and the step's own subtraction rounds monotonically.
+  [[nodiscard]] bool steps_within_dt_max(std::size_t k_end) const {
+    const double t_max =
+        2.0 * (std::abs(t_begin_) + static_cast<double>(k_end) * dt_);
+    const double ulp =
+        std::nextafter(t_max, std::numeric_limits<double>::infinity()) -
+        t_max;
+    return 2.0 * ulp <= dt_max_ - dt_;
+  }
+
+  /// coast() from sample k in O(1), for a window that passes
+  /// steps_within_dt_max: moves the walk to the last sample the coast
+  /// would reach, the one before the first grid sample at or after the
+  /// next transition (or the window's last), and returns it. The samples
+  /// between are not visited; each holds the output at k.
+  std::size_t skip_rest(std::size_t k, std::size_t k_end) {
+    const std::size_t k_last = first_at_or_after(t_next(), k + 1, k_end) - 1;
+    now_ = grid(k_last);
+    return k_last;
   }
 
   // In deviation form d = s - x one step of dt at constant input x is
@@ -220,21 +250,51 @@ public:
   }
 
 private:
+  // The per-stage loops, as folds over the constant indices of Stages.
+  // No closure holds the walk's address, so once inlined the stage
+  // states and alpha rows are plain scalars the compiler may keep in
+  // registers.
+  using Stages = std::make_index_sequence<N>;
+
+  template <std::size_t... I>
+  static void fill(std::array<double, N>& to, double x,
+                   std::index_sequence<I...>) {
+    ((to[I] = x), ...);
+  }
+
+  template <std::size_t... I>
+  static void copy_row(std::array<double, N>& to, const double* row,
+                       std::index_sequence<I...>) {
+    ((to[I] = row[I]), ...);
+  }
+
+  /// FilterChain::step's stage loop: each stage moves toward its input by
+  /// its alpha, and its new state is the next stage's input.
+  template <std::size_t... I>
+  void step_stages(double x, std::index_sequence<I...>) {
+    ((x = s_[I] += (x - s_[I]) * a_step_[I]), ...);
+  }
+
+  /// FilterChain::at_rest's stage loop: stops at the first stage that a
+  /// step of dt_max would move, else hands its state on as the next input.
+  template <std::size_t... I>
+  [[nodiscard]] bool stages_at_rest(double x,
+                                    std::index_sequence<I...>) const {
+    return ((s_[I] + (x - s_[I]) * a_max_[I] == s_[I] && (x = s_[I], true)) &&
+            ...);
+  }
+
   [[nodiscard]] double input() const { return level_ ? x_hi_ : x_lo_; }
 
   void step(double h) {
-    double x = input();
     if constexpr (N == 0) {
-      pass_ = x;
+      pass_ = input();
     } else {
       if (h != dt_step_) {
         dt_step_ = h;
-        std::copy_n(chain_.alpha_row(Picoseconds{h}), N, a_step_.begin());
+        copy_row(a_step_, chain_.alpha_row(Picoseconds{h}), Stages{});
       }
-      for (std::size_t i = 0; i < N; ++i) {
-        s_[i] += (x - s_[i]) * a_step_[i];
-        x = s_[i];
-      }
+      step_stages(input(), Stages{});
     }
   }
 
@@ -298,34 +358,139 @@ struct Window {
   const std::vector<WaveformSink*>& sinks;
 };
 
-/// Delivers every sample of the window, reaching each with Walk::to
-/// except over quiescent runs.
-template <std::size_t N>
-void deliver_every_sample(const Window& w, FilterChain& chain) {
+void send_context(const Window& w, double t_sample, double v) {
+  for (WaveformSink* sink : w.sinks) {
+    sink->on_context(Picoseconds{t_sample}, Millivolts{v});
+  }
+}
+
+/// Reaches every grid sample of the window with Walk::to, in order, except
+/// over quiescent runs, and hands each sample it reaches to emit(k, t_k,
+/// v_k), which pushes what the sinks read to `out`. From a sample at rest,
+/// emit.rest(walk, k, v) crosses the run and returns the last sample it
+/// reached. The block stays apart from the emit, whose state the compiler
+/// can then keep in registers.
+template <std::size_t N, typename Emit, typename... Args>
+void deliver(const Window& w, FilterChain& chain, const Args&... args) {
   Walk<N> walk(w.stream, chain, w.config, w.t_begin, w.k_start);
   Delivery out(w.sinks);
-  auto emit = [&](std::size_t k, double t_sample, double v) {
-    if (k >= w.k_emit) {
-      out.push(t_sample, v);
-    } else if (k + 1 == w.k_emit) {
-      for (WaveformSink* sink : w.sinks) {
-        sink->on_context(Picoseconds{t_sample}, Millivolts{v});
-      }
-    }
-  };
+  Emit emit(w, out, walk, args...);
   double v_prev = walk.output();
   for (std::size_t k = w.k_start; k < w.k_end; ++k) {
     const double t_sample = walk.to(k);
     const double v = walk.output();
     emit(k, t_sample, v);
     if (v == v_prev && walk.at_rest()) {
-      k = walk.coast(k, w.k_end,
-                     [&](std::size_t j, double t_j) { emit(j, t_j, v); });
+      k = emit.rest(walk, k, v);
     }
     v_prev = v;
   }
   out.flush();
 }
+
+/// The dense loop's emit: every sample from k_emit on goes out, the one
+/// before as the on_context() sample; a quiescent run is coasted sample by
+/// sample.
+class EverySample {
+public:
+  template <std::size_t N>
+  EverySample(const Window& w, Delivery& out, const Walk<N>& /*walk*/)
+      : w_(w), out_(out) {}
+
+  // Forced inline, as it is called at two sites per loop: out of line,
+  // the emit's state would go through memory on every sample.
+  [[gnu::always_inline]] void operator()(std::size_t k, double t_sample,
+                                         double v) {
+    if (k >= w_.k_emit) {
+      out_.push(t_sample, v);
+    } else if (k + 1 == w_.k_emit) {
+      send_context(w_, t_sample, v);
+    }
+  }
+
+  template <std::size_t N>
+  std::size_t rest(Walk<N>& walk, std::size_t k, double v) {
+    return walk.coast(k, w_.k_end, [&](std::size_t j, double t_j) {
+      (*this)(j, t_j, v);
+    });
+  }
+
+private:
+  const Window& w_;
+  Delivery& out_;
+};
+
+/// The emit for sinks that all read only the crossings of threshold th.
+/// It delivers, in time order and once each, the grid pair (k-1, k) around
+/// every side change at k >= k_emit, a side change being a k whose
+/// v_k < th differs from v_{k-1}'s; the on_context() sample at k_emit - 1
+/// goes out exactly as in the dense loop and is never delivered again. No
+/// side change lies between two delivered samples that are not grid
+/// neighbours, so they lie on one side: a pairwise sink sees a crossing
+/// only where the dense loop shows it one, between the same two samples.
+/// A quiescent run holds one value, so one side: it is crossed whole, by
+/// Walk::skip_rest where the window's grid steps allow it and by coast()
+/// otherwise, and only its context sample, if it holds it, goes out.
+class SideChanges {
+public:
+  // The first sample reached, at k_start, is not stepped to, so its side
+  // is the walk's starting one and it never changes side.
+  template <std::size_t N>
+  SideChanges(const Window& w, Delivery& out, const Walk<N>& walk, double th)
+      : w_(w),
+        out_(out),
+        th_(th),
+        skip_(walk.steps_within_dt_max(w.k_end)),
+        v_last_(walk.output()),
+        below_last_(v_last_ < th) {}
+
+  // Forced inline, as EverySample's.
+  [[gnu::always_inline]] void operator()(std::size_t k, double t_sample,
+                                         double v) {
+    const bool below = v < th_;
+    if (below != below_last_ && k >= w_.k_emit) {
+      if (k_out_ != k - 1) {
+        out_.push(t_last_, v_last_);
+      }
+      out_.push(t_sample, v);
+      k_out_ = k;
+    } else if (k + 1 == w_.k_emit) {
+      send_context(w_, t_sample, v);
+      k_out_ = k;
+    }
+    t_last_ = t_sample;
+    v_last_ = v;
+    below_last_ = below;
+  }
+
+  template <std::size_t N>
+  std::size_t rest(Walk<N>& walk, std::size_t k, double v) {
+    if (!skip_) {
+      return walk.coast(k, w_.k_end, [&](std::size_t j, double t_j) {
+        (*this)(j, t_j, v);
+      });
+    }
+    const std::size_t k_run = walk.skip_rest(k, w_.k_end);
+    if (k + 1 < w_.k_emit && w_.k_emit <= k_run + 1) {
+      send_context(w_, walk.grid(w_.k_emit - 1), v);
+      k_out_ = w_.k_emit - 1;
+    }
+    t_last_ = walk.grid(k_run);
+    return k_run;
+  }
+
+private:
+  const Window& w_;
+  Delivery& out_;
+  const double th_;
+  const bool skip_;
+  // The last sample reached, and the last one handed out, pushed or as
+  // the context.
+  double t_last_ = 0.0;
+  double v_last_;
+  bool below_last_;
+  std::size_t k_out_ = w_.k_end;
+};
 
 /// The window for sinks that all read only strobes: delivers, in time order
 /// and once each, the grid pair (K-1, K) around every strobe, K being the
@@ -387,8 +552,18 @@ void walk_window(const Window& w, FilterChain& chain) {
       });
   if (strobes_only) {
     deliver_strobe_pairs<N>(w, chain);
+    return;
+  }
+  const std::optional<Millivolts> th = w.sinks.front()->crossing_threshold();
+  const bool one_threshold =
+      th && std::all_of(w.sinks.begin(), w.sinks.end(),
+                        [&](const WaveformSink* s) {
+                          return s->crossing_threshold() == th;
+                        });
+  if (one_threshold) {
+    deliver<N, SideChanges>(w, chain, th->mv());
   } else {
-    deliver_every_sample<N>(w, chain);
+    deliver<N, EverySample>(w, chain);
   }
 }
 

@@ -18,20 +18,30 @@
 // Every window runs on one exact walk of the chain, one per pole count: it
 // starts at the steady state of the stream level at the window's first
 // sample and reaches a grid sample by a step to each transition before it,
-// then one to the sample. Two delivery loops use it. The dense loop
-// reaches every grid sample and delivers it, skipping only the steps of
-// quiescent runs, which move no stage; its samples are byte-identical to
-// stepping the chain per sample. A window whose every sink reads only
-// strobes (WaveformSink::strobe_times) takes the strobe loop instead: it
-// reaches only the grid samples that absorb transitions, jumps every other
-// stretch by powers of the one-grid-step map, and delivers only the grid
-// pair around each strobe. Its samples differ from the dense ones by
-// rounding only: under 1e-10 mV on the mini-tester's 6-pole chain near
-// t = 0, and growing with ulp(t), since the jump steps exactly dt where
-// the dense loop steps t_k - t_{k-1}.
+// then one to the sample. Three deliveries use it, picked once per window
+// from what the sinks read (the first two share the loop that reaches
+// every sample and differ only in what they hand out):
+//   - dense: reaches every grid sample and delivers it, skipping only the
+//     steps of quiescent runs, which move no stage; its samples are
+//     byte-identical to stepping the chain per sample.
+//   - side changes: when every sink reads only the crossings of one
+//     threshold (WaveformSink::crossing_threshold), it reaches the same
+//     samples with the same steps, crosses each quiescent run in O(1),
+//     and delivers only the grid pairs whose samples lie on opposite
+//     sides of the threshold. Exact: every delivered sample is the dense
+//     one, and the sinks record the same crossings.
+//   - strobe pairs: when every sink reads only strobes
+//     (WaveformSink::strobe_times), it reaches only the grid samples that
+//     absorb transitions, jumps every other stretch by powers of the
+//     one-grid-step map, and delivers only the grid pair around each
+//     strobe. Its samples differ from the dense ones by rounding only:
+//     under 1e-10 mV on the mini-tester's 6-pole chain near t = 0, and
+//     growing with ulp(t), since the jump steps exactly dt where the dense
+//     loop steps t_k - t_{k-1}.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "signal/batch.hpp"
@@ -77,6 +87,23 @@ public:
   /// comment) and no on_context() sample.
   [[nodiscard]] virtual const std::vector<Picoseconds>* strobe_times() const {
     return nullptr;
+  }
+  /// The threshold whose crossings are all this sink reads, or nullopt
+  /// (the default) for a sink that reads every grid sample. A sink that
+  /// returns a threshold th promises that what it reports after the window
+  /// depends only on the grid pairs (k-1, k) whose samples lie on opposite
+  /// sides of th (v < th for one and not the other), the on_context()
+  /// sample standing as k-1 for the window's first, and is the same for
+  /// any time-ordered subsequence of the grid that holds those pairs and in
+  /// which every two consecutive samples that are not grid neighbours lie
+  /// on one side. When every sink of a window returns the same threshold,
+  /// render() delivers just those pairs (see the file comment), each sample
+  /// once, with the on_context() sample as the dense loop hands it. The
+  /// promise covers one window into a sink that enters it with no pending
+  /// sample; a sample pending from an earlier render() call is paired with
+  /// the window's first delivered one, which differs between the loops.
+  [[nodiscard]] virtual std::optional<Millivolts> crossing_threshold() const {
+    return std::nullopt;
   }
 };
 

@@ -23,7 +23,13 @@ struct Crossing {
 };
 
 /// Records every crossing of a voltage threshold, with linear interpolation
-/// between adjacent samples.
+/// between adjacent samples. A recorder rendered into again pairs the new
+/// window's first sample with the last one it was handed. When the render
+/// takes the side-change loop (crossing_threshold()), that is the last
+/// sample delivered, not the window's last grid sample, so a crossing
+/// across the two windows can differ or vanish. For results that do not
+/// depend on the loop, render() into a recorder once, or render_chunk()
+/// into one recorder per chunk and merge() them in order.
 class CrossingRecorder final : public WaveformSink {
 public:
   explicit CrossingRecorder(Millivolts threshold) : threshold_(threshold) {}
@@ -31,6 +37,11 @@ public:
   void on_sample(Picoseconds t, Millivolts v) override;
   void on_block(const SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;
+  /// A crossing is recorded only from a pair that straddles the threshold,
+  /// so a render into recorders of one threshold delivers just those pairs.
+  [[nodiscard]] std::optional<Millivolts> crossing_threshold() const override {
+    return threshold_;
+  }
 
   [[nodiscard]] const std::vector<Crossing>& crossings() const {
     return crossings_;

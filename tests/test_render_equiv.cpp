@@ -22,6 +22,13 @@
 //     render kernel);
 //   - the alpha memo under eviction churn, and the one-mod eye fold for
 //     samples before t_ref, against direct computations;
+//   - the crossing side-change walk: a render into recorders of one
+//     threshold hands them exactly the dense samples of every pair that
+//     straddles it, and they record the dense crossings bit for bit, over
+//     0..kMaxPoles poles, chunk settle depths 0, 1 and the default, side
+//     changes at the chunk context, at consecutive samples and on the
+//     threshold, thresholds outside the rails, no transitions, and grids
+//     far from zero where the O(1) rest skip must give way to coast();
 //   - the sparse strobe walk, the one render path that is not exact: a
 //     render into samplers alone against the same render kept dense by a
 //     second, every-sample sink, within a 1e-8 mV bound, and a digest
@@ -34,6 +41,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "analysis/eye.hpp"
@@ -1016,6 +1024,269 @@ TEST(SparseStrobe, MiniTesterAcquisitionsMatchDenseBitForBit) {
   EXPECT_EQ(acquisitions, 2000u);
   EXPECT_EQ(bit_diffs, 0u);
   EXPECT_LE(max_diff, kSparseBoundMv);
+}
+
+// ----------------------------------------------- crossing side changes ----
+
+// Reports a crossing threshold, as a CrossingRecorder does, and records
+// every sample and context it is handed.
+class SideProbe final : public sig::WaveformSink {
+public:
+  explicit SideProbe(Millivolts threshold) : threshold_(threshold) {}
+  void on_sample(Picoseconds t, Millivolts v) override {
+    t_ps.push_back(t.ps());
+    v_mv.push_back(v.mv());
+  }
+  void on_context(Picoseconds t, Millivolts v) override {
+    ++contexts;
+    context_t = t.ps();
+    context_v = v.mv();
+  }
+  [[nodiscard]] std::optional<Millivolts> crossing_threshold() const override {
+    return threshold_;
+  }
+  std::vector<double> t_ps, v_mv;
+  int contexts = 0;
+  double context_t = 0.0, context_v = 0.0;
+
+private:
+  Millivolts threshold_;
+};
+
+void expect_same_crossings(const std::vector<sig::Crossing>& got,
+                           const std::vector<sig::Crossing>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t diffs = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    diffs += dbits(got[i].time.ps()) != dbits(want[i].time.ps());
+    diffs += got[i].rising != want[i].rising;
+  }
+  EXPECT_EQ(diffs, 0u);
+}
+
+// What the adversarial cases below must contain, counted on the dense
+// windows, so a case that stops exercising one of them fails.
+struct SideWitness {
+  std::size_t crossings = 0;
+  std::size_t context_straddles = 0;   // a side change at k_emit
+  std::size_t consecutive_flips = 0;   // side changes at k and k + 1
+  std::size_t on_threshold = 0;        // a side change with v == th
+};
+
+// One window rendered twice: densely (a WaveformTrace beside the recorder
+// keeps the dense loop) and by the side-change loop (two recorders and a
+// probe, all of one threshold). The recorders must match the dense one bit
+// for bit, and the probe must be handed exactly the dense samples of every
+// pair that straddles th, each once and in time order, plus the dense
+// context.
+template <typename Render>
+void check_side_window(const Render& render_into, Millivolts th,
+                       SideWitness& witness) {
+  sig::CrossingRecorder dense{th};
+  sig::WaveformTrace trace;
+  ContextProbe ctx;
+  render_into({&dense, &trace, &ctx});
+  sig::CrossingRecorder a{th};
+  sig::CrossingRecorder b{th};
+  SideProbe probe{th};
+  render_into({&a, &probe, &b});
+  expect_same_crossings(a.crossings(), dense.crossings());
+  expect_same_crossings(b.crossings(), dense.crossings());
+
+  ASSERT_EQ(probe.contexts, ctx.calls);
+  if (ctx.calls == 1) {
+    EXPECT_EQ(dbits(probe.context_t), dbits(ctx.t_ps));
+    EXPECT_EQ(dbits(probe.context_v), dbits(ctx.v_mv));
+  }
+  const std::vector<double>& ts = trace.times_ps();
+  const std::vector<double>& vs = trace.volts_mv();
+  std::vector<double> want_t, want_v;
+  bool have_prev = ctx.calls == 1;
+  bool prev_below = ctx.v_mv < th.mv();
+  double prev_v = ctx.v_mv;
+  bool prev_flipped = false;  // sample i - 1 went out as a pair's second
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    const bool below = vs[i] < th.mv();
+    const bool flipped = have_prev && below != prev_below;
+    if (flipped) {
+      if (i > 0 && !prev_flipped) {
+        want_t.push_back(ts[i - 1]);
+        want_v.push_back(vs[i - 1]);
+      }
+      want_t.push_back(ts[i]);
+      want_v.push_back(vs[i]);
+      witness.context_straddles += i == 0;
+      witness.consecutive_flips += prev_flipped;
+      witness.on_threshold += vs[i] == th.mv() || prev_v == th.mv();
+    }
+    have_prev = true;
+    prev_v = vs[i];
+    prev_below = below;
+    prev_flipped = flipped;
+  }
+  ASSERT_EQ(probe.t_ps.size(), want_t.size());
+  std::size_t diffs = 0;
+  for (std::size_t i = 0; i < want_t.size(); ++i) {
+    diffs += dbits(probe.t_ps[i]) != dbits(want_t[i]);
+    diffs += dbits(probe.v_mv[i]) != dbits(want_v[i]);
+  }
+  EXPECT_EQ(diffs, 0u);
+  witness.crossings += dense.crossings().size();
+}
+
+// render() and every chunk of render_chunk() at each settle depth.
+void check_side_changes(const sig::EdgeStream& stream,
+                        const sig::FilterChain& chain,
+                        const sig::RenderConfig& rc, Picoseconds t_begin,
+                        Picoseconds t_end, std::size_t chunk_samples,
+                        Millivolts th, SideWitness& witness) {
+  check_side_window(
+      [&](const std::vector<sig::WaveformSink*>& sinks) {
+        sig::render(stream, chain, rc, t_begin, t_end, sinks);
+      },
+      th, witness);
+  for (const std::size_t settle :
+       {std::size_t{0}, std::size_t{1}, sig::RenderChunking{}.settle_samples}) {
+    SCOPED_TRACE(settle);
+    const sig::RenderChunking chunking{chunk_samples, settle};
+    const std::size_t n_chunks =
+        sig::render_chunk_count(rc, t_begin, t_end, chunking);
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+      SCOPED_TRACE(c);
+      check_side_window(
+          [&](const std::vector<sig::WaveformSink*>& sinks) {
+            sig::render_chunk(stream, chain, rc, t_begin, t_end, chunking, c,
+                              sinks);
+          },
+          th, witness);
+    }
+  }
+}
+
+// A pole-free chain flips side at every sample: transitions halfway
+// between grid samples, one per grid step.
+sig::EdgeStream every_sample_stream() {
+  sig::EdgeStream stream;
+  bool level = false;
+  for (int j = 0; j < 40; ++j) {
+    level = !level;
+    stream.push(Picoseconds{2500.25 + 0.5 * j}, level);
+  }
+  return stream;
+}
+
+TEST(CrossingSideChanges, MatchDenseBitForBit) {
+  const Picoseconds ui{400.0};
+  const sig::RenderConfig rc;
+  const Picoseconds t_begin{0};
+  const Picoseconds t_end{12000.0};
+  sig::EdgeStream single_edge;  // one edge, then a run the chain rests over
+  single_edge.push(Picoseconds{300.0}, true);
+  const std::vector<sig::EdgeStream> streams = {
+      run_stream(ui, Picoseconds{0}, hash_jitter(11, 4.0)),
+      test_stream(17, 30, ui),
+      runt_stream(0.0),
+      every_sample_stream(),
+      // A transition just before every 4000-sample chunk boundary: a
+      // pole-free chain changes side between the context sample and
+      // k_emit.
+      sig::EdgeStream::clock(Picoseconds{4000.0}, 3, Picoseconds{1999.75}),
+      single_edge,
+      sig::EdgeStream{true},
+      sig::EdgeStream{false},
+  };
+  SideWitness witness;
+  for (std::size_t si = 0; si < streams.size(); ++si) {
+    SCOPED_TRACE(si);
+    for (const sig::FilterChain& chain : skip_chains()) {
+      SCOPED_TRACE(chain.pole_count());
+      // A threshold equal to a sample on the first edge, so v == th there.
+      sig::WaveformTrace trace;
+      sig::render(streams[si], chain, rc, t_begin, t_end, {&trace});
+      const std::vector<double>& vs = trace.volts_mv();
+      const auto moved = std::find_if(vs.begin(), vs.end(), [&](double v) {
+        return v != vs.front();
+      });
+      const double on_sample = moved == vs.end() ? vs.front() : *moved;
+      for (const double th : {rc.levels.midpoint().mv(), on_sample, 1000.0,
+                              3000.0}) {
+        SCOPED_TRACE(th);
+        check_side_changes(streams[si], chain, rc, t_begin, t_end, 4000,
+                           Millivolts{th}, witness);
+      }
+    }
+  }
+  EXPECT_GT(witness.crossings, 2000u);
+  EXPECT_GT(witness.context_straddles, 100u);
+  EXPECT_GT(witness.consecutive_flips, 500u);
+  EXPECT_GT(witness.on_threshold, 500u);
+}
+
+TEST(CrossingSideChanges, TwoThresholdsKeepTheDenseLoop) {
+  // Sinks that report different thresholds read more than one side test,
+  // so each must be handed every sample, as a dense render hands it.
+  const sig::EdgeStream stream =
+      run_stream(Picoseconds{400.0}, Picoseconds{0}, hash_jitter(11, 4.0));
+  const sig::RenderConfig rc;
+  for (const sig::FilterChain& chain : skip_chains()) {
+    SCOPED_TRACE(chain.pole_count());
+    sig::WaveformTrace trace;
+    sig::render(stream, chain, rc, Picoseconds{0}, Picoseconds{8000.0},
+                {&trace});
+    SideProbe lo{Millivolts{1900.0}};
+    SideProbe hi{Millivolts{2100.0}};
+    sig::render(stream, chain, rc, Picoseconds{0}, Picoseconds{8000.0},
+                {&lo, &hi});
+    for (const SideProbe* probe : {&lo, &hi}) {
+      ASSERT_EQ(probe->t_ps.size(), trace.size());
+      std::size_t diffs = 0;
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        diffs += dbits(probe->t_ps[i]) != dbits(trace.times_ps()[i]);
+        diffs += dbits(probe->v_mv[i]) != dbits(trace.volts_mv()[i]);
+      }
+      EXPECT_EQ(diffs, 0u);
+    }
+  }
+}
+
+TEST(CrossingSideChanges, FarGridCoastsAndMatchesDense) {
+  // Far from zero a grid time's rounding dwarfs the rest bound's margin
+  // dt * 2^-20, so grid steps exceed dt_max: near 2^40 ps (ulp 2^-12 ps)
+  // by a few hundredths of a percent at the 0.3 ps step, near 2^50 ps
+  // (ulp 0.25 ps) by two thirds. A chain at rest under dt_max can move
+  // under such a step, so an O(1) skip over the run would keep a value
+  // that coast() and the dense loop do not; the walk's check must send
+  // these windows to coast().
+  struct Case {
+    double t0, step;
+  };
+  std::size_t long_steps = 0;
+  SideWitness witness;
+  for (const Case c : {Case{0x1p40 + 0.37, 0.5}, Case{0x1p40 + 0.37, 0.3},
+                       Case{0x1p50 + 0.37, 0.3}}) {
+    SCOPED_TRACE(c.t0);
+    SCOPED_TRACE(c.step);
+    sig::RenderConfig rc;
+    rc.sample_step = Picoseconds{c.step};
+    const Picoseconds t_begin{c.t0 - 123.4};
+    const Picoseconds t_end{c.t0 + 24400.0};
+    const std::size_t total = sig::render_sample_count(rc, t_begin, t_end);
+    for (std::size_t k = 1; k < total; ++k) {
+      const double t_prev =
+          t_begin.ps() + static_cast<double>(k - 1) * c.step;
+      const double t_k = t_begin.ps() + static_cast<double>(k) * c.step;
+      long_steps += t_k - t_prev > c.step * (1.0 + 0x1p-20);
+    }
+    const sig::EdgeStream stream = run_stream(
+        Picoseconds{400.0}, Picoseconds{c.t0}, hash_jitter(5, 3.0));
+    for (const sig::FilterChain& chain : skip_chains()) {
+      SCOPED_TRACE(chain.pole_count());
+      check_side_changes(stream, chain, rc, t_begin, t_end, 16384,
+                         rc.levels.midpoint(), witness);
+    }
+  }
+  EXPECT_GT(long_steps, 50000u);
+  EXPECT_GT(witness.crossings, 400u);
 }
 
 }  // namespace
