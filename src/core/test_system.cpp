@@ -129,20 +129,17 @@ void TestSystem::stop() {
 Stimulus TestSystem::generate(std::size_t n_bits) {
   MGT_CHECK(dlc_.status() == dig::reg::kStatusRunning,
             "start() the system before generating stimulus");
-  const std::size_t lanes = serializer_.total_lanes();
-  MGT_CHECK(n_bits % lanes == 0,
+  dlc_.check_lane_rate(config_.rate);
+  MGT_CHECK(n_bits % serializer_.total_lanes() == 0,
             "bit count must be a multiple of the serializer width");
 
-  // The DLC emits the parallel lane streams (rate-checked), the serializer
-  // re-interleaves them with its timing signature.
-  const auto lane_streams = dlc_.generate_lanes(n_bits, config_.rate);
-  const BitVector bits = BitVector::interleave(lane_streams);
-
+  // The DLC's lanes must keep up with the rate (checked above); the
+  // serializer times each bit by the lane that sources it.
   Stimulus out;
-  out.bits = bits;
+  out.bits = dlc_.expected_serial(n_bits);
   out.ui = config_.rate.unit_interval();
   out.edges = hookup_.propagate(
-      buffer_.apply(serializer_.serialize(bits, config_.rate)));
+      buffer_.apply(serializer_.serialize(out.bits, config_.rate)));
   out.levels = buffer_.levels();
 
   buffer_.contribute(out.chain);

@@ -197,13 +197,10 @@ BitVector Dlc::expected_serial(std::size_t n_bits) const {
   MGT_CHECK(len > 0, "pattern mode selected with zero-length pattern");
   MGT_CHECK(static_cast<std::size_t>(len) <= bank.words.size() * 32,
             "pattern length exceeds uploaded data");
-  BitVector pattern(len);
-  for (std::uint32_t i = 0; i < len; ++i) {
-    pattern.set(i, (bank.words[i / 32] >> (i % 32)) & 1u);
-  }
   BitVector out(n_bits);
   for (std::size_t i = 0; i < n_bits; ++i) {
-    out.set(i, pattern.get(i % len));
+    const std::size_t p = i % len;
+    out.set(i, (bank.words[p / 32] >> (p % 32)) & 1u);
   }
   return out;
 }
@@ -227,17 +224,6 @@ BitVector read_capture(UsbHost& host) {
     }
   }
   return out;
-}
-
-std::vector<BitVector> Dlc::generate_lanes(std::size_t n_serial_bits,
-                                           GbitsPerSec serial_rate) const {
-  MGT_CHECK(status() == reg::kStatusRunning,
-            "DLC must be started before generating");
-  check_lane_rate(serial_rate);
-  const std::size_t lanes = lane_count();
-  MGT_CHECK(n_serial_bits % lanes == 0,
-            "serial bit count must divide into the lanes");
-  return expected_serial(n_serial_bits).deinterleave(lanes);
 }
 
 }  // namespace mgt::dig

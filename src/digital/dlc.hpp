@@ -4,8 +4,10 @@
 // I/O, each capable of 800 Mbps but run at 300-400 Mbps for design margin;
 // a USB microcontroller for PC communication; FLASH configuration memory
 // programmed over IEEE 1149.1; and state machines + LFSRs that synthesize
-// test patterns in real time. The DLC produces the *parallel, moderate-
-// speed* lane streams; PECL muxes (src/pecl) serialize them to multi-Gbps.
+// test patterns in real time. Its moderate-speed lanes feed PECL muxes
+// (src/pecl) that serialize them to multi-Gbps; the model generates the
+// serial stream once and models the lanes by their rate limit
+// (check_lane_rate) and per-bit timing (SerializerTree::skew_for_bit).
 #pragma once
 
 #include <cstdint>
@@ -88,14 +90,11 @@ public:
   /// the absolute limit work but eat into timing slack.
   [[nodiscard]] bool within_margin(GbitsPerSec serial_rate) const;
 
-  /// The serial sequence the serializer should emit: PRBS from the seeded
-  /// LFSR, or the looped pattern memory. Deterministic per configuration.
+  /// The serial sequence the serializer emits (the k:1 interleave of the
+  /// lanes): PRBS from the seeded LFSR, or the looped pattern memory.
+  /// Deterministic per configuration. Lanes are not materialised; the
+  /// serializer's lane_for_bit/skew_for_bit model them.
   [[nodiscard]] BitVector expected_serial(std::size_t n_bits) const;
-
-  /// The per-lane parallel streams whose k:1 interleave equals
-  /// expected_serial(). n_serial_bits must divide evenly into the lanes.
-  [[nodiscard]] std::vector<BitVector> generate_lanes(
-      std::size_t n_serial_bits, GbitsPerSec serial_rate) const;
 
   // -- Capture memory -------------------------------------------------------
   // The sampling circuit deposits its captured bits here; the PC reads

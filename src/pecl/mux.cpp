@@ -155,13 +155,6 @@ sig::EdgeStream SerializerTree::serialize(const BitVector& bits,
   return sig::EdgeStream::from_bits(bits, rate.unit_interval(), start, offset);
 }
 
-std::vector<BitVector> SerializerTree::distribute(const BitVector& serial) const {
-  const std::size_t lanes = total_lanes();
-  MGT_CHECK(serial.size() % lanes == 0,
-            "serial length must divide into the lane count");
-  return serial.deinterleave(lanes);
-}
-
 SerializerTree::Config SerializerTree::testbed_8to1() {
   Config config;
   config.stages = {MuxStage{.fan_in = 8,

@@ -75,11 +75,6 @@ public:
   sig::EdgeStream serialize(const BitVector& bits, GbitsPerSec rate,
                             Picoseconds t0 = Picoseconds{0});
 
-  /// Splits a serial stream into the DLC lane streams this tree's wiring
-  /// expects (inverse of the interleave the hardware performs). Lane order:
-  /// final-stage input index varies fastest.
-  [[nodiscard]] std::vector<BitVector> distribute(const BitVector& serial) const;
-
   /// Standard configurations used by the two projects.
   /// 8:1 single stage (optical test bed transmitter channel).
   static Config testbed_8to1();

@@ -7,6 +7,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace mgt {
 
@@ -35,28 +36,21 @@ private:
 };
 
 namespace detail {
-[[noreturn]] inline void raise_check_failure(const char* cond,
-                                             const std::string& msg,
-                                             const std::source_location& loc) {
-  std::string full = std::string(loc.file_name()) + ":" +
-                     std::to_string(loc.line()) + ": check failed: " + cond;
-  if (!msg.empty()) {
-    full += " (" + msg + ")";
-  }
-  throw Error(full);
-}
+/// Throws the mgt::Error for a failed MGT_CHECK:
+/// "file:line: check failed: cond (msg)", with no parentheses when `msg` is
+/// empty. Out of line and cold, so a check that passes costs one branch.
+[[noreturn, gnu::cold]] void raise_check_failure(const char* cond,
+                                                 std::source_location loc,
+                                                 std::string_view msg = {});
 }  // namespace detail
-
-/// Verify a precondition; throws mgt::Error naming the condition on failure.
-inline void check(bool ok, const char* cond, const std::string& msg = {},
-                  const std::source_location loc =
-                      std::source_location::current()) {
-  if (!ok) {
-    detail::raise_check_failure(cond, msg, loc);
-  }
-}
 
 }  // namespace mgt
 
-/// Contract check macro: MGT_CHECK(x > 0) or MGT_CHECK(x > 0, "x is a size").
-#define MGT_CHECK(cond, ...) ::mgt::check((cond), #cond __VA_OPT__(, ) __VA_ARGS__)
+/// Contract check: MGT_CHECK(x > 0) or MGT_CHECK(x > 0, "x is a size").
+/// One statement; the message is evaluated only when the check fails.
+#define MGT_CHECK(cond, ...)                                               \
+  do {                                                                     \
+    if (!(cond)) [[unlikely]]                                              \
+      ::mgt::detail::raise_check_failure(                                  \
+          #cond, std::source_location::current() __VA_OPT__(, ) __VA_ARGS__); \
+  } while (false)

@@ -24,11 +24,56 @@ TEST(TestSystem, BootsThroughJtagAndFlash) {
 TEST(TestSystem, GenerateRequiresStart) {
   TestSystem sys(presets::optical_testbed(), 2);
   sys.program_prbs(7, 1);
-  EXPECT_THROW(sys.generate(1024), Error);
+  // A configured but idle DLC refuses, and it is the running check that
+  // fires, not a later one.
+  try {
+    (void)sys.generate(1024);
+    FAIL() << "generate() ran before start()";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("start()"), std::string::npos)
+        << e.what();
+  }
   sys.start();
   EXPECT_NO_THROW(sys.generate(1024));
   sys.stop();
   EXPECT_THROW(sys.generate(1024), Error);
+}
+
+TEST(Dlc, GenerateRequiresRunning) {
+  // The gate is the DLC's own status register: driving its control
+  // register directly, past TestSystem::start/stop, opens and closes it.
+  TestSystem sys(presets::optical_testbed(), 2);
+  sys.program_prbs(7, 1);
+  auto& regs = sys.dlc().regs();
+  EXPECT_NE(sys.dlc().status(), dig::reg::kStatusRunning);
+  EXPECT_THROW(sys.generate(1024), Error);
+  regs.write(dig::reg::kCtrl, dig::reg::kCtrlStart);
+  ASSERT_EQ(sys.dlc().status(), dig::reg::kStatusRunning);
+  EXPECT_NO_THROW(sys.generate(1024));
+  regs.write(dig::reg::kCtrl, dig::reg::kCtrlStop);
+  EXPECT_NE(sys.dlc().status(), dig::reg::kStatusRunning);
+  EXPECT_THROW(sys.generate(1024), Error);
+}
+
+TEST(TestSystem, GeneratedBitsAreTheDlcSerialStream) {
+  // The stimulus is the DLC's serial stream as is: the lane split is
+  // modelled by the serializer's per-bit timing, not by a round trip.
+  for (const auto& config : {presets::optical_testbed(), presets::minitester()}) {
+    TestSystem sys(config, 7);
+    sys.program_prbs(7, 0x5A);
+    sys.start();
+    EXPECT_EQ(sys.generate(2048).bits, sys.dlc().expected_serial(2048));
+    sys.stop();
+
+    const auto pattern = BitVector::from_string("1100101001110");
+    sys.program_pattern(pattern);
+    sys.start();
+    const auto bits = sys.generate(1024).bits;
+    EXPECT_EQ(bits, sys.dlc().expected_serial(1024));
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      ASSERT_EQ(bits.get(i), pattern.get(i % pattern.size())) << i;
+    }
+  }
 }
 
 TEST(TestSystem, StimulusCarriesPrbsBits) {

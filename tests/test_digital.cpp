@@ -491,22 +491,6 @@ TEST(Dlc, PrbsSerialMatchesLfsr) {
   EXPECT_EQ(dlc.expected_serial(4096), reference.generate(4096));
 }
 
-TEST(Dlc, GenerateLanesInterleavesBackToSerial) {
-  Dlc dlc;
-  dlc.configure(named_bitstream("x"));
-  dlc.regs().write(reg::kLaneCount, 8);
-  dlc.regs().write(reg::kCtrl, reg::kCtrlStart);
-  const auto lanes = dlc.generate_lanes(1024, GbitsPerSec{2.5});
-  ASSERT_EQ(lanes.size(), 8u);
-  EXPECT_EQ(BitVector::interleave(lanes), dlc.expected_serial(1024));
-}
-
-TEST(Dlc, GenerateRequiresRunning) {
-  Dlc dlc;
-  dlc.configure(named_bitstream("x"));
-  EXPECT_THROW(dlc.generate_lanes(64, GbitsPerSec{2.5}), Error);
-}
-
 TEST(Dlc, PatternBanksArePerChannel) {
   Dlc dlc;
   dlc.configure(named_bitstream("x"));

