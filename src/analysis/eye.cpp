@@ -1,9 +1,14 @@
 #include "analysis/eye.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 
 #include "obs/obs.hpp"
+#include "signal/walk.hpp"
 #include "util/error.hpp"
 
 namespace mgt::ana {
@@ -63,60 +68,161 @@ CrossoverJitter measure_edge_jitter(const std::vector<sig::Crossing>& crossings,
   return measure_crossover_jitter(filtered, ui, t_ref);
 }
 
+namespace {
+
+// Doubles in value order as unsigned keys: -inf < ... < -0 < +0 < ... < +inf,
+// with the NaNs outside [key(-inf), key(+inf)].
+std::uint64_t order_key(double x) {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+double from_order_key(std::uint64_t key) {
+  return std::bit_cast<double>((key >> 63) != 0 ? key & ~(std::uint64_t{1} << 63)
+                                                : ~key);
+}
+
+/// The least double x in (lo, hi] with `at_least(x)`, for a predicate that
+/// is monotone in x, false at lo and true at hi: bisection over the keys.
+/// The bracket first narrows to 2^16 keys around `guess` when the predicate
+/// confirms it, which leaves the answer unchanged.
+template <typename Pred>
+double least_where(double lo, double hi, double guess, const Pred& at_least) {
+  std::uint64_t k_lo = order_key(lo);
+  std::uint64_t k_hi = order_key(hi);
+  const std::uint64_t k_guess = std::clamp(order_key(guess), k_lo, k_hi);
+  const std::uint64_t near = std::uint64_t{1} << 16;
+  if (k_guess - k_lo > near && !at_least(from_order_key(k_guess - near))) {
+    k_lo = k_guess - near;
+  }
+  if (k_hi - k_guess > near && at_least(from_order_key(k_guess + near))) {
+    k_hi = k_guess + near;
+  }
+  while (k_hi - k_lo > 1) {
+    const std::uint64_t mid = k_lo + (k_hi - k_lo) / 2;
+    if (at_least(from_order_key(mid))) {
+      k_hi = mid;
+    } else {
+      k_lo = mid;
+    }
+  }
+  return from_order_key(k_hi);
+}
+
+}  // namespace
+
+// The grid bins are monotone maps, tracked against boundary tables instead
+// of computed per sample. The time bin of a 2-UI phase p in [0, 2 UI] is
+// min(trunc(p / span * time_bins), time_bins - 1), and the volt bin of a v
+// is min(trunc(vfrac * volt_bins), volt_bins - 1) with vfrac = (v - v_lo)
+// / (v_hi - v_lo), binned only when vfrac lies in [0, 1). Division,
+// multiplication and subtraction round monotonically and truncation is
+// monotone, so both bins are non-decreasing in their argument: with
+// tb_edges_[j] the least phase of bin j or higher and vb_edges_[j] the
+// least v of bin j or higher (vb_edges_[volt_bins] the least v with vfrac
+// >= 1), a sample's bin is the last boundary at or below it, and the gate
+// vfrac in [0, 1) is vb_edges_[0] <= v < vb_edges_[volt_bins]. A NaN v
+// fails the gate, as its NaN vfrac does. The formulas below are the fold's
+// former per-sample ones, kept here only to find the boundaries.
 EyeDiagram::EyeDiagram(Config config)
     : config_(config),
       grid_(config.time_bins * config.volt_bins, 0),
-      crossings_(config.threshold) {
-  MGT_CHECK(config_.ui.ps() > 0.0);
-  MGT_CHECK(config_.time_bins > 0 && config_.volt_bins > 0);
-  MGT_CHECK(config_.v_hi > config_.v_lo);
-  MGT_CHECK(config_.center_window > 0.0 && config_.center_window < 0.5);
-}
-
-inline void EyeDiagram::fold(Picoseconds t, Millivolts v) {
+      crossings_(config.threshold),
+      span_(2.0 * config.ui.ps()),
+      half_ui_(config.ui.ps() / 2.0),
+      center_ps_(config.center_window * config.ui.ps()),
+      v_scale_(static_cast<double>(config.volt_bins) /
+               (config.v_hi.mv() - config.v_lo.mv())),
+      base_(std::numeric_limits<double>::quiet_NaN()) {
   const double ui = config_.ui.ps();
-  const double span = 2.0 * ui;
-  const double x = t.ps() - config_.t_ref.ps();
-  const double phase2 = positive_mod(x, span);
-  const double vfrac =
-      (v.mv() - config_.v_lo.mv()) / (config_.v_hi.mv() - config_.v_lo.mv());
-  if (vfrac >= 0.0 && vfrac < 1.0) {
+  const double v_lo = config_.v_lo.mv();
+  const double v_hi = config_.v_hi.mv();
+  MGT_CHECK(std::isfinite(ui) && std::isfinite(config_.t_ref.ps()) &&
+                std::isfinite(v_lo) && std::isfinite(v_hi) &&
+                std::isfinite(config_.threshold.mv()),
+            "eye configuration values must be finite");
+  MGT_CHECK(ui > 0.0 && std::isfinite(span_));
+  MGT_CHECK(config_.time_bins > 0 && config_.volt_bins > 0);
+  MGT_CHECK(v_hi > v_lo && std::isfinite(v_hi - v_lo));
+  MGT_CHECK(config_.center_window > 0.0 && config_.center_window < 0.5);
+
+  const double span = span_;
+  const std::size_t n_tb = config_.time_bins;
+  const auto time_bin_of = [&](double phase2) {
     const auto tb = static_cast<std::size_t>(
-        phase2 / span * static_cast<double>(config_.time_bins));
-    const auto vb = static_cast<std::size_t>(
-        vfrac * static_cast<double>(config_.volt_bins));
-    ++grid_[std::min(tb, config_.time_bins - 1) * config_.volt_bins +
-            std::min(vb, config_.volt_bins - 1)];
+        phase2 / span * static_cast<double>(n_tb));
+    return std::min(tb, n_tb - 1);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  tb_edges_.assign(n_tb + 1, inf);
+  tb_edges_[0] = 0.0;
+  for (std::size_t j = 1; j < n_tb; ++j) {
+    tb_edges_[j] = least_where(
+        0.0, span, span * static_cast<double>(j) / static_cast<double>(n_tb),
+        [&](double p) { return time_bin_of(p) >= j; });
   }
 
-  // Eye-center vertical opening: samples within +-center_window*UI of the
-  // middle of the bit cell. For x >= 0, fmod(x, 2ui) - ui == fmod(x, ui)
-  // exactly when the former is >= ui, and the subtraction is exact
-  // (Sterbenz), so the 2-UI phase yields the 1-UI phase with no second mod.
-  const double phase1 = x >= 0.0 ? (phase2 >= ui ? phase2 - ui : phase2)
-                                 : positive_mod(x, ui);
-  if (std::abs(phase1 - ui / 2.0) <= config_.center_window * ui) {
-    if (v.mv() >= config_.threshold.mv()) {
-      center_min_high_ = std::min(center_min_high_, v.mv());
-      center_high_.add(v.mv());
-    } else {
-      center_max_low_ = std::max(center_max_low_, v.mv());
-      center_low_.add(v.mv());
+  const std::size_t n_vb = config_.volt_bins;
+  // The volt bin, with -1 below the gate and n_vb above it.
+  const auto volt_bin_of = [&](double v) -> std::ptrdiff_t {
+    const double vfrac = (v - v_lo) / (v_hi - v_lo);
+    if (!(vfrac >= 0.0)) {
+      return -1;
+    }
+    if (!(vfrac < 1.0)) {
+      return static_cast<std::ptrdiff_t>(n_vb);
+    }
+    const auto vb =
+        static_cast<std::size_t>(vfrac * static_cast<double>(n_vb));
+    return static_cast<std::ptrdiff_t>(std::min(vb, n_vb - 1));
+  };
+  vb_edges_.resize(n_vb + 1);
+  for (std::size_t j = 0; j <= n_vb; ++j) {
+    vb_edges_[j] = least_where(
+        -inf, inf,
+        v_lo + (v_hi - v_lo) * static_cast<double>(j) /
+                   static_cast<double>(n_vb),
+        [&](double v) {
+          return volt_bin_of(v) >= static_cast<std::ptrdiff_t>(j);
+        });
+  }
+}
+
+// The fast phase: with base = n * span exact for an integer n >= 0, a
+// computed r = x - base in [0, span) is exact, so r = x - n * span as real
+// numbers and positive_mod(x, span) = r bit for bit. Computed subtraction
+// rounds monotonically and span is a double, so a computed r in [0, span)
+// means the exact difference lies in [0, span) too; it is then exact for
+// n = 0 (base = 0) and by Sterbenz's lemma for n >= 1, where base <= x <
+// base + span <= 2 * base. trunc(x / span) is then n, and fmod's x - n *
+// span is r. A zero r is +0, as fmod's is for x >= 0 (x = -0 gives -0 in
+// both). Every other sample, including every x < 0 (where positive_mod's
+// + span rounds, and can return span itself), takes positive_mod here. A
+// base is kept only for x >= 0, so n >= 0 (the case the argument covers),
+// and only when fma(n, span, -base) is zero, so n * span is exact;
+// otherwise it is NaN and the next sample comes here too.
+Picoseconds EyeDiagram::rebase(Picoseconds x) {
+  const double phase2 = positive_mod(x.ps(), span_);
+  base_ = std::numeric_limits<double>::quiet_NaN();
+  if (x.ps() >= 0.0) {
+    const double n = std::trunc(x.ps() / span_);
+    const double base = n * span_;
+    if (std::fma(n, span_, -base) == 0.0) {
+      base_ = base;
     }
   }
+  return Picoseconds{phase2};
 }
 
-void EyeDiagram::on_sample(Picoseconds t, Millivolts v) {
-  crossings_.on_sample(t, v);
-  ++total_;
-  fold(t, v);
+Picoseconds EyeDiagram::phase_before_ref(Picoseconds x) const {
+  return Picoseconds{positive_mod(x.ps(), config_.ui.ps())};
 }
+
+void EyeDiagram::on_sample(Picoseconds t, Millivolts v) { fold_sample(t, v); }
 
 void EyeDiagram::on_block(const sig::SampleBlock& block) {
-  crossings_.on_block(block);
-  total_ += block.size;
   for (std::size_t i = 0; i < block.size; ++i) {
-    fold(Picoseconds{block.t[i]}, Millivolts{block.v[i]});
+    fold_sample(Picoseconds{block.t[i]}, Millivolts{block.v[i]});
   }
 }
 
@@ -125,9 +231,13 @@ void EyeDiagram::on_context(Picoseconds t, Millivolts v) {
 }
 
 void EyeDiagram::merge(const EyeDiagram& later) {
-  MGT_CHECK(config_.time_bins == later.config_.time_bins &&
-                config_.volt_bins == later.config_.volt_bins,
-            "cannot merge eyes with different grids");
+  const Config& a = config_;
+  const Config& b = later.config_;
+  MGT_CHECK(a.ui == b.ui && a.t_ref == b.t_ref && a.v_lo == b.v_lo &&
+                a.v_hi == b.v_hi && a.threshold == b.threshold &&
+                a.time_bins == b.time_bins && a.volt_bins == b.volt_bins &&
+                a.center_window == b.center_window,
+            "cannot merge eyes with different configurations");
   for (std::size_t i = 0; i < grid_.size(); ++i) {
     grid_[i] += later.grid_[i];
   }

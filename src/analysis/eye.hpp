@@ -7,6 +7,8 @@
 // and 19.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -66,16 +68,26 @@ public:
     double center_window = 0.1;
   };
 
+  /// Throws unless ui, t_ref, v_lo, v_hi and threshold are finite, ui > 0
+  /// with a finite 2-UI span, v_hi > v_lo with a finite range, both bin
+  /// counts are non-zero and center_window lies in (0, 0.5).
   explicit EyeDiagram(Config config);
 
   void on_sample(Picoseconds t, Millivolts v) override;
   void on_block(const sig::SampleBlock& block) override;
   void on_context(Picoseconds t, Millivolts v) override;
 
+  /// One grid sample into the crossing record, the sample count, the
+  /// density grid and the center-window trackers: the inline, non-virtual
+  /// body of every delivery. on_sample and on_block call it, and the fused
+  /// render (sig::accumulate_chunked) calls it directly per sample.
+  [[gnu::always_inline]] inline void fold_sample(Picoseconds t, Millivolts v);
+
   /// Folds another eye accumulated over a later, disjoint part of the same
-  /// acquisition into this one (histograms add, crossings append). Merges
-  /// must run in chunk order so the crossing record stays time-ordered —
-  /// the fixed-order-reduction rule of the parallel layer.
+  /// acquisition into this one (histograms add, crossings append). Both
+  /// must share one configuration, or the call throws. Merges must run in
+  /// chunk order so the crossing record stays time-ordered — the
+  /// fixed-order-reduction rule of the parallel layer.
   void merge(const EyeDiagram& later);
 
   /// Density count at (time_bin, volt_bin).
@@ -107,20 +119,99 @@ public:
                                       std::size_t rows = 20) const;
 
 private:
-  /// One grid sample into the density grid and the center-window trackers.
-  /// The body both delivery paths share.
-  inline void fold(Picoseconds t, Millivolts v);
+  /// The 2-UI phase of x = t - t_ref for a sample outside the current
+  /// period (or before t_ref): positive_mod(x, 2 UI), the sample's period
+  /// then becoming the current one. Out of line, as it runs once per
+  /// period.
+  [[gnu::cold, gnu::noinline]] Picoseconds rebase(Picoseconds x);
+  /// positive_mod(x, UI), out of line: the 1-UI phase of a sample before
+  /// t_ref.
+  [[gnu::cold, gnu::noinline]] [[nodiscard]] Picoseconds phase_before_ref(
+      Picoseconds x) const;
+  /// The volt bin of a v that passes the grid gate, vb_edges_[0] <= v <
+  /// vb_edges_[volt_bins]: a multiply-and-truncate candidate corrected
+  /// against the boundaries.
+  [[nodiscard]] std::size_t volt_bin(Millivolts v) const;
 
   Config config_;
   std::vector<std::size_t> grid_;  // time_bins x volt_bins
   std::size_t total_ = 0;
   sig::CrossingRecorder crossings_;
+  // The fold's constants and boundary tables (see the constructor).
+  double span_;       // 2 UI, ps
+  double half_ui_;    // UI / 2, ps
+  double center_ps_;  // center_window * UI, ps
+  double v_scale_;    // volt_bins / (v_hi - v_lo), bins per mV
+  std::vector<double> tb_edges_;  // time_bins + 1 phase boundaries, ps
+  std::vector<double> vb_edges_;  // volt_bins + 1 voltage boundaries, mV
+  // The current period's base n * 2 UI, exact, or NaN; the time bin of
+  // the last sample.
+  double base_;
+  std::size_t tb_ = 0;
   // Vertical-opening trackers within the center window.
   double center_min_high_ = 1e300;
   double center_max_low_ = -1e300;
   RunningStats center_high_;
   RunningStats center_low_;
 };
+
+inline void EyeDiagram::fold_sample(Picoseconds t, Millivolts v) {
+  crossings_.fold(t, v);
+  ++total_;
+
+  // The 2-UI phase: x - base exactly when it lies in [0, 2 UI) (see
+  // rebase()), which is positive_mod(x, 2 UI) bit for bit.
+  const double x = t.ps() - config_.t_ref.ps();
+  double phase2 = x - base_;
+  if (!(phase2 >= 0.0 && phase2 < span_)) [[unlikely]] {
+    phase2 = rebase(Picoseconds{x}).ps();
+  }
+  // The time bin, tracked against the phase boundaries: reset on a wrap
+  // (or a sample out of time order), stepped by at most one bin a sample
+  // at the usual grid steps.
+  if (phase2 < tb_edges_[tb_]) [[unlikely]] {
+    tb_ = 0;
+  }
+  while (phase2 >= tb_edges_[tb_ + 1]) [[unlikely]] {
+    ++tb_;
+  }
+  if (v.mv() >= vb_edges_.front() && v.mv() < vb_edges_.back()) {
+    ++grid_[tb_ * config_.volt_bins + volt_bin(v)];
+  }
+
+  // Eye-center vertical opening: samples within +-center_window*UI of the
+  // middle of the bit cell. For x >= 0, fmod(x, 2ui) - ui == fmod(x, ui)
+  // exactly when the former is >= ui, and the subtraction is exact
+  // (Sterbenz), so the 2-UI phase yields the 1-UI phase with no second mod.
+  const double ui = config_.ui.ps();
+  const double phase1 = x >= 0.0 ? (phase2 >= ui ? phase2 - ui : phase2)
+                                 : phase_before_ref(Picoseconds{x}).ps();
+  if (std::abs(phase1 - half_ui_) <= center_ps_) {
+    if (v.mv() >= config_.threshold.mv()) {
+      center_min_high_ = std::min(center_min_high_, v.mv());
+      center_high_.add(v.mv());
+    } else {
+      center_max_low_ = std::max(center_max_low_, v.mv());
+      center_low_.add(v.mv());
+    }
+  }
+}
+
+inline std::size_t EyeDiagram::volt_bin(Millivolts v) const {
+  const double c = (v.mv() - config_.v_lo.mv()) * v_scale_;
+  const std::size_t last = config_.volt_bins - 1;
+  std::size_t vb = 0;
+  if (c >= 1.0) {
+    vb = c < static_cast<double>(last) ? static_cast<std::size_t>(c) : last;
+  }
+  while (v.mv() < vb_edges_[vb]) {
+    --vb;
+  }
+  while (v.mv() >= vb_edges_[vb + 1]) {
+    ++vb;
+  }
+  return vb;
+}
 
 /// Accumulates an eye over [t_begin, t_end) of the rendered stream using
 /// the fixed chunk decomposition of sig::render_chunk, with the chunks

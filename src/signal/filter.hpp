@@ -18,6 +18,11 @@
 
 namespace mgt::sig {
 
+namespace internal {
+template <std::size_t N>
+class Walk;
+}  // namespace internal
+
 /// Cascade of first-order low-pass stages with optional gain applied around
 /// a reference midpoint (models channel attenuation of the AC swing while
 /// preserving bias).
@@ -74,7 +79,7 @@ public:
 private:
   // The renderer's window walk steps its own copy of the stage states.
   template <std::size_t N>
-  friend class Walk;
+  friend class internal::Walk;
 
   /// Returns the per-stage alphas 1 - exp(-dt/tau) for this dt, computing
   /// and memoizing the row on first sight of the dt value. The renderer

@@ -15,15 +15,21 @@
 // and adds no jitter. The linear interpolation done by downstream sinks
 // between grid samples adds sub-0.01 ps at the default step.
 //
-// Every window runs on one exact walk of the chain, one per pole count: it
-// starts at the steady state of the stream level at the window's first
-// sample and reaches a grid sample by a step to each transition before it,
-// then one to the sample. Three deliveries use it, picked once per window
-// from what the sinks read (the first two share the loop that reaches
-// every sample and differ only in what they hand out):
-//   - dense: reaches every grid sample and delivers it, skipping only the
-//     steps of quiescent runs, which move no stage; its samples are
-//     byte-identical to stepping the chain per sample.
+// Every window runs on one exact walk of the chain, one per pole count
+// (internal::Walk, signal/walk.hpp): it starts at the steady state of the
+// stream level at the window's first sample and reaches a grid sample by a
+// step to each transition before it, then one to the sample. Four
+// deliveries use it, picked once per window from what the sinks read (the
+// first three share the loop that reaches every sample and differ only in
+// what they hand out):
+//   - dense: reaches every grid sample and delivers it in SampleBlocks,
+//     skipping only the steps of quiescent runs, which move no stage; its
+//     samples are byte-identical to stepping the chain per sample.
+//   - fused: accumulate_chunked into a sink with an inline per-sample fold
+//     (FoldsSamples: the eye) runs the dense loop with each sample handed
+//     straight to Sink::fold_sample, with no block and no virtual call.
+//     Exact: the sink sees the same samples and context sample in the same
+//     order, and its on_block is a loop over the same fold.
 //   - side changes: when every sink reads only the crossings of one
 //     threshold (WaveformSink::crossing_threshold), it reaches the same
 //     samples with the same steps, crosses each quiescent run in O(1),
@@ -40,6 +46,7 @@
 //     loop steps t_k - t_{k-1}.
 #pragma once
 
+#include <concepts>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -170,10 +177,31 @@ void render_chunk(const EdgeStream& stream, FilterChain chain,
                   std::size_t chunk_index,
                   const std::vector<WaveformSink*>& sinks);
 
+/// A sink whose per-sample fold is an inline, non-virtual member:
+/// accumulate_chunked hands such a sink each sample directly.
+template <typename Sink>
+concept FoldsSamples = std::derived_from<Sink, WaveformSink> &&
+                       requires(Sink& sink, Picoseconds t, Millivolts v) {
+                         sink.fold_sample(t, v);
+                       };
+
+/// render_chunk() into one FoldsSamples sink, by the fused delivery: the
+/// same samples and context sample, each handed to sink.fold_sample().
+/// Defined in signal/walk.hpp, which the file that instantiates it includes,
+/// so the dense loop is compiled there and not in render.cpp.
+template <FoldsSamples Sink>
+void render_chunk_folded(const EdgeStream& stream, FilterChain chain,
+                         const RenderConfig& config, Picoseconds t_begin,
+                         Picoseconds t_end, const RenderChunking& chunking,
+                         std::size_t chunk_index, Sink& sink);
+
 /// Renders every chunk of [t_begin, t_end) under util::parallel_for into a
 /// private sink made by `make_sink()`, then merges the chunk sinks in chunk
 /// order with `Sink::merge`. The result is identical at every thread count.
-/// finish() is not called.
+/// An EyeDiagram (FoldsSamples) takes the fused delivery. The other sinks
+/// accumulated this way (core::TestSystem's CrossingRecorder and
+/// AmplitudeTracker) take render_chunk(), whose side-change delivery is the
+/// recorder's fast path. finish() is not called.
 template <typename Sink, typename MakeSink>
 Sink accumulate_chunked(const EdgeStream& stream, const FilterChain& chain,
                         const RenderConfig& config, Picoseconds t_begin,
@@ -184,8 +212,13 @@ Sink accumulate_chunked(const EdgeStream& stream, const FilterChain& chain,
   std::vector<std::unique_ptr<Sink>> parts(n_chunks);
   util::parallel_for(n_chunks, [&](std::size_t c) {
     auto part = std::make_unique<Sink>(make_sink());
-    render_chunk(stream, chain, config, t_begin, t_end, chunking, c,
-                 {part.get()});
+    if constexpr (FoldsSamples<Sink>) {
+      render_chunk_folded(stream, chain, config, t_begin, t_end, chunking, c,
+                          *part);
+    } else {
+      render_chunk(stream, chain, config, t_begin, t_end, chunking, c,
+                   {part.get()});
+    }
     parts[c] = std::move(part);
   });
   Sink out = std::move(*parts.front());

@@ -7,22 +7,6 @@
 
 namespace mgt::sig {
 
-inline void CrossingRecorder::fold(Picoseconds t, Millivolts v) {
-  const double th = threshold_.mv();
-  if (have_prev_) {
-    const bool was_below = prev_v_ < th;
-    const bool is_below = v.mv() < th;
-    if (was_below != is_below && v.mv() != prev_v_) {
-      const double frac = (th - prev_v_) / (v.mv() - prev_v_);
-      const double tc = prev_t_ + frac * (t.ps() - prev_t_);
-      crossings_.push_back({Picoseconds{tc}, was_below});
-    }
-  }
-  prev_t_ = t.ps();
-  prev_v_ = v.mv();
-  have_prev_ = true;
-}
-
 void CrossingRecorder::on_sample(Picoseconds t, Millivolts v) { fold(t, v); }
 
 void CrossingRecorder::on_block(const SampleBlock& block) {

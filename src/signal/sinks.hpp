@@ -51,17 +51,34 @@ public:
   /// chunked acquisitions merge into one time-ordered record.
   void merge(const CrossingRecorder& later);
 
-private:
   /// One grid sample: records the crossing of the pair it closes, if any.
-  /// The body both delivery paths share.
+  /// The inline, non-virtual body of on_sample and on_block, also called
+  /// per sample by sinks that embed a recorder (the eye).
   inline void fold(Picoseconds t, Millivolts v);
 
+private:
   Millivolts threshold_;
   bool have_prev_ = false;
   double prev_t_ = 0.0;
   double prev_v_ = 0.0;
   std::vector<Crossing> crossings_;
 };
+
+inline void CrossingRecorder::fold(Picoseconds t, Millivolts v) {
+  const double th = threshold_.mv();
+  if (have_prev_) {
+    const bool was_below = prev_v_ < th;
+    const bool is_below = v.mv() < th;
+    if (was_below != is_below && v.mv() != prev_v_) {
+      const double frac = (th - prev_v_) / (v.mv() - prev_v_);
+      const double tc = prev_t_ + frac * (t.ps() - prev_t_);
+      crossings_.push_back({Picoseconds{tc}, was_below});
+    }
+  }
+  prev_t_ = t.ps();
+  prev_v_ = v.mv();
+  have_prev_ = true;
+}
 
 /// Stores samples, optionally decimated, for plotting and debugging.
 class WaveformTrace final : public WaveformSink {

@@ -7,16 +7,6 @@
 
 namespace mgt {
 
-void RunningStats::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  sum_sq_ += x * x;
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 double RunningStats::mean() const { return n_ == 0 ? 0.0 : mean_; }
 
 double RunningStats::stddev() const {

@@ -1,6 +1,7 @@
 // Streaming statistics accumulators used by the measurement library.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -34,7 +35,8 @@ inline double exact_fmod(double x, double m) {
 }
 
 /// `x` modulo `m`, folded to be non-negative: the phase of a time on a
-/// grid of period `m`. Inline because the eye fold calls it per sample.
+/// grid of period `m`. The eye fold calls it once per 2-UI period, and per
+/// sample only before its t_ref.
 inline double positive_mod(double x, double m) {
   double r = exact_fmod(x, m);
   if (r < 0.0) {
@@ -47,7 +49,17 @@ inline double positive_mod(double x, double m) {
 /// peak-to-peak. Uses Welford's algorithm for numerical stability.
 class RunningStats {
 public:
-  void add(double x);
+  /// Inline: the eye fold adds its center-window samples from inside the
+  /// render loop, where a call would spill the loop's registers.
+  void add(double x) {
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+    sum_sq_ += x * x;
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const;

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "analysis/ber.hpp"
 #include "analysis/berextrap.hpp"
@@ -178,6 +180,57 @@ TEST(EyeDiagram, InvalidConfigThrows) {
   config = basic_eye_config();
   config.center_window = 0.7;
   EXPECT_THROW(EyeDiagram{config}, mgt::Error);
+  // Non-finite values: the bin boundaries need finite ends.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan}) {
+    SCOPED_TRACE(bad);
+    config = basic_eye_config();
+    config.ui = Picoseconds{bad};
+    EXPECT_THROW(EyeDiagram{config}, mgt::Error);
+    config = basic_eye_config();
+    config.t_ref = Picoseconds{bad};
+    EXPECT_THROW(EyeDiagram{config}, mgt::Error);
+    config = basic_eye_config();
+    config.v_lo = Millivolts{bad};
+    EXPECT_THROW(EyeDiagram{config}, mgt::Error);
+    config = basic_eye_config();
+    config.v_hi = Millivolts{bad};
+    EXPECT_THROW(EyeDiagram{config}, mgt::Error);
+    config = basic_eye_config();
+    config.threshold = Millivolts{bad};
+    EXPECT_THROW(EyeDiagram{config}, mgt::Error);
+  }
+  // Finite ends whose 2-UI span or volt range overflows.
+  const double big = std::numeric_limits<double>::max();
+  config = basic_eye_config();
+  config.ui = Picoseconds{big};
+  EXPECT_THROW(EyeDiagram{config}, mgt::Error);
+  config = basic_eye_config();
+  config.v_lo = Millivolts{-big};
+  config.v_hi = Millivolts{big};
+  EXPECT_THROW(EyeDiagram{config}, mgt::Error);
+}
+
+TEST(EyeDiagram, MergeRejectsDifferentConfig) {
+  const EyeDiagram::Config base = basic_eye_config();
+  EyeDiagram eye{base};
+  EyeDiagram same{base};
+  EXPECT_NO_THROW(eye.merge(same));
+  std::vector<EyeDiagram::Config> others(8, base);
+  others[0].ui = base.ui + Picoseconds{1.0};
+  others[1].t_ref = base.t_ref + Picoseconds{1.0};
+  others[2].v_lo = base.v_lo - Millivolts{1.0};
+  others[3].v_hi = base.v_hi + Millivolts{1.0};
+  others[4].threshold = base.threshold + Millivolts{1.0};
+  others[5].time_bins = base.time_bins + 1;
+  others[6].volt_bins = base.volt_bins + 1;
+  others[7].center_window = base.center_window / 2.0;
+  for (std::size_t i = 0; i < others.size(); ++i) {
+    SCOPED_TRACE(i);
+    const EyeDiagram other{others[i]};
+    EXPECT_THROW(eye.merge(other), mgt::Error);
+  }
 }
 
 // -------------------------------------------------------------- risefall --

@@ -733,8 +733,10 @@ TEST(AlphaMemo, EvictionChurnMatchesDirectStepping) {
 
 // --------------------------------------------------------- eye fold ----
 
-// The eye fold as it stood before the one-mod phase: two std::fmod calls
-// per sample, one over 2 UI for the grid, one over 1 UI for the center.
+// The eye fold as it stood before its exact fast paths, and the oracle the
+// fold is held to bit for bit: two std::fmod calls per sample, one over
+// 2 UI for the grid and one over 1 UI for the center, and the time and
+// volt bins computed with their divides.
 struct TwoModFold {
   explicit TwoModFold(const ana::EyeDiagram::Config& c)
       : cfg(c), grid(c.time_bins * c.volt_bins, 0) {}
@@ -744,6 +746,7 @@ struct TwoModFold {
       double r = std::fmod(x, m);
       return r < 0.0 ? r + m : r;
     };
+    ++total;
     const double ui = cfg.ui.ps();
     const double span = 2.0 * ui;
     const double phase2 = mod(t - cfg.t_ref.ps(), span);
@@ -769,45 +772,253 @@ struct TwoModFold {
     }
   }
 
+  [[nodiscard]] double eye_height() const {
+    return high.count() == 0 || low.count() == 0 ? 0.0 : min_high - max_low;
+  }
+
   ana::EyeDiagram::Config cfg;
   std::vector<std::size_t> grid;
+  std::size_t total = 0;
   double min_high = 1e300, max_low = -1e300;
   RunningStats high, low;
 };
 
-TEST(EyeFold, OneModMatchesTwoFmodsBeforeAndAfterTref) {
-  // The window starts 3 UI before t_ref, so a fifth of the samples fold a
-  // negative offset; samples also land exactly on UI multiples.
-  for (double ui_ps : {400.0, 1000.0 / 3.0}) {
-    SCOPED_TRACE(ui_ps);
-    const Picoseconds ui{ui_ps};
-    const sig::EdgeStream stream = test_stream(21, 16, ui);
-    ana::EyeDiagram::Config cfg = eye_config(ui);
-    cfg.t_ref = Picoseconds{3.0 * ui_ps};
-    const Picoseconds t_end{16.0 * ui_ps};
-
-    ana::EyeDiagram eye{cfg};
-    sig::WaveformTrace trace;
-    sig::render(stream, test_chain(), sig::RenderConfig{}, Picoseconds{0},
-                t_end, {&eye, &trace});
-    TwoModFold ref{cfg};
-    std::size_t before_tref = 0;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      ref.add(trace.times_ps()[i], trace.volts_mv()[i]);
-      before_tref += trace.times_ps()[i] < cfg.t_ref.ps();
-    }
-    ASSERT_GT(before_tref, 1000u);
-
-    for (std::size_t tb = 0; tb < cfg.time_bins; ++tb) {
-      for (std::size_t vb = 0; vb < cfg.volt_bins; ++vb) {
-        ASSERT_EQ(eye.count_at(tb, vb), ref.grid[tb * cfg.volt_bins + vb]);
+// Every bin, the sample count, the eye height and both levels, bit for bit.
+void expect_eye_matches(const ana::EyeDiagram& eye, const TwoModFold& ref) {
+  const auto& cfg = ref.cfg;
+  std::size_t mismatched_bins = 0;
+  for (std::size_t tb = 0; tb < cfg.time_bins; ++tb) {
+    for (std::size_t vb = 0; vb < cfg.volt_bins; ++vb) {
+      const std::size_t got = eye.count_at(tb, vb);
+      const std::size_t want = ref.grid[tb * cfg.volt_bins + vb];
+      if (got != want) {
+        ++mismatched_bins;
+        ADD_FAILURE() << "bin (" << tb << ", " << vb << "): " << got
+                      << " != " << want;
+      }
+      if (mismatched_bins > 8) {
+        return;
       }
     }
-    ASSERT_GT(ref.high.count(), 0u);
-    ASSERT_GT(ref.low.count(), 0u);
-    EXPECT_EQ(dbits(eye.eye_height().mv()), dbits(ref.min_high - ref.max_low));
-    EXPECT_EQ(dbits(eye.level_high().mv()), dbits(ref.high.mean()));
-    EXPECT_EQ(dbits(eye.level_low().mv()), dbits(ref.low.mean()));
+  }
+  EXPECT_EQ(eye.total_samples(), ref.total);
+  EXPECT_EQ(dbits(eye.eye_height().mv()), dbits(ref.eye_height()));
+  EXPECT_EQ(dbits(eye.level_high().mv()), dbits(ref.high.mean()));
+  EXPECT_EQ(dbits(eye.level_low().mv()), dbits(ref.low.mean()));
+}
+
+// Renders [t_begin, t_end) into an eye beside a trace, folds the traced
+// samples into the oracle and compares. Returns the samples before t_ref.
+std::size_t expect_render_matches_oracle(const ana::EyeDiagram::Config& cfg,
+                                         const sig::EdgeStream& stream,
+                                         Picoseconds t_begin,
+                                         Picoseconds t_end) {
+  ana::EyeDiagram eye{cfg};
+  sig::WaveformTrace trace;
+  sig::render(stream, test_chain(), sig::RenderConfig{}, t_begin, t_end,
+              {&eye, &trace});
+  TwoModFold ref{cfg};
+  std::size_t before_tref = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    ref.add(trace.times_ps()[i], trace.volts_mv()[i]);
+    before_tref += trace.times_ps()[i] < cfg.t_ref.ps();
+  }
+  EXPECT_GT(ref.high.count(), 0u);
+  EXPECT_GT(ref.low.count(), 0u);
+  expect_eye_matches(eye, ref);
+  return before_tref;
+}
+
+TEST(EyeFold, OneModMatchesTwoFmodsBeforeAndAfterTref) {
+  // Each window starts 3 UI before t_ref, so a fifth of the samples fold a
+  // negative offset; samples also land exactly on UI multiples. Windows
+  // start at t = 0 and at 2^40 ps, where a grid step is a few ulps of t;
+  // 3 Gbps has a UI that is not a double, so its period bases are rarely
+  // exact; and the bin counts include ones that are not powers of two.
+  const std::pair<std::size_t, std::size_t> bins[] = {
+      {64, 32}, {100, 37}, {7, 3}, {1, 1}, {250, 129}};
+  for (double ui_ps : {400.0, 1000.0 / 3.0}) {
+    for (double t0 : {0.0, 0x1p40}) {
+      for (const auto& [time_bins, volt_bins] : bins) {
+        SCOPED_TRACE(testing::Message() << ui_ps << " ps UI, t0 " << t0
+                                        << ", " << time_bins << " x "
+                                        << volt_bins);
+        const Picoseconds ui{ui_ps};
+        ana::EyeDiagram::Config cfg = eye_config(ui);
+        cfg.time_bins = time_bins;
+        cfg.volt_bins = volt_bins;
+        cfg.t_ref = Picoseconds{t0 + 3.0 * ui_ps};
+        Rng rng(21);
+        const sig::EdgeStream stream = sig::EdgeStream::from_bits(
+            BitVector::random(16, rng), ui, Picoseconds{t0},
+            hash_jitter(21, 3.0));
+        const std::size_t before_tref = expect_render_matches_oracle(
+            cfg, stream, Picoseconds{t0}, Picoseconds{t0 + 16.0 * ui_ps});
+        EXPECT_GT(before_tref, 1000u);
+      }
+    }
+  }
+}
+
+TEST(EyeFold, SamplesOnEveryBinBoundaryMatchOracle) {
+  // Each bin boundary lies within a few ulps of its nominal value, so a
+  // run of 64 ulps on each side of it holds the boundary itself and the
+  // value one ulp below. Times step through every phase boundary in the
+  // first period, in a period far from t_ref and before t_ref; voltages
+  // step through every volt boundary, both gate ends included, plus NaN.
+  for (double ui_ps : {400.0, 1000.0 / 3.0}) {
+    for (const auto& [time_bins, volt_bins] :
+         {std::pair<std::size_t, std::size_t>{64, 32}, {100, 37}, {7, 3}}) {
+      SCOPED_TRACE(testing::Message() << ui_ps << " ps UI, " << time_bins
+                                      << " x " << volt_bins);
+      ana::EyeDiagram::Config cfg = eye_config(Picoseconds{ui_ps});
+      cfg.time_bins = time_bins;
+      cfg.volt_bins = volt_bins;
+      cfg.v_lo = Millivolts{1500.3};
+      cfg.v_hi = Millivolts{2499.9};
+      const double span = 2.0 * ui_ps;
+      const double lo = cfg.v_lo.mv();
+      const double w = cfg.v_hi.mv() - lo;
+
+      std::vector<double> vs;
+      for (std::size_t j = 0; j <= volt_bins; ++j) {
+        const double nominal =
+            lo + w * static_cast<double>(j) / static_cast<double>(volt_bins);
+        double v = nominal;
+        for (int u = 0; u < 64; ++u) {
+          v = std::nextafter(v, -HUGE_VAL);
+        }
+        for (int u = 0; u < 128; ++u) {
+          vs.push_back(v);
+          v = std::nextafter(v, HUGE_VAL);
+        }
+      }
+      vs.push_back(std::numeric_limits<double>::quiet_NaN());
+
+      ana::EyeDiagram eye{cfg};
+      TwoModFold ref{cfg};
+      std::size_t vi = 0;
+      auto feed = [&](double t) {
+        const double v = vs[vi++ % vs.size()];
+        eye.on_sample(Picoseconds{t}, Millivolts{v});
+        ref.add(t, v);
+      };
+      for (double base : {0.0, 1024.0 * span, 0x1p40, -3.0 * span}) {
+        for (std::size_t j = 0; j <= time_bins; ++j) {
+          double t = base + span * static_cast<double>(j) /
+                                static_cast<double>(time_bins);
+          for (int u = 0; u < 64; ++u) {
+            t = std::nextafter(t, -HUGE_VAL);
+          }
+          for (int u = 0; u < 128; ++u) {
+            feed(t);
+            t = std::nextafter(t, HUGE_VAL);
+          }
+        }
+      }
+      // Every voltage against a time in mid-bin, on a center-window phase
+      // and on one outside it.
+      for (double t : {0.5 * ui_ps, 0.05 * ui_ps}) {
+        for (std::size_t i = 0; i < vs.size(); ++i) {
+          feed(t);
+        }
+      }
+      expect_eye_matches(eye, ref);
+      // NaN lands in the low rail's statistics, as the oracle's does.
+      EXPECT_TRUE(std::isnan(eye.level_low().mv()));
+    }
+  }
+}
+
+TEST(EyeFold, SamplesOutOfTimeOrderMatchOracle) {
+  // on_sample in shuffled order: the phase tracker must reset on any step
+  // back in phase, not only at a period wrap.
+  const Picoseconds ui{1000.0 / 3.0};
+  ana::EyeDiagram::Config cfg = eye_config(ui);
+  cfg.t_ref = Picoseconds{2.0 * ui.ps()};
+  sig::WaveformTrace trace;
+  sig::render(test_stream(8, 10, ui), test_chain(), sig::RenderConfig{},
+              Picoseconds{0}, Picoseconds{10.0 * ui.ps()}, {&trace});
+  std::vector<std::size_t> order(trace.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  Rng rng(31);
+  for (std::size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.below(i + 1)]);
+  }
+  ana::EyeDiagram eye{cfg};
+  TwoModFold ref{cfg};
+  for (const std::size_t i : order) {
+    eye.on_sample(Picoseconds{trace.times_ps()[i]},
+                  Millivolts{trace.volts_mv()[i]});
+    ref.add(trace.times_ps()[i], trace.volts_mv()[i]);
+  }
+  expect_eye_matches(eye, ref);
+}
+
+// ---------------------------------------------------- fused delivery ----
+
+// accumulate_eye against the same chunks rendered with render_chunk into
+// an eye beside a trace, which keeps the block delivery, merged in order:
+// bit for bit, crossings included, at every thread count.
+void expect_fused_matches_blocks(const sig::EdgeStream& stream,
+                                 const sig::FilterChain& chain,
+                                 Picoseconds ui, Picoseconds t_end,
+                                 const sig::RenderChunking& chunking) {
+  const sig::RenderConfig rc;
+  const std::size_t n_chunks =
+      sig::render_chunk_count(rc, Picoseconds{0}, t_end, chunking);
+  ASSERT_GT(n_chunks, 8u);
+  ana::EyeDiagram block{eye_config(ui)};
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    ana::EyeDiagram part{eye_config(ui)};
+    sig::WaveformTrace beside{std::numeric_limits<std::size_t>::max()};
+    sig::render_chunk(stream, chain, rc, Picoseconds{0}, t_end, chunking, c,
+                      {&part, &beside});
+    if (c == 0) {
+      block = part;
+    } else {
+      block.merge(part);
+    }
+  }
+  ASSERT_GT(block.crossings().size(), 10u);
+  const std::vector<std::uint64_t> want = fingerprint(block);
+  for (std::size_t threads : {0, 1, 8}) {
+    SCOPED_TRACE(threads);
+    util::ScopedThreads t(threads);
+    EXPECT_EQ(fingerprint(ana::accumulate_eye(stream, chain, rc,
+                                              Picoseconds{0}, t_end,
+                                              eye_config(ui), chunking)),
+              want);
+  }
+}
+
+TEST(FusedDelivery, MatchesBlockPath) {
+  // Small chunks with a short settle put many chunk boundaries, and their
+  // context samples, in a jittered pseudorandom window.
+  const Picoseconds ui{400.0};
+  const std::size_t n_bits = 48;
+  const Picoseconds t_end{static_cast<double>(n_bits) * ui.ps()};
+  for (const sig::RenderChunking chunking :
+       {sig::RenderChunking{1000, 64}, sig::RenderChunking{4096, 1},
+        sig::RenderChunking{777, 0}}) {
+    SCOPED_TRACE(chunking.chunk_samples);
+    expect_fused_matches_blocks(test_stream(44, n_bits, ui), test_chain(),
+                                ui, t_end, chunking);
+  }
+  // A clock through a pole-free chain whose every transition lies just
+  // before a chunk's first sample, which then holds the new level: each
+  // crossing straddles a chunk boundary, so the fused eye must take the
+  // context sample as the block path does.
+  sig::FilterChain no_poles;
+  for (std::size_t settle : {0, 1, 64}) {
+    SCOPED_TRACE(settle);
+    expect_fused_matches_blocks(
+        sig::EdgeStream::clock(Picoseconds{100.0}, 24, Picoseconds{-0.25}),
+        no_poles,
+        Picoseconds{100.0}, Picoseconds{2400.0},
+        sig::RenderChunking{100, settle});
   }
 }
 
