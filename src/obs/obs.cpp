@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "util/error.hpp"
@@ -24,6 +25,23 @@ std::string fmt_double(double v) {
   std::ostringstream os;
   os << std::setprecision(17) << v;
   return os.str();
+}
+
+/// The entry named `name`, made from `args` on first registration. The key
+/// string is built only then, so looking up a registered name allocates
+/// nothing, however long the name.
+template <typename Map, typename... Args>
+typename Map::mapped_type& find_or_emplace(Map& map, std::string_view name,
+                                           Args&&... args) {
+  const auto it = map.find(name);
+  if (it != map.end()) {
+    return it->second;
+  }
+  return map
+      .emplace(std::piecewise_construct,
+               std::forward_as_tuple(std::string(name)),
+               std::forward_as_tuple(std::forward<Args>(args)...))
+      .first->second;
 }
 
 }  // namespace
@@ -79,26 +97,18 @@ Registry& Registry::instance() {
 
 Counter& Registry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->counters[std::string(name)];
+  return find_or_emplace(impl_->counters, name);
 }
 
 Gauge& Registry::gauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->gauges[std::string(name)];
+  return find_or_emplace(impl_->gauges, name);
 }
 
 BoundedHistogram& Registry::histogram(std::string_view name, double lo,
                                       double hi, std::size_t bins) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  const auto it = impl_->histograms.find(name);
-  if (it != impl_->histograms.end()) {
-    return it->second;
-  }
-  return impl_->histograms
-      .emplace(std::piecewise_construct,
-               std::forward_as_tuple(std::string(name)),
-               std::forward_as_tuple(lo, hi, bins))
-      .first->second;
+  return find_or_emplace(impl_->histograms, name, lo, hi, bins);
 }
 
 void Registry::record_span(std::string_view name, std::uint64_t begin,
@@ -116,7 +126,7 @@ std::size_t Registry::span_capacity() const { return kSpanCapacity; }
 void Registry::profile_add(std::string_view name, std::uint64_t calls,
                            std::uint64_t ticks, std::uint64_t wall_ns) {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  ProfileEntry& e = impl_->profiles[std::string(name)];
+  ProfileEntry& e = find_or_emplace(impl_->profiles, name);
   e.calls += calls;
   e.ticks += ticks;
   e.wall_ns += wall_ns;

@@ -15,10 +15,6 @@ FilterChain& FilterChain::add_pole(Picoseconds tau) {
   MGT_CHECK(taus_.size() < kMaxPoles, "filter chain is full (kMaxPoles)");
   taus_.push_back(tau.ps());
   state_.push_back(0.0);
-  // The memoized alpha rows are per-stage; changing the cascade drops them.
-  memo_rows_ = 0;
-  memo_next_ = 0;
-  memo_alpha_.assign(kAlphaMemoRows * taus_.size(), 0.0);
   return *this;
 }
 
@@ -58,25 +54,12 @@ void FilterChain::reset(Millivolts v) {
   passthrough_ = steady;
 }
 
-const double* FilterChain::alpha_row(Picoseconds dt) {
-  const double dt_ps = dt.ps();
-  for (std::size_t r = 0; r < memo_rows_; ++r) {
-    if (memo_dt_[r] == dt_ps) {
-      return memo_alpha_.data() + r * taus_.size();
-    }
-  }
-  std::size_t r;
-  if (memo_rows_ < kAlphaMemoRows) {
-    r = memo_rows_++;
-  } else {
-    r = memo_next_;
-    memo_next_ = (memo_next_ + 1) % kAlphaMemoRows;
-  }
-  double* row = memo_alpha_.data() + r * taus_.size();
+std::array<double, FilterChain::kMaxPoles> FilterChain::alpha_row(
+    Picoseconds dt) const {
+  std::array<double, kMaxPoles> row{};
   for (std::size_t i = 0; i < taus_.size(); ++i) {
-    row[i] = 1.0 - std::exp(-dt_ps / taus_[i]);
+    row[i] = 1.0 - std::exp(-dt.ps() / taus_[i]);
   }
-  memo_dt_[r] = dt_ps;
   return row;
 }
 
@@ -84,7 +67,7 @@ Millivolts FilterChain::step(Millivolts u, Picoseconds dt) {
   double x = midpoint_mv_ + gain_ * (u.mv() - midpoint_mv_);
   passthrough_ = x;
   if (!taus_.empty()) {
-    const double* alpha = alpha_row(dt);
+    const std::array<double, kMaxPoles> alpha = alpha_row(dt);
     for (std::size_t i = 0; i < taus_.size(); ++i) {
       state_[i] += (x - state_[i]) * alpha[i];
       x = state_[i];
@@ -93,12 +76,12 @@ Millivolts FilterChain::step(Millivolts u, Picoseconds dt) {
   return Millivolts{x};
 }
 
-bool FilterChain::at_rest(Millivolts u, Picoseconds dt_max) {
+bool FilterChain::at_rest(Millivolts u, Picoseconds dt_max) const {
   double x = midpoint_mv_ + gain_ * (u.mv() - midpoint_mv_);
   if (taus_.empty()) {
     return passthrough_ == x;
   }
-  const double* alpha = alpha_row(dt_max);
+  const std::array<double, kMaxPoles> alpha = alpha_row(dt_max);
   for (std::size_t i = 0; i < taus_.size(); ++i) {
     const double s = state_[i];
     if (s + (x - s) * alpha[i] != s) {

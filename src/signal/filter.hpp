@@ -72,36 +72,26 @@ public:
   /// the scaled input chained stage to stage. alpha grows with dt, and a
   /// fixed point under the largest alpha is one under every smaller alpha,
   /// since IEEE multiply and add round monotonically. With no poles, the
-  /// passthrough must already equal the scaled input. Not const: reads
-  /// the alpha memo.
-  [[nodiscard]] bool at_rest(Millivolts u, Picoseconds dt_max);
+  /// passthrough must already equal the scaled input.
+  [[nodiscard]] bool at_rest(Millivolts u, Picoseconds dt_max) const;
 
 private:
   // The renderer's window walk steps its own copy of the stage states.
   template <std::size_t N>
   friend class internal::Walk;
 
-  /// Returns the per-stage alphas 1 - exp(-dt/tau) for this dt, computing
-  /// and memoizing the row on first sight of the dt value. The renderer
-  /// revisits a handful of distinct dt values (the grid step, the rest
-  /// bound and the edge fragments around them) in every window, so this
-  /// removes exp() from the per-sample path while staying byte-identical: a
-  /// memoized alpha is the very double the direct computation would
-  /// produce. The row stays valid only until the next call, which may
-  /// evict it; the renderer copies the rows it keeps.
-  const double* alpha_row(Picoseconds dt);
-
-  static constexpr std::size_t kAlphaMemoRows = 8;
+  /// The per-stage alphas 1 - exp(-dt/tau) of a step of dt; entries past
+  /// pole_count() are zero. The renderer's walk computes the rows of the
+  /// grid step and the rest bound once per window, and the row of any
+  /// other step as it takes it. Defined out of line, so the walk's loops
+  /// hold a call here and not the exp() code.
+  [[nodiscard]] std::array<double, kMaxPoles> alpha_row(Picoseconds dt) const;
 
   std::vector<double> taus_;      // per-stage time constants, ps
   std::vector<double> state_;     // per-stage outputs, mV
   double gain_ = 1.0;
   double midpoint_mv_ = 0.0;
   double passthrough_ = 0.0;  // last gain-scaled input, output when no poles
-  std::array<double, kAlphaMemoRows> memo_dt_{};  // dt key per memo row, ps
-  std::vector<double> memo_alpha_;  // kAlphaMemoRows x pole_count, row-major
-  std::size_t memo_rows_ = 0;       // valid rows
-  std::size_t memo_next_ = 0;       // round-robin replacement cursor
 };
 
 /// 20-80 % rise time of a single pole: tau * ln 4.

@@ -133,7 +133,7 @@ private:
 /// as the dense loop reaches them; every stretch between them is jumped.
 /// No on_context() sample goes out.
 template <std::size_t N>
-void deliver_strobe_pairs(const Window& w, FilterChain& chain,
+void deliver_strobe_pairs(const Window& w, const FilterChain& chain,
                           const std::vector<WaveformSink*>& sinks) {
   Walk<N> walk(w.stream, chain, w.config, w.t_begin, w.k_start);
   std::vector<std::size_t> reads;
@@ -179,7 +179,7 @@ void deliver_strobe_pairs(const Window& w, FilterChain& chain,
 
 /// Picks the delivery loop once per window.
 template <std::size_t N>
-void walk_window(const Window& w, FilterChain& chain,
+void walk_window(const Window& w, const FilterChain& chain,
                  const std::vector<WaveformSink*>& sinks) {
   const bool strobes_only =
       std::all_of(sinks.begin(), sinks.end(), [](const WaveformSink* s) {
@@ -202,7 +202,7 @@ void walk_window(const Window& w, FilterChain& chain,
   }
 }
 
-using WindowFn = void (*)(const Window&, FilterChain&,
+using WindowFn = void (*)(const Window&, const FilterChain&,
                           const std::vector<WaveformSink*>&);
 
 template <std::size_t... N>
@@ -215,7 +215,7 @@ constexpr std::array<WindowFn, sizeof...(N)> window_kernels(
 constexpr auto kKernels =
     window_kernels(std::make_index_sequence<FilterChain::kMaxPoles + 1>{});
 
-void run_window(const Window& w, FilterChain& chain,
+void run_window(const Window& w, const FilterChain& chain,
                 const std::vector<WaveformSink*>& sinks) {
   kKernels[chain.pole_count()](w, chain, sinks);
 }
@@ -237,7 +237,7 @@ std::size_t render_sample_count(const RenderConfig& config,
   return n;
 }
 
-void render(const EdgeStream& stream, FilterChain chain,
+void render(const EdgeStream& stream, const FilterChain& chain,
             const RenderConfig& config, Picoseconds t_begin,
             Picoseconds t_end, const std::vector<WaveformSink*>& sinks) {
   const std::size_t total = render_sample_count(config, t_begin, t_end);
@@ -259,7 +259,7 @@ std::size_t render_chunk_count(const RenderConfig& config, Picoseconds t_begin,
                           chunking.chunk_samples;
 }
 
-void render_chunk(const EdgeStream& stream, FilterChain chain,
+void render_chunk(const EdgeStream& stream, const FilterChain& chain,
                   const RenderConfig& config, Picoseconds t_begin,
                   Picoseconds t_end, const RenderChunking& chunking,
                   std::size_t chunk_index,

@@ -121,9 +121,10 @@ struct RenderConfig {
 };
 
 /// Renders `stream` over [t_begin, t_end), pushing samples into every sink.
-/// The chain is reset to steady state at t_begin and advanced exactly at
-/// transition boundaries. Sinks' finish() is invoked at the end.
-void render(const EdgeStream& stream, FilterChain chain,
+/// The chain's stages start at steady state at t_begin and advance exactly
+/// at transition boundaries; `chain` itself is only read, never stepped.
+/// Sinks' finish() is invoked at the end.
+void render(const EdgeStream& stream, const FilterChain& chain,
             const RenderConfig& config, Picoseconds t_begin,
             Picoseconds t_end, const std::vector<WaveformSink*>& sinks);
 
@@ -171,7 +172,7 @@ std::size_t render_chunk_count(const RenderConfig& config, Picoseconds t_begin,
 /// (chunk+1)*chunk_samples), preceded by one on_context() sample for chunks
 /// past the first. finish() is NOT called — the caller merges the chunk
 /// sinks in chunk order and finishes the merged result.
-void render_chunk(const EdgeStream& stream, FilterChain chain,
+void render_chunk(const EdgeStream& stream, const FilterChain& chain,
                   const RenderConfig& config, Picoseconds t_begin,
                   Picoseconds t_end, const RenderChunking& chunking,
                   std::size_t chunk_index,
@@ -190,7 +191,7 @@ concept FoldsSamples = std::derived_from<Sink, WaveformSink> &&
 /// Defined in signal/walk.hpp, which the file that instantiates it includes,
 /// so the dense loop is compiled there and not in render.cpp.
 template <FoldsSamples Sink>
-void render_chunk_folded(const EdgeStream& stream, FilterChain chain,
+void render_chunk_folded(const EdgeStream& stream, const FilterChain& chain,
                          const RenderConfig& config, Picoseconds t_begin,
                          Picoseconds t_end, const RenderChunking& chunking,
                          std::size_t chunk_index, Sink& sink);

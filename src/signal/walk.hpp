@@ -36,7 +36,7 @@ namespace mgt::sig::internal {
 /// t_begin + k * dt, for a chain of N poles. The walk starts at grid sample
 /// k_start with every stage at the steady state of the stream level there,
 /// mid + gain * (v - mid), and owns its stage states for the whole window;
-/// nothing is written back, since every delivery owns a copy of the chain.
+/// the chain itself is only read, for its gain, midpoint and alphas.
 /// Every delivery loop constructs its walk as a local, the constructor and
 /// every method are inlined, and the per-stage loops of the constructor,
 /// step() and at_rest() are folds over constant stage indices with no
@@ -48,15 +48,19 @@ namespace mgt::sig::internal {
 ///
 /// to() and at_rest() are FilterChain::step and FilterChain::at_rest with
 /// the same operations, operands and order, so every dense sample is
-/// byte-identical to stepping the chain per sample. The alpha memo stays
-/// the only source of alphas; rows are copied by value, so a memo eviction
-/// cannot leave a stale alpha behind.
+/// byte-identical to stepping the chain per sample. FilterChain::alpha_row
+/// is the only source of alphas: the walk holds the rows of the grid step
+/// dt and the rest bound dt_max, both computed in its constructor, and
+/// computes the row of any other step (an edge fragment, or a grid step a
+/// few ulps off dt) for that step alone. alpha_row is a pure function of
+/// dt, so each row is the very double FilterChain::step would use.
 template <std::size_t N>
 class Walk {
 public:
   // Inlined into every loop, so the walk's address never leaves it and
   // its members can be split into scalars.
-  [[gnu::always_inline]] Walk(const EdgeStream& stream, FilterChain& chain,
+  [[gnu::always_inline]] Walk(const EdgeStream& stream,
+                              const FilterChain& chain,
                               const RenderConfig& config,
                               Picoseconds t_begin, std::size_t k_start)
       : trs_(stream.transitions()),
@@ -82,15 +86,14 @@ public:
                              [](const Transition& tr, Picoseconds t) {
                                return tr.time < t;
                              }) -
-            trs_.begin())),
-        dt_step_(dt_) {
+            trs_.begin())) {
     const Millivolts x{input()};
     if constexpr (N == 0) {
       pass_ = x.mv();
     } else {
       fill(s_, x, Stages{});
       copy_row(a_max_, chain, Picoseconds{dt_max_}, Stages{});
-      copy_row(a_step_, chain, Picoseconds{dt_}, Stages{});
+      copy_row(a_dt_, chain, Picoseconds{dt_}, Stages{});
     }
   }
 
@@ -225,13 +228,12 @@ public:
       pass_ = x;
     } else {
       if (powers.empty()) {
-        const double* alpha = chain_.alpha_row(Picoseconds{dt_});
         Matrix m{};
         for (std::size_t i = 0; i < N; ++i) {
           for (std::size_t j = 0; j < i; ++j) {
-            m[i][j] = alpha[i] * m[i - 1][j];
+            m[i][j] = a_dt_[i] * m[i - 1][j];
           }
-          m[i][i] = 1.0 - alpha[i];
+          m[i][i] = 1.0 - a_dt_[i];
         }
         powers.push_back(m);
       }
@@ -283,20 +285,28 @@ private:
     ((to[I] = x.mv()), ...);
   }
 
-  /// Copies the alpha row of step dt by value.
   template <std::size_t... I>
-  static void copy_row(std::array<double, N>& to, FilterChain& chain,
+  static void copy(std::array<double, N>& to,
+                   const std::array<double, N>& from,
+                   std::index_sequence<I...>) {
+    ((to[I] = from[I]), ...);
+  }
+
+  /// Copies the first N alphas of step dt.
+  template <std::size_t... I>
+  static void copy_row(std::array<double, N>& to, const FilterChain& chain,
                        Picoseconds dt, std::index_sequence<I...>) {
-    const double* row = chain.alpha_row(dt);
+    const auto row = chain.alpha_row(dt);
     ((to[I] = row[I]), ...);
   }
 
   /// FilterChain::step's stage loop: each stage moves toward its input by
   /// its alpha, and its new state is the next stage's input.
   template <std::size_t... I>
-  void step_stages(Millivolts input, std::index_sequence<I...>) {
+  void step_stages(Millivolts input, const std::array<double, N>& alpha,
+                   std::index_sequence<I...>) {
     double x = input.mv();
-    ((x = s_[I] += (x - s_[I]) * a_step_[I]), ...);
+    ((x = s_[I] += (x - s_[I]) * alpha[I]), ...);
   }
 
   /// FilterChain::at_rest's stage loop: stops at the first stage that a
@@ -315,16 +325,21 @@ private:
     if constexpr (N == 0) {
       pass_ = input();
     } else {
-      if (h.ps() != dt_step_) {
-        dt_step_ = h.ps();
-        copy_row(a_step_, chain_, h, Stages{});
+      // Both branches fill one local row for one stage fold: with a fold
+      // per branch, to() grew too large to inline at 7 and 8 poles and the
+      // dense walk stayed in memory.
+      std::array<double, N> alpha;
+      if (h.ps() == dt_) {
+        copy(alpha, a_dt_, Stages{});
+      } else {
+        copy_row(alpha, chain_, h, Stages{});
       }
-      step_stages(Millivolts{input()}, Stages{});
+      step_stages(Millivolts{input()}, alpha, Stages{});
     }
   }
 
   const std::vector<Transition>& trs_;
-  FilterChain& chain_;
+  const FilterChain& chain_;
   const double t_begin_;
   const double dt_;
   const double dt_max_;
@@ -335,9 +350,8 @@ private:
   std::size_t next_tr_;     // first transition not yet absorbed
   double pass_ = 0.0;       // N == 0: the last step's gain-scaled input
   std::array<double, N> s_{};       // stage states, mV
-  std::array<double, N> a_max_{};   // alpha row of dt_max, for at_rest
-  std::array<double, N> a_step_{};  // alpha row of the last step's dt
-  double dt_step_;
+  std::array<double, N> a_dt_{};   // alpha row of dt, the grid step
+  std::array<double, N> a_max_{};  // alpha row of dt_max, for at_rest
 };
 
 /// One window of the grid t_begin + k * dt: the chain starts at grid sample
@@ -391,7 +405,7 @@ inline Window chunk_window(const EdgeStream& stream,
 /// sample it reached. The output stays apart from the emit, whose state
 /// the compiler can then keep in registers.
 template <std::size_t N, typename Emit, typename Target, typename... Args>
-void deliver(const Window& w, FilterChain& chain, Target& target,
+void deliver(const Window& w, const FilterChain& chain, Target& target,
              const Args&... args) {
   Walk<N> walk(w.stream, chain, w.config, w.t_begin, w.k_start);
   typename Emit::Output out(target);
@@ -466,7 +480,7 @@ private:
 namespace mgt::sig {
 
 template <FoldsSamples Sink>
-void render_chunk_folded(const EdgeStream& stream, FilterChain chain,
+void render_chunk_folded(const EdgeStream& stream, const FilterChain& chain,
                          const RenderConfig& config, Picoseconds t_begin,
                          Picoseconds t_end, const RenderChunking& chunking,
                          std::size_t chunk_index, Sink& sink) {

@@ -5,7 +5,8 @@
 // obs update, but not per bit: for each path the count at 4n bits must stay
 // within 2x the count at n bits plus a small slack. A contract check that
 // builds its message on every pass (one heap string per BitVector::get or
-// EdgeStream::push) fails this at once.
+// EdgeStream::push) fails this at once. The dense render and the obs
+// counter lookup are held tighter: they allocate nothing at all.
 //
 // Everything runs serially (ScopedThreads(0)), and each path runs once
 // before counting so first-use registrations (obs counters, the thread
@@ -20,7 +21,14 @@
 #include "core/presets.hpp"
 #include "core/test_system.hpp"
 #include "minitester/minitester.hpp"
+#include "obs/obs.hpp"
+#include "signal/edge.hpp"
+#include "signal/filter.hpp"
+#include "signal/render.hpp"
+#include "signal/sinks.hpp"
+#include "util/bitvec.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -83,15 +91,59 @@ TEST(AllocBudget, AcquireEyeDoesNotAllocatePerBit) {
 
 TEST(AllocBudget, SingleEdgeJitterDoesNotAllocatePerEdge) {
   // This window is long (about 2^20 grid samples per 80 edges), and each
-  // render chunk of 2^20 samples costs about 15 allocations of its own (the
-  // chunk's sink, its filter-chain copy, the obs counter key, its crossing
-  // vector's growth). At 100 and 400 edges (2 and 5 chunks) that term stays
-  // inside the slack; a per-bit allocation (over 100 per edge) does not.
+  // render chunk of 2^20 samples makes a few allocations of its own (the
+  // chunk's sink and its crossing vector's growth). At 100 and 400 edges
+  // (2 and 5 chunks) that term stays inside the slack; a per-bit
+  // allocation (over 100 per edge) does not.
   const util::ScopedThreads serial(0);
   core::TestSystem sys(core::presets::optical_testbed(), 3);
   expect_flat("TestSystem::measure_single_edge_jitter", 100, [&](std::size_t n) {
     (void)sys.measure_single_edge_jitter(n);
   });
+}
+
+TEST(AllocBudget, DenseRenderDoesNotAllocate) {
+  // The renderer reads the chain by reference and delivers through a
+  // SampleBlock on the stack, and the obs counters it bumps are registered
+  // by the warm-up call, so neither a whole render nor a chunk allocates.
+  const util::ScopedThreads serial(0);
+  sig::FilterChain chain;
+  chain.add_pole(Picoseconds{40.0}).add_pole(Picoseconds{25.0});
+  Rng rng(5);
+  const std::size_t n_bits = 64;
+  const Picoseconds ui{400.0};
+  const sig::EdgeStream stream =
+      sig::EdgeStream::from_bits(BitVector::random(n_bits, rng), ui);
+  const sig::RenderConfig rc;
+  const Picoseconds t_end{static_cast<double>(n_bits) * ui.ps()};
+  sig::AmplitudeTracker tracker{rc.levels.midpoint()};
+  const std::vector<sig::WaveformSink*> sinks{&tracker};
+
+  const auto whole = [&] {
+    sig::render(stream, chain, rc, Picoseconds{0}, t_end, sinks);
+  };
+  whole();
+  EXPECT_EQ(allocations_of(whole), 0u) << "render()";
+
+  const sig::RenderChunking chunking{20000, 64};
+  ASSERT_EQ(sig::render_chunk_count(rc, Picoseconds{0}, t_end, chunking), 3u);
+  const auto chunk = [&](std::size_t c) {
+    sig::render_chunk(stream, chain, rc, Picoseconds{0}, t_end, chunking, c,
+                      sinks);
+  };
+  chunk(0);
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(allocations_of([&] { chunk(c); }), 0u)
+        << "render_chunk(" << c << ")";
+  }
+}
+
+TEST(AllocBudget, CounterLookupDoesNotAllocate) {
+  // Longer than any small-string buffer: a lookup that built its key would
+  // allocate on every call.
+  const char* const name = "alloc.budget.counter";
+  obs::add_counter(name);
+  EXPECT_EQ(allocations_of([&] { obs::add_counter(name); }), 0u);
 }
 
 TEST(AllocBudget, BathtubDoesNotAllocatePerBit) {

@@ -20,8 +20,8 @@
 //     on-grid transitions, far-from-zero grids, bursts of transitions
 //     inside one grid interval, and chains of 0..kMaxPoles poles (one per
 //     render kernel);
-//   - the alpha memo under eviction churn, and the one-mod eye fold for
-//     samples before t_ref, against direct computations;
+//   - FilterChain::step over many distinct dts, and the one-mod eye fold
+//     for samples before t_ref, against direct computations;
 //   - the crossing side-change walk: a render into recorders of one
 //     threshold hands them exactly the dense samples of every pair that
 //     straddles it, and they record the dense crossings bit for bit, over
@@ -344,12 +344,13 @@ TEST(ParallelEquiv, MixedEyeShmooWorkloadByteIdenticalAcrossThreadCounts) {
 // the render.hpp promise that pairwise sinks see every adjacent pair
 // exactly once.
 TEST(ChunkedRenderRegression, ZeroSettleMustNotDropBoundaryCrossings) {
-  // Ideal square wave through a pole-free chain: transitions at t = 0, 50,
-  // 100, ... ps. At the 0.5 ps grid every transition lands exactly on
-  // sample index 100*m — which chunk_samples = 100 places at a chunk
-  // boundary, so every crossing straddles a boundary pair.
+  // Ideal square wave through a pole-free chain: transitions at t = -0.25,
+  // 49.75, 99.75, ... ps, a quarter step before grid sample 100*m, which
+  // then holds the new level while sample 100*m - 1 holds the old one.
+  // chunk_samples = 100 places sample 100*m first in its chunk, so every
+  // crossing lies between a chunk's context sample and its first.
   const sig::EdgeStream stream =
-      sig::EdgeStream::clock(Picoseconds{100.0}, 24);
+      sig::EdgeStream::clock(Picoseconds{100.0}, 24, Picoseconds{-0.25});
   sig::FilterChain chain;  // no poles: passthrough, exact at any settle
   const sig::RenderConfig rc;
   const Picoseconds t_end{2400.0};
@@ -630,12 +631,14 @@ TEST(QuiescentSkip, StreamWithoutTransitions) {
 
 TEST(QuiescentSkip, BurstsInsideOneGridInterval) {
   // Eleven transitions inside one 0.5 ps grid interval, every 1000 ps: each
-  // burst puts 12 distinct fragment dts through the 8-row alpha memo, which
-  // evicts the rows of the grid step and the rest bound between two at_rest
-  // checks. A kernel holding a memo row by pointer would read another dt's
-  // alphas after the first burst. Under a swing of a few hundred ulps the
-  // chain hovers where at_rest decides by the last bit, so a smaller alpha
-  // read from a refilled row calls it at rest too early.
+  // burst steps the walk by 12 distinct fragment dts, each with its own
+  // alpha row, and the grid steps after it go back to the row of dt. A
+  // fragment's row that leaked into the next step (a fragment reusing the
+  // previous fragment's row, or a grid step after the burst using the last
+  // fragment's) would move the stage states off the per-sample stepping.
+  // Under a swing of a few hundred ulps the chain hovers where at_rest
+  // decides by the last bit, so a wrong alpha there also moves the point
+  // where a quiescent run starts.
   sig::EdgeStream stream;
   bool level = false;
   for (int b = 0; b < 20; ++b) {
@@ -688,13 +691,13 @@ TEST(QuiescentSkip, AtRestOnlyAtAFixedPoint) {
   EXPECT_TRUE(wire.at_rest(Millivolts{2400.0}, dt));
 }
 
-// ------------------------------------------------------- alpha memo ----
+// ------------------------------------------------- filter-chain step ----
 
-TEST(AlphaMemo, EvictionChurnMatchesDirectStepping) {
-  // Eleven distinct dts (more than the 8 memo rows), visited in cycles,
-  // repeats and reversals, so rows are evicted round-robin and refilled.
-  // Every output must equal stepping with
-  // alpha = 1 - exp(-dt/tau) computed afresh.
+TEST(FilterChain, StepMatchesFreshAlphasAcrossDts) {
+  // Eleven distinct dts, visited in cycles, repeats and reversals, with
+  // the grid step between them. Every output must equal stepping with
+  // alpha = 1 - exp(-dt/tau) computed afresh: the oracle for
+  // FilterChain::step, which the render walk reproduces.
   const std::vector<double> taus = {7.0, 19.5, 33.0};
   const double gain = 0.85, mid = 2000.0;
   sig::FilterChain chain;
@@ -712,7 +715,7 @@ TEST(AlphaMemo, EvictionChurnMatchesDirectStepping) {
     for (std::size_t i = 0; i < dts.size(); ++i) {
       order.push_back(rep % 2 == 0 ? i : dts.size() - 1 - i);
       if (i % 3 == 0) {
-        order.push_back(order.back());  // a repeat: hits the row just filled
+        order.push_back(order.back());  // a repeat of the dt just stepped
       }
       order.push_back(0);  // the grid step between fragments
     }
