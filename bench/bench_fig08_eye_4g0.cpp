@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
                                              .paper_opening_ui = 0.81},
                               /*seed=*/42);
   // Document the margin situation the paper mentions.
-  dig::Dlc dlc(config.dlc_spec);
+  dig::Dlc dlc;
   dlc.regs().write(dig::reg::kLaneCount, 8);
   table.add_comparison(
       "per-lane I/O rate", "500 Mbps (above 400 Mbps margin)",

@@ -15,22 +15,22 @@ namespace {
 
 void run_reproduction(ReportTable& table) {
   dig::Dlc dlc;
-  const auto& spec = dlc.spec();
+  const dig::DlcSpec spec = dlc.spec();
 
   table.add_comparison("general-purpose I/O", "~200 signals",
-                       std::to_string(spec.io_count),
-                       spec.io_count >= 200 ? "OK (shape holds)"
+                       std::to_string(spec.kIoCount),
+                       spec.kIoCount >= 200 ? "OK (shape holds)"
                                             : "DEVIATES");
   table.add_comparison("I/O capability", "800 Mbps each",
-                       fmt_unit(spec.io_max_mbps, "Mbps", 0),
-                       bench::verdict(spec.io_max_mbps, 800.0, 1e-9));
+                       fmt_unit(spec.kIoMaxMbps, "Mbps", 0),
+                       bench::verdict(spec.kIoMaxMbps, 800.0, 1e-9));
   table.add_comparison("I/O design margin", "300-400 Mbps used",
-                       fmt_unit(spec.io_margin_mbps, "Mbps", 0),
-                       bench::verdict_range(spec.io_margin_mbps, 300.0,
+                       fmt_unit(spec.kIoMarginMbps, "Mbps", 0),
+                       bench::verdict_range(spec.kIoMarginMbps, 300.0,
                                             400.0));
   table.add_comparison("gate budget", "1 million gates (XC2V1000)",
-                       std::to_string(spec.gate_budget),
-                       spec.gate_budget == 1'000'000 ? "OK (shape holds)"
+                       std::to_string(spec.kGateBudget),
+                       spec.kGateBudget == 1'000'000 ? "OK (shape holds)"
                                                      : "DEVIATES");
 
   // Why the mux trees are needed: lane rates per architecture.

@@ -92,7 +92,7 @@ int main() {
   std::vector<sig::Crossing> contaminated;
   for (std::size_t k = 0; k < 8192; ++k) {
     const Picoseconds nominal{static_cast<double>(k + 1) * 400.0};
-    contaminated.push_back({nominal + source.offset(true, nominal), true});
+    contaminated.push_back({nominal + source.offset(nominal), true});
   }
   const auto dirty_tones = ana::find_tones(ana::jitter_spectrum(
       ana::extract_tie(contaminated, Picoseconds{400.0}), 512));

@@ -64,9 +64,7 @@ int main() {
   }
   packet.header = 0xB;
 
-  const auto budget = vortex::compute_link_budget(
-      testbed.config().laser, testbed.config().path,
-      testbed.config().detector);
+  const auto budget = testbed.link_budget();
   std::printf("Optical link budget: launch %+.1f dBm, loss %.2f dB, "
               "received %+.2f dBm, margin %.1f dB\n",
               budget.launch_dbm, budget.loss_db, budget.received_dbm,

@@ -99,7 +99,7 @@ int main() {
   TesterArray array(array_config, 2005);
   const auto wafer = array.probe_wafer(128);
   const double serial_time = TesterArray::wafer_time_s(
-      128, 1, array_config.touchdown_overhead_s, array_config.per_die_test_s);
+      128, 1, TesterArray::kTouchdownOverheadS, TesterArray::kPerDieTestS);
   std::printf("Parallel probe of a 128-die wafer with a 16-site array:\n");
   std::printf("  %zu touchdowns, %.0f s total (vs %.0f s single-site: "
               "x%.1f throughput)\n",

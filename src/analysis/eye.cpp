@@ -130,7 +130,7 @@ EyeDiagram::EyeDiagram(Config config)
       crossings_(config.threshold),
       span_(2.0 * config.ui.ps()),
       half_ui_(config.ui.ps() / 2.0),
-      center_ps_(config.center_window * config.ui.ps()),
+      center_ps_(kCenterWindow * config.ui.ps()),
       v_scale_(static_cast<double>(config.volt_bins) /
                (config.v_hi.mv() - config.v_lo.mv())),
       base_(std::numeric_limits<double>::quiet_NaN()) {
@@ -144,7 +144,6 @@ EyeDiagram::EyeDiagram(Config config)
   MGT_CHECK(ui > 0.0 && std::isfinite(span_));
   MGT_CHECK(config_.time_bins > 0 && config_.volt_bins > 0);
   MGT_CHECK(v_hi > v_lo && std::isfinite(v_hi - v_lo));
-  MGT_CHECK(config_.center_window > 0.0 && config_.center_window < 0.5);
 
   const double span = span_;
   const std::size_t n_tb = config_.time_bins;
@@ -235,8 +234,7 @@ void EyeDiagram::merge(const EyeDiagram& later) {
   const Config& b = later.config_;
   MGT_CHECK(a.ui == b.ui && a.t_ref == b.t_ref && a.v_lo == b.v_lo &&
                 a.v_hi == b.v_hi && a.threshold == b.threshold &&
-                a.time_bins == b.time_bins && a.volt_bins == b.volt_bins &&
-                a.center_window == b.center_window,
+                a.time_bins == b.time_bins && a.volt_bins == b.volt_bins,
             "cannot merge eyes with different configurations");
   for (std::size_t i = 0; i < grid_.size(); ++i) {
     grid_[i] += later.grid_[i];

@@ -62,15 +62,16 @@ public:
     Millivolts threshold{2000.0};  // decision threshold / crossover level
     std::size_t time_bins = 128;   // across 2 UI
     std::size_t volt_bins = 64;
-    /// Half-width of the "eye center" phase window used for the vertical
-    /// opening, as a fraction of UI. Keep narrow enough that band-limited
-    /// edge tails at high rates stay outside it.
-    double center_window = 0.1;
   };
 
+  /// Half-width of the "eye center" phase window used for the vertical
+  /// opening, as a fraction of UI. Narrow enough that band-limited edge
+  /// tails at high rates stay outside it.
+  static constexpr double kCenterWindow = 0.1;
+
   /// Throws unless ui, t_ref, v_lo, v_hi and threshold are finite, ui > 0
-  /// with a finite 2-UI span, v_hi > v_lo with a finite range, both bin
-  /// counts are non-zero and center_window lies in (0, 0.5).
+  /// with a finite 2-UI span, v_hi > v_lo with a finite range and both bin
+  /// counts are non-zero.
   explicit EyeDiagram(Config config);
 
   void on_sample(Picoseconds t, Millivolts v) override;
@@ -140,7 +141,7 @@ private:
   // The fold's constants and boundary tables (see the constructor).
   double span_;       // 2 UI, ps
   double half_ui_;    // UI / 2, ps
-  double center_ps_;  // center_window * UI, ps
+  double center_ps_;  // kCenterWindow * UI, ps
   double v_scale_;    // volt_bins / (v_hi - v_lo), bins per mV
   std::vector<double> tb_edges_;  // time_bins + 1 phase boundaries, ps
   std::vector<double> vb_edges_;  // volt_bins + 1 voltage boundaries, mV
@@ -179,7 +180,7 @@ inline void EyeDiagram::fold_sample(Picoseconds t, Millivolts v) {
     ++grid_[tb_ * config_.volt_bins + volt_bin(v)];
   }
 
-  // Eye-center vertical opening: samples within +-center_window*UI of the
+  // Eye-center vertical opening: samples within +-kCenterWindow*UI of the
   // middle of the bit cell. For x >= 0, fmod(x, 2ui) - ui == fmod(x, ui)
   // exactly when the former is >= ui, and the subtraction is exact
   // (Sterbenz), so the 2-UI phase yields the 1-UI phase with no second mod.

@@ -18,11 +18,6 @@ namespace {
 
 constexpr std::uint8_t kUsbAddress = 5;
 
-/// Rails as seen at the measurement point after channel attenuation.
-sig::PeclLevels effective_levels(const sig::PeclLevels& levels, double gain) {
-  return sig::attenuated(levels, gain);
-}
-
 /// Render window + grid settings of one scope-style acquisition.
 struct AcqWindow {
   Picoseconds begin{0.0};
@@ -58,7 +53,6 @@ TestSystem::TestSystem(ChannelConfig config, std::uint64_t seed)
     : config_(config),
       rng_(seed),
       flash_(),
-      dlc_(config.dlc_spec),
       usb_device_(kUsbAddress, dlc_.usb_handler()),
       usb_host_(usb_device_),
       clock_(config.clock, rng_.fork()),
@@ -293,7 +287,7 @@ ana::EyeDiagram TestSystem::acquire_eye(std::size_t n_bits,
   const obs::ProfileScope profile("core.acquire_eye");
   Stimulus stimulus = generate(n_bits);
   const sig::PeclLevels rails =
-      effective_levels(stimulus.levels, stimulus.chain.gain());
+      sig::attenuated(stimulus.levels, stimulus.chain.gain());
   const double margin = 0.25 * rails.swing().mv();
   ana::EyeDiagram::Config config{
       .ui = stimulus.ui,
@@ -318,7 +312,7 @@ TestSystem::RiseFall TestSystem::measure_risefall(std::size_t n_bits,
                                                   EyeOptions options) {
   Stimulus stimulus = generate(n_bits);
   const sig::PeclLevels rails =
-      effective_levels(stimulus.levels, stimulus.chain.gain());
+      sig::attenuated(stimulus.levels, stimulus.chain.gain());
   ana::RiseFallMeter meter(rails.vol, rails.voh);
   render_stimulus(stimulus, n_bits, options, {&meter});
   RiseFall out;
@@ -345,7 +339,7 @@ ana::CrossoverJitter TestSystem::measure_single_edge_jitter(
   Stimulus stimulus = generate(n_bits);
 
   const sig::PeclLevels rails =
-      effective_levels(stimulus.levels, stimulus.chain.gain());
+      sig::attenuated(stimulus.levels, stimulus.chain.gain());
   const AcqWindow window = acquisition_window(stimulus, n_bits, EyeOptions{});
   const auto recorder = sig::accumulate_chunked<sig::CrossingRecorder>(
       stimulus.edges, stimulus.chain, window.render, window.begin, window.end,
@@ -361,7 +355,7 @@ TestSystem::Amplitude TestSystem::measure_amplitude(std::size_t n_bits,
                                                     EyeOptions options) {
   Stimulus stimulus = generate(n_bits);
   const sig::PeclLevels rails =
-      effective_levels(stimulus.levels, stimulus.chain.gain());
+      sig::attenuated(stimulus.levels, stimulus.chain.gain());
   const AcqWindow window = acquisition_window(stimulus, n_bits, options);
   const auto tracker = sig::accumulate_chunked<sig::AmplitudeTracker>(
       stimulus.edges, stimulus.chain, window.render, window.begin, window.end,

@@ -44,7 +44,6 @@ struct ChannelConfig {
   pecl::OutputBuffer::Config buffer{};
   pecl::ClockSource::Config clock{};
   sig::Channel::Config hookup = sig::Channel::ideal().config();
-  dig::DlcSpec dlc_spec{};
   /// Name of the FPGA personalization loaded at boot.
   std::string design_name = "mgt-stimulus";
   /// Scheduled faults; component slices "serializer" and "clock" are wired

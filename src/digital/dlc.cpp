@@ -4,12 +4,7 @@
 
 namespace mgt::dig {
 
-Dlc::Dlc(DlcSpec spec) : spec_(spec) {
-  MGT_CHECK(spec_.io_count > 0 && spec_.max_lanes > 0);
-  MGT_CHECK(spec_.io_margin_mbps <= spec_.io_max_mbps,
-            "design margin cannot exceed the absolute I/O limit");
-  define_registers();
-}
+Dlc::Dlc() { define_registers(); }
 
 void Dlc::define_registers() {
   regs_.define_ro(reg::kId, reg::kIdValue);
@@ -40,7 +35,7 @@ void Dlc::define_registers() {
   });
   regs_.on_write(reg::kPatternData, [this](std::uint16_t, std::uint32_t value) {
     MGT_CHECK(static_cast<std::size_t>(pattern_addr_) * 32 <
-                  spec_.pattern_depth_bits,
+                  DlcSpec::kPatternDepthBits,
               "pattern write exceeds pattern-memory depth");
     auto& bank = banks_[regs_.read(reg::kChannelSel)];
     if (bank.words.size() <= pattern_addr_) {
@@ -79,7 +74,7 @@ const Dlc::PatternBank& Dlc::current_bank() const {
 }
 
 void Dlc::configure(const Bitstream& bitstream) {
-  MGT_CHECK(bitstream.payload.size() <= spec_.bitstream_max_bytes,
+  MGT_CHECK(bitstream.payload.size() <= DlcSpec::kBitstreamMaxBytes,
             "bitstream exceeds FPGA configuration storage");
   configured_ = true;
   design_name_ = bitstream.design_name;
@@ -137,7 +132,7 @@ UsbDevice::BulkHandler Dlc::usb_bulk_pattern_handler() {
     const std::size_t n_words = payload.size() / 4 - 2;
     MGT_CHECK(length_bits > 0 && length_bits <= n_words * 32,
               "bulk pattern length inconsistent with payload");
-    MGT_CHECK(length_bits <= spec_.pattern_depth_bits,
+    MGT_CHECK(length_bits <= DlcSpec::kPatternDepthBits,
               "bulk pattern exceeds pattern-memory depth");
     PatternBank& bank = banks_[channel];
     bank.words.clear();
@@ -156,7 +151,7 @@ DlcMode Dlc::mode() const {
 
 std::size_t Dlc::lane_count() const {
   const std::uint32_t lanes = regs_.read(reg::kLaneCount);
-  MGT_CHECK(lanes >= 1 && lanes <= spec_.max_lanes,
+  MGT_CHECK(lanes >= 1 && lanes <= DlcSpec::kMaxLanes,
             "lane count outside hardware range");
   return lanes;
 }
@@ -173,17 +168,17 @@ std::uint32_t Dlc::status() const { return regs_.read(reg::kStatus); }
 GbitsPerSec Dlc::check_lane_rate(GbitsPerSec serial_rate) const {
   const auto lanes = static_cast<double>(lane_count());
   const GbitsPerSec lane_rate{serial_rate.gbps() / lanes};
-  if (lane_rate.mbps() > spec_.io_max_mbps) {
+  if (lane_rate.mbps() > DlcSpec::kIoMaxMbps) {
     throw Error("per-lane rate " + std::to_string(lane_rate.mbps()) +
                 " Mbps exceeds the DLC I/O capability of " +
-                std::to_string(spec_.io_max_mbps) +
+                std::to_string(DlcSpec::kIoMaxMbps) +
                 " Mbps: widen the serializer");
   }
   return lane_rate;
 }
 
 bool Dlc::within_margin(GbitsPerSec serial_rate) const {
-  return check_lane_rate(serial_rate).mbps() <= spec_.io_margin_mbps;
+  return check_lane_rate(serial_rate).mbps() <= DlcSpec::kIoMarginMbps;
 }
 
 BitVector Dlc::expected_serial(std::size_t n_bits) const {
@@ -206,7 +201,7 @@ BitVector Dlc::expected_serial(std::size_t n_bits) const {
 }
 
 void Dlc::store_capture(const BitVector& bits) {
-  MGT_CHECK(bits.size() <= spec_.pattern_depth_bits,
+  MGT_CHECK(bits.size() <= DlcSpec::kPatternDepthBits,
             "capture exceeds capture-memory depth");
   capture_ = bits;
   capture_addr_ = 0;

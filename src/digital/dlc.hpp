@@ -26,15 +26,15 @@
 
 namespace mgt::dig {
 
-/// Hardware capabilities of the DLC (XC2V1000-class defaults).
+/// Hardware capabilities of the DLC: the XC2V1000-class datasheet.
 struct DlcSpec {
-  std::size_t io_count = 200;        // general-purpose signals available
-  double io_max_mbps = 800.0;        // absolute per-I/O toggle limit
-  double io_margin_mbps = 400.0;     // limit used in practice (Section 2)
-  std::size_t gate_budget = 1'000'000;
-  std::size_t bitstream_max_bytes = 512 * 1024;
-  std::size_t pattern_depth_bits = 64 * 1024;
-  std::size_t max_lanes = 32;        // widest serializer group supported
+  static constexpr std::size_t kIoCount = 200;  // general-purpose signals
+  static constexpr double kIoMaxMbps = 800.0;   // absolute per-I/O limit
+  static constexpr double kIoMarginMbps = 400.0;  // used in practice (Sec 2)
+  static constexpr std::size_t kGateBudget = 1'000'000;
+  static constexpr std::size_t kBitstreamMaxBytes = 512 * 1024;
+  static constexpr std::size_t kPatternDepthBits = 64 * 1024;
+  static constexpr std::size_t kMaxLanes = 32;  // widest serializer group
 };
 
 /// Pattern-source mode selected through the control register.
@@ -42,7 +42,7 @@ enum class DlcMode { Prbs, Pattern };
 
 class Dlc {
 public:
-  explicit Dlc(DlcSpec spec = {});
+  Dlc();
 
   // -- Configuration ------------------------------------------------------
 
@@ -57,7 +57,7 @@ public:
 
   [[nodiscard]] bool configured() const { return configured_; }
   [[nodiscard]] const std::string& design_name() const { return design_name_; }
-  [[nodiscard]] const DlcSpec& spec() const { return spec_; }
+  [[nodiscard]] static constexpr DlcSpec spec() { return {}; }
 
   // -- Control plane ------------------------------------------------------
 
@@ -118,7 +118,6 @@ private:
   };
   [[nodiscard]] const PatternBank& current_bank() const;
 
-  DlcSpec spec_;
   RegisterFile regs_;
   bool configured_ = false;
   std::string design_name_;

@@ -19,7 +19,6 @@ public:
                        std::size_t sector_size = 16 * 1024);
 
   [[nodiscard]] std::size_t size() const { return bytes_.size(); }
-  [[nodiscard]] std::size_t sector_count() const { return sectors_; }
   [[nodiscard]] std::size_t sector_size() const { return sector_size_; }
 
   [[nodiscard]] std::uint8_t read(std::size_t addr) const;

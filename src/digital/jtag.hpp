@@ -71,8 +71,6 @@ public:
   [[nodiscard]] const std::vector<bool>& driven_pins() const {
     return driven_pins_;
   }
-  /// Current flash address pointer (after auto-increments).
-  [[nodiscard]] std::uint32_t flash_address() const { return flash_addr_; }
 
   static constexpr std::size_t kIrLength = 8;
 

@@ -5,6 +5,12 @@
 #include "util/error.hpp"
 
 namespace mgt::dig {
+namespace {
+
+/// Retries per packet before a transfer gives up.
+constexpr std::size_t kMaxRetries = 8;
+
+}  // namespace
 
 std::uint8_t usb_crc5(std::uint16_t data11) {
   // Bitwise LSB-first CRC5, poly x^5 + x^2 + 1 (0x05), init 0x1F, inverted.
@@ -162,7 +168,6 @@ std::optional<Pid> UsbDevice::on_setup(const Wire& token_wire,
     return Pid::Ack;
   }
   pending_response_ = handler_(data->payload);
-  ++requests_processed_;
   expected_toggle_ = !expected_toggle_;
   in_toggle_ = true;  // IN stage of a control transfer starts with DATA1
   return Pid::Ack;
@@ -208,7 +213,6 @@ std::optional<Pid> UsbDevice::on_bulk_out(const Wire& token_wire,
       ep->second.expected_toggle = false;
       return Pid::Stall;
     }
-    ++bulk_transfers_completed_;
   }
   return Pid::Ack;
 }
@@ -248,8 +252,7 @@ void UsbHost::control_write(const std::vector<std::uint8_t>& request) {
   TokenPacket token{.pid = Pid::Setup, .address = device_.address(),
                     .endpoint = 0};
   DataPacket data{.pid = Pid::Data0, .payload = request};
-  ++transactions_;
-  for (std::size_t attempt = 0; attempt <= max_retries_; ++attempt) {
+  for (std::size_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
     const auto handshake =
         device_.on_setup(transmit(token.serialize()), transmit(data.serialize()));
     if (handshake == Pid::Ack) {
@@ -265,7 +268,7 @@ std::vector<std::uint8_t> UsbHost::control_read(
   control_write(request);
   TokenPacket in_token{.pid = Pid::In, .address = device_.address(),
                        .endpoint = 0};
-  for (std::size_t attempt = 0; attempt <= max_retries_; ++attempt) {
+  for (std::size_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
     const auto response_wire = device_.on_in(transmit(in_token.serialize()));
     if (!response_wire) {
       ++retries_total_;
@@ -308,7 +311,7 @@ void UsbHost::bulk_write(std::uint8_t endpoint,
     sent_short = chunk < kBulkMaxPacket;  // includes the terminating ZLP
 
     bool acked = false;
-    for (std::size_t attempt = 0; attempt <= max_retries_; ++attempt) {
+    for (std::size_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
       const auto handshake = device_.on_bulk_out(
           transmit(token.serialize()), transmit(data.serialize()));
       if (handshake == Pid::Ack) {
@@ -329,7 +332,6 @@ void UsbHost::bulk_write(std::uint8_t endpoint,
     offset += chunk;
     toggle = !toggle;
   }
-  ++transactions_;
 }
 
 void UsbHost::write_register(std::uint16_t addr, std::uint32_t value) {

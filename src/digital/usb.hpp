@@ -113,13 +113,6 @@ public:
   void on_host_handshake(Pid handshake);
 
   [[nodiscard]] std::uint8_t address() const { return address_; }
-  [[nodiscard]] std::size_t requests_processed() const {
-    return requests_processed_;
-  }
-
-  [[nodiscard]] std::size_t bulk_transfers_completed() const {
-    return bulk_transfers_completed_;
-  }
 
 private:
   struct BulkEndpoint {
@@ -133,9 +126,7 @@ private:
   bool expected_toggle_ = false;  // false = DATA0 expected next
   bool in_toggle_ = true;         // control IN stage starts at DATA1
   std::optional<std::vector<std::uint8_t>> pending_response_;
-  std::size_t requests_processed_ = 0;
   std::map<std::uint8_t, BulkEndpoint> bulk_endpoints_;
-  std::size_t bulk_transfers_completed_ = 0;
 };
 
 /// Host side: frames requests, applies wire fault injection, retries.
@@ -148,10 +139,9 @@ public:
   explicit UsbHost(UsbDevice& device);
 
   void set_corruptor(Corruptor corruptor) { corruptor_ = std::move(corruptor); }
-  void set_max_retries(std::size_t retries) { max_retries_ = retries; }
 
-  /// Control-write: SETUP + DATA; retries until ACK. Throws after
-  /// max_retries consecutive failures.
+  /// Control-write: SETUP + DATA; retries until ACK. Throws after 8
+  /// consecutive retries fail.
   void control_write(const std::vector<std::uint8_t>& request);
 
   /// Control-read: SETUP + DATA, then IN until a valid DATA arrives; ACKs
@@ -164,11 +154,10 @@ public:
 
   /// Bulk OUT transfer: packetizes `payload` into kBulkMaxPacket chunks
   /// with alternating DATA0/1 and a terminating short packet, retrying
-  /// corrupted chunks. Throws after max_retries on any chunk.
+  /// corrupted chunks. Throws after 8 failed retries of any chunk.
   void bulk_write(std::uint8_t endpoint,
                   const std::vector<std::uint8_t>& payload);
 
-  [[nodiscard]] std::size_t transactions() const { return transactions_; }
   [[nodiscard]] std::size_t retries() const { return retries_total_; }
 
 private:
@@ -176,10 +165,7 @@ private:
 
   UsbDevice& device_;
   Corruptor corruptor_;
-  std::size_t max_retries_ = 8;
-  bool host_toggle_ = false;
   std::map<std::uint8_t, bool> bulk_toggle_;  // per-endpoint pipe state
-  std::size_t transactions_ = 0;
   std::size_t retries_total_ = 0;
 };
 

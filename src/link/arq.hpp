@@ -28,34 +28,26 @@
 
 namespace mgt::link {
 
-/// ARQ protocol knobs. All times are in packet slots.
+/// ARQ protocol parameters: the retry budget, and the fixed protocol
+/// constants. All times are in packet slots.
 struct ArqConfig {
   /// Frames in flight per round (go-back-N window). 2*window must fit the
   /// 8-bit wire sequence space so duplicates are never ambiguous.
-  std::size_t window = 8;
-  /// Rounds without progress before the base payload is abandoned.
-  std::size_t max_retries = 8;
+  static constexpr std::size_t kWindow = 8;
   /// Initial reverse-channel timeout, in slots.
-  std::uint64_t timeout_slots = 4;
+  static constexpr std::uint64_t kTimeoutSlots = 4;
   /// Timeout multiplier per consecutive timeout (exponential backoff).
-  std::uint64_t backoff_base = 2;
+  static constexpr std::uint64_t kBackoffBase = 2;
   /// Backoff ceiling, in slots.
-  std::uint64_t backoff_cap_slots = 64;
+  static constexpr std::uint64_t kBackoffCapSlots = 64;
   /// Guard slots spent per resynchronization attempt before giving up and
   /// letting the retry budget handle the outage.
-  std::uint64_t max_resync_slots = 64;
+  static constexpr std::uint64_t kMaxResyncSlots = 64;
 
-  void validate() const {
-    MGT_CHECK(window >= 1 && window <= 64,
-              "ArqConfig.window must be in [1, 64], got " +
-                  std::to_string(window));
-    MGT_CHECK(max_retries >= 1);
-    MGT_CHECK(timeout_slots >= 1);
-    MGT_CHECK(backoff_base >= 1);
-    MGT_CHECK(backoff_cap_slots >= timeout_slots,
-              "backoff_cap_slots must be >= timeout_slots");
-    MGT_CHECK(max_resync_slots >= 1);
-  }
+  /// Rounds without progress before the base payload is abandoned.
+  std::size_t max_retries = 8;
+
+  void validate() const { MGT_CHECK(max_retries >= 1); }
 };
 
 /// Outcome of sending one payload. [[nodiscard]]: ignoring whether the
@@ -121,16 +113,12 @@ struct LinkStats {
 /// which is also the next expected full sequence number).
 class ArqReceiver {
 public:
-  explicit ArqReceiver(std::size_t window) : window_(window) {
-    MGT_CHECK(window_ >= 1 && window_ <= 64);
-  }
-
   /// Next expected full sequence number == cumulative ack.
   [[nodiscard]] std::uint64_t expected() const { return expected_; }
 
   /// Rebuilds the full sequence number from its 8 wire bits, assuming the
-  /// sender is within +/- window of this receiver's expectation (the
-  /// window bound guarantees it). Returns nullopt for a sequence that
+  /// sender is within +/- ArqConfig::kWindow of this receiver's expectation
+  /// (the window bound guarantees it). Returns nullopt for a sequence that
   /// decodes to before the start of the stream — such a frame can only be
   /// a corrupted header that slipped past CRC-8, and the caller must treat
   /// it as a duplicate, never deliver it.
@@ -147,7 +135,6 @@ public:
 
 private:
   std::uint64_t expected_ = 0;
-  std::size_t window_;
 };
 
 }  // namespace mgt::link

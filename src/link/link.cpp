@@ -13,8 +13,7 @@ LinkChannel::LinkChannel(Config config, Transport forward, Transport reverse)
       codec_(config.format),
       forward_(std::move(forward)),
       reverse_(std::move(reverse)),
-      sync_(config.sync),
-      rx_(config.arq.window) {
+      sync_(config.sync) {
   config_.format.validate();
   config_.arq.validate();
   MGT_CHECK(static_cast<bool>(forward_), "LinkChannel needs a forward transport");
@@ -27,9 +26,6 @@ LinkChannel::LinkChannel(Config config, Transport forward, Transport reverse)
             "ack; SlotFormat.data_bits = " +
                 std::to_string(config_.format.data_bits) + " leaves only " +
                 std::to_string(codec_.user_bits()) + " bits");
-  MGT_CHECK(config_.degrade_fer_threshold >= 0.0 &&
-                config_.degrade_fer_threshold <= 1.0,
-            "degrade_fer_threshold must be in [0, 1]");
 }
 
 double LinkChannel::margin() const {
@@ -117,7 +113,7 @@ std::optional<std::uint64_t> LinkChannel::exchange_response() {
 
 void LinkChannel::resynchronize() {
   std::uint64_t spent = 0;
-  while (!sync_.engaged() && spent < config_.arq.max_resync_slots) {
+  while (!sync_.engaged() && spent < ArqConfig::kMaxResyncSlots) {
     // A guard/training slot: the idle frame carries no payload energy, so
     // the receiver can check the guard/dead-time pattern against it. The
     // channel's integrity at this tick decides whether it looks clean.
@@ -143,8 +139,7 @@ void LinkChannel::note_completion(bool was_abandoned) {
   }
   const double fer = static_cast<double>(window_abandoned_) /
                      static_cast<double>(window_completed_);
-  if (fer > config_.degrade_fer_threshold &&
-      rate_steps_ < config_.max_rate_steps) {
+  if (fer > kDegradeFerThreshold && rate_steps_ < kMaxRateSteps) {
     ++rate_steps_;  // UI doubles: more margin, half the effective severity
   }
   window_completed_ = 0;
@@ -176,7 +171,7 @@ std::vector<SendResult> LinkChannel::transfer(
 
   std::size_t base = 0;
   std::size_t retries = 0;  // rounds without progress for the current base
-  std::uint64_t backoff = config_.arq.timeout_slots;
+  std::uint64_t backoff = ArqConfig::kTimeoutSlots;
 
   while (base < n) {
     if (!sync_.engaged()) {
@@ -185,7 +180,7 @@ std::vector<SendResult> LinkChannel::transfer(
 
     // Send the window [base, end). The base payload always travels as
     // sequence tx_acked_: sequence numbers advance only on delivery.
-    const std::size_t end = std::min(base + config_.arq.window, n);
+    const std::size_t end = std::min(base + ArqConfig::kWindow, n);
     for (std::size_t s = base; s < end; ++s) {
       ++attempts[s];
       if (attempts[s] > 1) {
@@ -225,7 +220,7 @@ std::vector<SendResult> LinkChannel::transfer(
         base += delta;
         tx_acked_ = c;
         retries = 0;
-        backoff = config_.arq.timeout_slots;
+        backoff = ArqConfig::kTimeoutSlots;
         progress = true;
       }
     } else {
@@ -233,8 +228,8 @@ std::vector<SendResult> LinkChannel::transfer(
       // timeout before going back.
       ++stats_.timeouts;
       tick_ += backoff;
-      backoff = std::min(backoff * config_.arq.backoff_base,
-                         config_.arq.backoff_cap_slots);
+      backoff = std::min(backoff * ArqConfig::kBackoffBase,
+                         ArqConfig::kBackoffCapSlots);
     }
 
     if (!progress && !ack.has_value()) {
@@ -270,7 +265,7 @@ std::vector<SendResult> LinkChannel::transfer(
       }
       ++base;
       retries = 0;
-      backoff = config_.arq.timeout_slots;
+      backoff = ArqConfig::kTimeoutSlots;
     }
   }
   obs::add_counter("link.offered", n);

@@ -55,12 +55,14 @@ public:
     ArqConfig arq{};
     SyncMonitor::Config sync{};
     /// Degraded-mode fallback: every `degrade_window` completed payloads
-    /// the residual FER of that window is compared against the threshold;
-    /// above it the link steps its rate down (UI doubles). 0 disables.
+    /// the residual FER of that window is compared against
+    /// kDegradeFerThreshold; above it the link steps its rate down (UI
+    /// doubles), at most kMaxRateSteps times. 0 disables.
     std::size_t degrade_window = 0;
-    double degrade_fer_threshold = 0.25;
-    std::size_t max_rate_steps = 2;
   };
+
+  static constexpr double kDegradeFerThreshold = 0.25;
+  static constexpr std::size_t kMaxRateSteps = 2;
 
   /// `forward` carries data/guard frames TX -> RX, `reverse` carries
   /// ACK/NAK responses RX -> TX. Both may corrupt.

@@ -47,12 +47,11 @@ void SyncMonitor::observe_bad_frame() {
 void SyncMonitor::observe_guard(bool clean) {
   MGT_CHECK(state_ == SyncState::kHunting,
             "guard hunting only happens after sync loss");
-  ++slots_hunting_;
   if (!clean) {
     consecutive_clean_guards_ = 0;
     return;
   }
-  if (++consecutive_clean_guards_ >= config_.relock_guards) {
+  if (++consecutive_clean_guards_ >= kRelockGuards) {
     state_ = SyncState::kRelock;
     ++relocks_;
     consecutive_clean_guards_ = 0;

@@ -13,7 +13,7 @@
 //     +<------------- good frame ------------------ RELOCK
 //
 // While HUNTING the receiver discards everything and watches only for the
-// guard/dead-time pattern; after `relock_guards` consecutive clean guard
+// guard/dead-time pattern; after `kRelockGuards` consecutive clean guard
 // observations it enters RELOCK, a probational lock: capture re-engages,
 // the first good frame confirms LOCKED, but a single bad frame means the
 // lock was false and the receiver resumes hunting. The machine is pure
@@ -42,15 +42,15 @@ public:
     /// Consecutive integrity failures (CRC or frame-bit) that demote
     /// SUSPECT to HUNTING. Must be >= 2: one failure is only suspicious.
     std::size_t hunt_after = 3;
-    /// Consecutive clean guard/dead observations HUNTING needs to RELOCK.
-    std::size_t relock_guards = 2;
   };
+
+  /// Consecutive clean guard/dead observations HUNTING needs to RELOCK.
+  static constexpr std::size_t kRelockGuards = 2;
 
   SyncMonitor() : SyncMonitor(Config{}) {}
   explicit SyncMonitor(Config config) : config_(config) {
     MGT_CHECK(config_.hunt_after >= 2,
               "hunt_after must be >= 2 (one bad frame is SUSPECT, not lost)");
-    MGT_CHECK(config_.relock_guards >= 1);
   }
 
   [[nodiscard]] SyncState state() const { return state_; }
@@ -67,7 +67,6 @@ public:
 
   /// Lifetime counters.
   [[nodiscard]] std::uint64_t sync_losses() const { return sync_losses_; }
-  [[nodiscard]] std::uint64_t slots_hunting() const { return slots_hunting_; }
   [[nodiscard]] std::uint64_t relocks() const { return relocks_; }
 
 private:
@@ -76,7 +75,6 @@ private:
   std::size_t consecutive_bad_ = 0;
   std::size_t consecutive_clean_guards_ = 0;
   std::uint64_t sync_losses_ = 0;
-  std::uint64_t slots_hunting_ = 0;
   std::uint64_t relocks_ = 0;
 };
 

@@ -28,9 +28,8 @@ TesterArray::WaferResult TesterArray::probe_wafer(std::size_t n_dies) {
   WaferResult out;
   out.dies = n_dies;
   out.touchdowns = (n_dies + config_.testers - 1) / config_.testers;
-  out.total_time_s =
-      wafer_time_s(n_dies, config_.testers, config_.touchdown_overhead_s,
-                   config_.per_die_test_s);
+  out.total_time_s = wafer_time_s(n_dies, config_.testers,
+                                  kTouchdownOverheadS, kPerDieTestS);
 
   static const Defect kDefects[] = {Defect::StuckLow, Defect::StuckHigh,
                                     Defect::SlowLead, Defect::WeakDrive};
@@ -68,7 +67,7 @@ TesterArray::WaferResult TesterArray::probe_wafer(std::size_t n_dies) {
     }
     Rng rng = util::task_rng(seed_, die);
     const bool defective = rng.chance(config_.defect_rate);
-    MiniTester::Config site = config_.site;
+    MiniTester::Config site;
     site.dut.defect =
         defective ? kDefects[rng.below(std::size(kDefects))] : Defect::None;
 

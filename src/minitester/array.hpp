@@ -19,19 +19,19 @@ class TesterArray {
 public:
   struct Config {
     std::size_t testers = 16;            // array size (sites per touchdown)
-    MiniTester::Config site{};           // per-site tester configuration
     double defect_rate = 0.05;           // fraction of defective dies
     std::size_t bist_bits = 320;         // BIST pattern length per die
-    /// Mechanical/thermal time per touchdown (stepping the chuck).
-    double touchdown_overhead_s = 1.5;
-    /// Electrical test time per die (dominated by the BIST run).
-    double per_die_test_s = 0.8;
     /// Scheduled faults; the array consumes the "array" slice (kinds
     /// kDeadPin / kProbeContactLoss; index = site, tick = touchdown).
     /// A faulted site is masked — skipped but still stepped over — so
     /// the wafer completes with those dies flagged for retest.
     fault::FaultPlan faults{};
   };
+
+  /// Mechanical/thermal time per touchdown (stepping the chuck), s.
+  static constexpr double kTouchdownOverheadS = 1.5;
+  /// Electrical test time per die (dominated by the BIST run), s.
+  static constexpr double kPerDieTestS = 0.8;
 
   TesterArray(Config config, std::uint64_t seed);
 

@@ -16,11 +16,7 @@ std::uint16_t misr_signature(const BitVector& bits, std::uint16_t seed) {
   return state;
 }
 
-WlpDut::WlpDut(Config config)
-    : config_(config),
-      lead_in_(config.lead_in),
-      lead_out_(config.lead_out),
-      interposer_(config.interposer) {}
+WlpDut::WlpDut(Config config) : config_(config) {}
 
 sig::EdgeStream WlpDut::respond(const sig::EdgeStream& stimulus) const {
   switch (config_.defect) {
@@ -36,8 +32,8 @@ sig::EdgeStream WlpDut::respond(const sig::EdgeStream& stimulus) const {
 
 void WlpDut::contribute(sig::FilterChain& chain, Millivolts midpoint) const {
   interposer_.contribute(chain, midpoint);
-  lead_in_.contribute(chain, midpoint);
-  lead_out_.contribute(chain, midpoint);
+  lead_.contribute(chain, midpoint);  // in
+  lead_.contribute(chain, midpoint);  // out
   switch (config_.defect) {
     case Defect::SlowLead:
       // Cracked lead: a hefty extra pole.
@@ -52,10 +48,9 @@ void WlpDut::contribute(sig::FilterChain& chain, Millivolts midpoint) const {
 }
 
 Picoseconds WlpDut::loopback_delay() const {
-  return Picoseconds{config_.interposer.delay.ps() +
-                     config_.lead_in.delay.ps() +
-                     config_.lead_out.delay.ps() +
-                     config_.internal_delay.ps()};
+  const double lead = lead_.config().delay.ps();
+  return Picoseconds{interposer_.config().delay.ps() + lead + lead +
+                     kInternalDelay.ps()};
 }
 
 std::uint16_t WlpDut::bist_signature(const BitVector& received) const {

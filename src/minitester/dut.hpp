@@ -37,12 +37,11 @@ enum class Defect {
 class WlpDut {
 public:
   struct Config {
-    sig::Channel::Config lead_in = sig::Channel::compliant_lead().config();
-    sig::Channel::Config lead_out = sig::Channel::compliant_lead().config();
-    sig::Channel::Config interposer = sig::Channel::interposer_trace().config();
-    Picoseconds internal_delay{180.0};  // on-die loopback buffer
     Defect defect = Defect::None;
   };
+
+  /// Delay of the on-die loopback buffer between the two leads.
+  static constexpr Picoseconds kInternalDelay{180.0};
 
   explicit WlpDut(Config config);
 
@@ -53,8 +52,8 @@ public:
   /// stimulus. Stuck faults pin the output.
   [[nodiscard]] sig::EdgeStream respond(const sig::EdgeStream& stimulus) const;
 
-  /// Appends the round-trip analog path (interposer + both leads + defect
-  /// effects) to a render chain.
+  /// Appends the round-trip analog path (interposer + the input and output
+  /// compliant leads + defect effects) to a render chain.
   void contribute(sig::FilterChain& chain, Millivolts midpoint) const;
 
   /// Total nominal propagation delay of the loopback path.
@@ -66,9 +65,8 @@ public:
 
 private:
   Config config_;
-  sig::Channel lead_in_;
-  sig::Channel lead_out_;
-  sig::Channel interposer_;
+  sig::Channel lead_ = sig::Channel::compliant_lead();  // each way
+  sig::Channel interposer_ = sig::Channel::interposer_trace();
 };
 
 }  // namespace mgt::minitester

@@ -7,6 +7,12 @@
 #include "util/error.hpp"
 
 namespace mgt::minitester {
+namespace {
+
+/// Bits skipped at the head of each capture (chain settling).
+constexpr std::size_t kWarmupBits = 16;
+
+}  // namespace
 
 MiniTester::MiniTester(Config config, std::uint64_t seed)
     : config_(config),
@@ -14,7 +20,7 @@ MiniTester::MiniTester(Config config, std::uint64_t seed)
       system_(config.channel, seed ^ 0x31A17E57E5ull),
       dut_(config.dut),
       strobe_delay_(config.strobe_delay, rng_.fork()),
-      sampler_(config.sampler, rng_.fork()) {
+      sampler_(pecl::PeclSampler::Config{}, rng_.fork()) {
   // Default strobe: mid-UI (center of the ideal eye). Code math comes
   // from the instance's mode-aware step so vernier mode works unchanged.
   const double ui = config_.channel.rate.unit_interval().ps();
@@ -57,15 +63,15 @@ MiniTester::Path MiniTester::through_dut(std::size_t n_bits) {
 }
 
 ana::BerResult MiniTester::run_loopback(std::size_t n_bits) {
-  MGT_CHECK(n_bits > config_.warmup_bits + 1,
+  MGT_CHECK(n_bits > kWarmupBits + 1,
             "need more bits than the warmup consumes");
   Path path = through_dut(n_bits);
 
   // Strobe placement: the delay line's insertion delay is calibrated out;
   // the programmed code positions the strobe within the unit interval.
-  const std::size_t n_capture = n_bits - config_.warmup_bits - 1;
+  const std::size_t n_capture = n_bits - kWarmupBits - 1;
   const Picoseconds first{
-      path.t0.ps() + static_cast<double>(config_.warmup_bits) * path.ui.ps() +
+      path.t0.ps() + static_cast<double>(kWarmupBits) * path.ui.ps() +
       strobe_delay_.actual_delay(strobe_delay_.code()).ps() +
       strobe_delay_.fault_drift().ps()};
   const auto strobes =
@@ -82,8 +88,7 @@ ana::BerResult MiniTester::run_loopback(std::size_t n_bits) {
 
   // The programmed delay selects which bit each strobe lands in; alignment
   // search mirrors the pattern-sync a BERT performs.
-  const BitVector expected =
-      path.bits.slice(config_.warmup_bits, n_capture);
+  const BitVector expected = path.bits.slice(kWarmupBits, n_capture);
   return ana::compare_bits_aligned(capture.bits, expected, 4);
 }
 
@@ -145,20 +150,20 @@ std::size_t MiniTester::center_strobe(std::size_t n_bits) {
 }
 
 MiniTester::BistResult MiniTester::run_bist(std::size_t n_bits) {
-  MGT_CHECK(n_bits > config_.warmup_bits + 1,
+  MGT_CHECK(n_bits > kWarmupBits + 1,
             "need more bits than the warmup consumes");
   // The DUT's internal flip-flops sample the incoming stream at bit
   // centers; the compacted signature comes back over the low-speed test
   // bus and is compared against the golden signature of the programmed
   // pattern.
   Path path = through_dut(n_bits);
-  const std::size_t n = n_bits - config_.warmup_bits - 1;
-  const BitVector expected = path.bits.slice(config_.warmup_bits, n);
+  const std::size_t n = n_bits - kWarmupBits - 1;
+  const BitVector expected = path.bits.slice(kWarmupBits, n);
 
   const sig::PeclLevels rails = sig::attenuated(path.levels, path.chain.gain());
   sampler_.set_threshold(rails.midpoint());
   const Picoseconds first{path.t0.ps() +
-                          (static_cast<double>(config_.warmup_bits) + 0.5) *
+                          (static_cast<double>(kWarmupBits) + 0.5) *
                               path.ui.ps()};
   const auto strobes = pecl::PeclSampler::strobe_schedule(first, path.ui, n);
   const BitVector received =
@@ -184,7 +189,7 @@ ana::EyeMetrics MiniTester::measure_loopback_eye(std::size_t n_bits) {
   };
   ana::EyeDiagram eye(config);
   const Picoseconds t_begin{path.t0.ps() +
-                            static_cast<double>(config_.warmup_bits) *
+                            static_cast<double>(kWarmupBits) *
                                 path.ui.ps()};
   const Picoseconds t_end{path.t0.ps() +
                           static_cast<double>(n_bits) * path.ui.ps()};

@@ -25,14 +25,11 @@ class MiniTester {
 public:
   struct Config {
     core::ChannelConfig channel = core::presets::minitester();
-    pecl::PeclSampler::Config sampler{};
     /// The paper's stepped delay line by default; set it to
     /// core::presets::strobe_delay(pecl::TimingMode::kVernier) for vernier.
     pecl::ProgrammableDelay::Config strobe_delay =
         core::presets::strobe_delay();
     WlpDut::Config dut{};
-    /// Bits skipped at the head of each capture (chain settling).
-    std::size_t warmup_bits = 16;
   };
 
   MiniTester(Config config, std::uint64_t seed);

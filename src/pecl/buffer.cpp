@@ -5,6 +5,15 @@
 #include "util/error.hpp"
 
 namespace mgt::pecl {
+namespace {
+
+/// Voltage-tuning DAC resolution; programmed levels snap to this grid.
+constexpr Millivolts kDacStep{20.0};
+/// DAC compliance range for either rail.
+constexpr Millivolts kVMin{1000.0};
+constexpr Millivolts kVMax{3000.0};
+
+}  // namespace
 
 OutputBuffer::OutputBuffer(Config config, Rng rng)
     : config_(config), rng_(rng) {
@@ -12,15 +21,13 @@ OutputBuffer::OutputBuffer(Config config, Rng rng)
   MGT_CHECK(config_.pole_count >= 1);
   MGT_CHECK(static_cast<std::size_t>(config_.pole_count) <=
             sig::FilterChain::kMaxPoles);
-  MGT_CHECK(config_.dac_step.mv() > 0.0);
   MGT_CHECK(config_.levels.voh > config_.levels.vol);
 }
 
 Millivolts OutputBuffer::snap(Millivolts v) const {
-  MGT_CHECK(v >= config_.v_min && v <= config_.v_max,
-            "level outside DAC compliance range");
-  const double steps = std::round(v.mv() / config_.dac_step.mv());
-  return Millivolts{steps * config_.dac_step.mv()};
+  MGT_CHECK(v >= kVMin && v <= kVMax, "level outside DAC compliance range");
+  const double steps = std::round(v.mv() / kDacStep.mv());
+  return Millivolts{steps * kDacStep.mv()};
 }
 
 void OutputBuffer::set_voh(Millivolts voh) {

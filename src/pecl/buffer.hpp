@@ -23,11 +23,6 @@ public:
     Picoseconds prop_delay{160.0};
     Picoseconds rj_sigma{2.4};      // "very little jitter"
     sig::PeclLevels levels{};
-    /// Voltage-tuning DAC resolution; programmed levels snap to this grid.
-    Millivolts dac_step{20.0};
-    /// DAC compliance range for either rail.
-    Millivolts v_min{1000.0};
-    Millivolts v_max{3000.0};
     /// Bandwidth realized as this many cascaded poles (2 = S-shaped edges),
     /// at most sig::FilterChain::kMaxPoles.
     int pole_count = 2;

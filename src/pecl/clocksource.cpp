@@ -5,6 +5,13 @@
 #include "util/error.hpp"
 
 namespace mgt::pecl {
+namespace {
+
+/// Supported tuning range of the instrument (Fig 1).
+constexpr Gigahertz kMinFrequency{0.5};
+constexpr Gigahertz kMaxFrequency{2.5};
+
+}  // namespace
 
 ClockSource::ClockSource(Config config, Rng rng)
     : config_(config), rng_(rng) {
@@ -13,8 +20,7 @@ ClockSource::ClockSource(Config config, Rng rng)
 }
 
 void ClockSource::set_frequency(Gigahertz f) {
-  MGT_CHECK(f.ghz() >= config_.min_frequency.ghz() &&
-                f.ghz() <= config_.max_frequency.ghz(),
+  MGT_CHECK(f.ghz() >= kMinFrequency.ghz() && f.ghz() <= kMaxFrequency.ghz(),
             "RF source frequency outside instrument range");
   config_.frequency = f;
 }

@@ -21,9 +21,6 @@ public:
   struct Config {
     Gigahertz frequency{1.25};
     Picoseconds rj_sigma{1.0};  // instrument-grade phase jitter
-    /// Supported tuning range of the instrument (Fig 1).
-    Gigahertz min_frequency{0.5};
-    Gigahertz max_frequency{2.5};
   };
 
   /// Fraction of edges a severity-1.0 kClockGlitch fault displaces, and
@@ -45,7 +42,7 @@ public:
   [[nodiscard]] Picoseconds period() const { return config_.frequency.period(); }
   [[nodiscard]] Picoseconds rj_sigma() const { return config_.rj_sigma; }
 
-  /// Retunes the instrument; throws outside the supported range.
+  /// Retunes the instrument; throws outside its 0.5-2.5 GHz range (Fig 1).
   void set_frequency(Gigahertz f);
 
   /// Generates n_cycles of the clock waveform starting at t0.

@@ -89,7 +89,7 @@ Picoseconds ProgrammableDelay::worst_case_error() const {
 
 sig::EdgeStream ProgrammableDelay::apply(const sig::EdgeStream& input) {
   const double base =
-      config_.insertion_delay.ps() + offset_ps_ + actual_delay(code_).ps();
+      kInsertionDelay.ps() + offset_ps_ + actual_delay(code_).ps();
   const bool drifting = faults_.any(fault::FaultKind::kDelayDrift);
   sig::EdgeStream out(input.initial_level());
   double last = -1e300;

@@ -38,7 +38,6 @@ public:
     double gain_error = 0.0008;      // proportional error bound (0.08 %)
     Picoseconds inl_bound{10.0};     // max integral nonlinearity
     Picoseconds rj_sigma{0.3};       // delay-cell random jitter
-    Picoseconds insertion_delay{900.0};  // nominal through-delay
     /// Vernier-mode parameters (step/code_count/error model); only
     /// consulted when mode == TimingMode::kVernier.
     VernierTimebase::Config vernier{};
@@ -48,6 +47,9 @@ public:
   /// than half a unit interval at 5 Gbps, enough to walk a strobe out of
   /// any eye this library produces.
   static constexpr double kDriftFullScalePs = 120.0;
+
+  /// Nominal through-delay of the part, added by apply() to every edge.
+  static constexpr Picoseconds kInsertionDelay{900.0};
 
   /// The part's error profile is drawn once from `rng` at construction.
   ProgrammableDelay(Config config, Rng rng);

@@ -20,8 +20,7 @@ std::string_view to_string(TimingMode mode) {
 VernierTimebase::VernierTimebase(Config config, Rng rng) : config_(config) {
   MGT_CHECK(config_.step.ps() > 0.0, "vernier step must be positive");
   MGT_CHECK(config_.code_count >= 2, "vernier needs at least two codes");
-  MGT_CHECK(config_.main_clock.ghz() > 0.0);
-  MGT_CHECK(config_.step.ps() < config_.main_clock.period().ps() / 2.0,
+  MGT_CHECK(config_.step.ps() < kMainClock.period().ps() / 2.0,
             "beat step must be far below the main period");
   MGT_CHECK(config_.ratio_error >= 0.0 && config_.walk_sigma.ps() >= 0.0 &&
             config_.walk_bound.ps() >= 0.0);
@@ -52,12 +51,12 @@ VernierTimebase::VernierTimebase(Config config, Rng rng) : config_(config) {
 }
 
 Picoseconds VernierTimebase::vernier_period() const {
-  return config_.main_clock.period() - config_.step;
+  return kMainClock.period() - config_.step;
 }
 
 std::size_t VernierTimebase::codes_per_beat() const {
   return static_cast<std::size_t>(
-      std::floor(config_.main_clock.period().ps() / config_.step.ps()));
+      std::floor(kMainClock.period().ps() / config_.step.ps()));
 }
 
 Picoseconds VernierTimebase::programmed_delay(std::size_t code) const {

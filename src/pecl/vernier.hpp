@@ -41,9 +41,10 @@ enum class TimingMode {
 /// The dual-clock interpolator behind TimingMode::kVernier.
 class VernierTimebase {
 public:
+  /// Main PLL output; its period supplies the coarse delay quanta.
+  static constexpr Gigahertz kMainClock{1.25};
+
   struct Config {
-    /// Main PLL output; its period supplies the coarse delay quanta.
-    Gigahertz main_clock{1.25};
     /// Effective beat step T_main - T_vernier (0.67 ps per the source
     /// generator). Must be positive and far below the main period.
     Picoseconds step{0.67};

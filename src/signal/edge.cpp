@@ -73,22 +73,6 @@ bool EdgeStream::level_at(Picoseconds t) const {
   return std::prev(it)->level;
 }
 
-EdgeStream EdgeStream::squelched(Picoseconds t_begin, Picoseconds t_end) const {
-  MGT_CHECK(t_begin <= t_end, "squelch window must be ordered");
-  EdgeStream out(initial_);
-  for (const auto& tr : transitions_) {
-    if (tr.time >= t_begin && tr.time < t_end) {
-      continue;
-    }
-    const bool current =
-        out.transitions_.empty() ? out.initial_ : out.transitions_.back().level;
-    if (tr.level != current) {
-      out.transitions_.push_back(tr);
-    }
-  }
-  return out;
-}
-
 EdgeStream EdgeStream::shifted(Picoseconds dt) const {
   EdgeStream out(initial_);
   out.transitions_.reserve(transitions_.size());

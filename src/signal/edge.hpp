@@ -65,13 +65,6 @@ public:
   /// Uniformly shifts all transition times by dt.
   [[nodiscard]] EdgeStream shifted(Picoseconds dt) const;
 
-  /// Removes every transition in [t_begin, t_end): the signal holds the
-  /// level it had just before t_begin for the whole window (what a receiver
-  /// sees across a dropout / loss-of-signal interval). Transitions after
-  /// the window are kept only where they still change the level.
-  [[nodiscard]] EdgeStream squelched(Picoseconds t_begin,
-                                     Picoseconds t_end) const;
-
   /// Logical inversion (levels flip, times unchanged).
   [[nodiscard]] EdgeStream inverted() const;
 

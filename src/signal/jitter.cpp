@@ -5,16 +5,13 @@
 
 namespace mgt::sig {
 
-Picoseconds JitterSource::offset(bool rising, Picoseconds t) {
+Picoseconds JitterSource::offset(Picoseconds t) {
   double dt = 0.0;
   if (spec_.rj_sigma.ps() > 0.0) {
     dt += rng_.gaussian(0.0, spec_.rj_sigma.ps());
   }
   if (spec_.dj_pp.ps() > 0.0) {
     dt += rng_.chance(0.5) ? spec_.dj_pp.ps() / 2.0 : -spec_.dj_pp.ps() / 2.0;
-  }
-  if (spec_.dcd_pp.ps() > 0.0) {
-    dt += rising ? spec_.dcd_pp.ps() / 2.0 : -spec_.dcd_pp.ps() / 2.0;
   }
   if (spec_.pj_amplitude.ps() > 0.0) {
     const double omega_per_ps =
@@ -28,7 +25,7 @@ EdgeStream JitterSource::apply(const EdgeStream& in) {
   EdgeStream out(in.initial_level());
   double last_time = -1e300;
   for (const auto& tr : in.transitions()) {
-    double t = tr.time.ps() + offset(tr.level, tr.time).ps();
+    double t = tr.time.ps() + offset(tr.time).ps();
     t = std::max(t, last_time + 1e-3);
     // push() enforces monotonicity and alternation; the clamp guarantees it.
     out.push(Picoseconds{t}, tr.level);

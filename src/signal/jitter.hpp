@@ -2,8 +2,7 @@
 //
 // Total jitter is composed, as in scope practice, of random jitter (RJ,
 // unbounded Gaussian), and deterministic jitter (DJ, bounded): dual-Dirac
-// bimodal DJ, duty-cycle distortion (DCD), and sinusoidal periodic jitter
-// (PJ). Data-dependent jitter (DDJ/ISI) is NOT injected here — it emerges
+// bimodal DJ and sinusoidal periodic jitter (PJ). Data-dependent jitter (DDJ/ISI) is NOT injected here — it emerges
 // physically from the band-limited output stage acting on the edge stream.
 #pragma once
 
@@ -22,17 +21,9 @@ struct JitterSpec {
   /// Dual-Dirac deterministic jitter, peak-to-peak (each edge lands at
   /// +dj/2 or -dj/2 with equal probability).
   Picoseconds dj_pp{0.0};
-  /// Duty-cycle distortion, peak-to-peak: rising edges shift +dcd/2,
-  /// falling edges -dcd/2.
-  Picoseconds dcd_pp{0.0};
   /// Sinusoidal periodic jitter amplitude (0-to-peak) and frequency.
   Picoseconds pj_amplitude{0.0};
   Gigahertz pj_frequency{0.0};
-
-  [[nodiscard]] bool is_zero() const {
-    return rj_sigma.ps() == 0.0 && dj_pp.ps() == 0.0 && dcd_pp.ps() == 0.0 &&
-           pj_amplitude.ps() == 0.0;
-  }
 };
 
 /// Stateful jitter source bound to an RNG stream.
@@ -40,9 +31,8 @@ class JitterSource {
 public:
   JitterSource(JitterSpec spec, Rng rng) : spec_(spec), rng_(rng) {}
 
-  /// Timing offset for one edge at nominal time `t`; `rising` selects the
-  /// DCD polarity.
-  Picoseconds offset(bool rising, Picoseconds t);
+  /// Timing offset for one edge at nominal time `t`.
+  Picoseconds offset(Picoseconds t);
 
   /// Applies the jitter process to every transition of a stream.
   EdgeStream apply(const EdgeStream& in);

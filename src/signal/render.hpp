@@ -47,7 +47,6 @@
 #pragma once
 
 #include <concepts>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -197,8 +196,9 @@ void render_chunk_folded(const EdgeStream& stream, const FilterChain& chain,
                          std::size_t chunk_index, Sink& sink);
 
 /// Renders every chunk of [t_begin, t_end) under util::parallel_for into a
-/// private sink made by `make_sink()`, then merges the chunk sinks in chunk
-/// order with `Sink::merge`. The result is identical at every thread count.
+/// private sink made by `make_sink()`, held in the chunk's own slot of a
+/// pre-sized vector, then merges the chunk sinks in chunk order with
+/// `Sink::merge`. The result is identical at every thread count.
 /// An EyeDiagram (FoldsSamples) takes the fused delivery. The other sinks
 /// accumulated this way (core::TestSystem's CrossingRecorder and
 /// AmplitudeTracker) take render_chunk(), whose side-change delivery is the
@@ -210,17 +210,16 @@ Sink accumulate_chunked(const EdgeStream& stream, const FilterChain& chain,
                         const MakeSink& make_sink) {
   const std::size_t n_chunks =
       render_chunk_count(config, t_begin, t_end, chunking);
-  std::vector<std::unique_ptr<Sink>> parts(n_chunks);
+  std::vector<std::optional<Sink>> parts(n_chunks);
   util::parallel_for(n_chunks, [&](std::size_t c) {
-    auto part = std::make_unique<Sink>(make_sink());
+    Sink& part = parts[c].emplace(make_sink());
     if constexpr (FoldsSamples<Sink>) {
       render_chunk_folded(stream, chain, config, t_begin, t_end, chunking, c,
-                          *part);
+                          part);
     } else {
       render_chunk(stream, chain, config, t_begin, t_end, chunking, c,
-                   {part.get()});
+                   {&part});
     }
-    parts[c] = std::move(part);
   });
   Sink out = std::move(*parts.front());
   for (std::size_t c = 1; c < n_chunks; ++c) {

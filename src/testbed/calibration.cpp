@@ -11,6 +11,9 @@ namespace mgt::testbed {
 
 namespace {
 
+/// Residual-skew acceptance bound (paper: about +-25 ps).
+constexpr Picoseconds kResidualBound{25.0};
+
 /// First transition time of `signal` at or after `t_begin`; nullopt when
 /// the channel is dead.
 std::optional<double> first_edge_after(const sig::EdgeStream& signal,
@@ -212,7 +215,7 @@ CalibrationOutcome align_channels(OpticalTransmitter& tx,
         outcome.dead_channels.push_back(ch);
       }
     }
-    if (worst <= options.residual_bound) {
+    if (worst <= kResidualBound) {
       outcome.converged = true;
       return outcome;
     }

@@ -60,14 +60,12 @@ struct CalibrationOptions {
   /// jitter that made the previous attempt miss the bound).
   std::size_t averaging_slots = 8;
   std::size_t max_attempts = 3;
-  /// Residual-skew acceptance bound (paper: about +-25 ps).
-  Picoseconds residual_bound{25.0};
 };
 
 /// What calibrate_with_recovery did and how it ended.
 struct CalibrationOutcome {
   CalibrationReport report;
-  /// True when the worst alive-channel residual met the bound.
+  /// True when the worst alive-channel residual met the 25 ps bound.
   bool converged = false;
   std::size_t attempts = 0;
   /// Averaging depth of the final (reported) attempt.
@@ -83,9 +81,9 @@ struct CalibrationOutcome {
 /// Bring-up calibration that degrades gracefully instead of asserting:
 /// dead channels (no edges — all-lane stuck-at faults, unplugged parts)
 /// are detected, excluded from the alignment, and reported; when the
-/// residual misses the bound the procedure retries with doubled averaging
-/// up to max_attempts. The transmitter is left with the best programming
-/// of the final attempt. A dead clock channel aborts early (no timing
+/// residual misses the 25 ps bound the procedure retries with doubled
+/// averaging up to max_attempts. The transmitter is left with the best
+/// programming of the final attempt. A dead clock channel aborts early (no timing
 /// reference to calibrate against) with converged = false.
 CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx,
                                            const CalibrationOptions& options = {});

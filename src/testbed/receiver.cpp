@@ -3,10 +3,15 @@
 #include "util/error.hpp"
 
 namespace mgt::testbed {
+namespace {
+
+/// Strobe placement after each clock transition, as a fraction of UI.
+constexpr double kStrobeFraction = 0.5;
+
+}  // namespace
 
 Receiver::Receiver(Config config) : config_(config) {
   config_.format.validate();
-  MGT_CHECK(config_.strobe_fraction > 0.0 && config_.strobe_fraction < 1.0);
 }
 
 Receiver::Result Receiver::receive(const OpticalTransmitter::Output& signals,
@@ -27,18 +32,18 @@ Receiver::Result Receiver::receive(const OpticalTransmitter::Output& signals,
     out.captured = false;  // receiver never finished start-up: no capture
     return out;
   }
-  MGT_CHECK(out.clock_edges_seen >= config_.startup_edges,
+  MGT_CHECK(out.clock_edges_seen >= kStartupEdges,
             "clock channel dead during slot");
   out.captured = true;
 
-  const double strobe_offset = config_.strobe_fraction * fmt.ui.ps();
+  const double strobe_offset = kStrobeFraction * fmt.ui.ps();
   for (std::size_t ch = 0; ch < kDataChannels; ++ch) {
     BitVector lane(fmt.data_bits);
     for (std::size_t k = 0; k < fmt.data_bits; ++k) {
-      // The capture pipeline needs startup_edges clock transitions before
+      // The capture pipeline needs kStartupEdges clock transitions before
       // it can latch data: earlier bits are lost (this is what the format's
       // pre-clocks pay for).
-      if (first_data_edge + k < config_.startup_edges) {
+      if (first_data_edge + k < kStartupEdges) {
         if (ch == 0) {
           ++out.bits_lost_to_startup;
         }

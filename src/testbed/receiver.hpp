@@ -19,11 +19,10 @@ class Receiver {
 public:
   struct Config {
     SlotFormat format{};
-    /// Strobe placement after each clock transition, as a fraction of UI.
-    double strobe_fraction = 0.5;
-    /// Clock transitions needed before capture engages (start-up).
-    std::size_t startup_edges = 2;
   };
+
+  /// Clock transitions needed before capture engages (start-up).
+  static constexpr std::size_t kStartupEdges = 2;
 
   explicit Receiver(Config config);
 
@@ -36,7 +35,7 @@ public:
     bool captured = false;
     /// Payload bits that arrived before the receiver pipeline finished
     /// start-up (lost when the format's pre-clocks are fewer than the
-    /// receiver's startup_edges — the trade Fig 4's pre-clocks exist for).
+    /// receiver's kStartupEdges — the trade Fig 4's pre-clocks exist for).
     std::size_t bits_lost_to_startup = 0;
   };
 

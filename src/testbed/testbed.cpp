@@ -6,6 +6,14 @@
 #include "util/parallel.hpp"
 
 namespace mgt::testbed {
+namespace {
+
+constexpr std::size_t kPorts = 16;  // fabric heights; 4 header bits (Fig 4)
+constexpr std::size_t kAngles = 4;
+/// Every Nth delivered packet takes the full signal path.
+constexpr std::size_t kSignalCheckPeriod = 8;
+
+}  // namespace
 
 OpticalTestbed::OpticalTestbed(Config config, std::uint64_t seed)
     : config_(config),
@@ -14,18 +22,16 @@ OpticalTestbed::OpticalTestbed(Config config, std::uint64_t seed)
                                      .channel = config.channel},
           seed ^ 0x7E57BEDull),
       rx_(Receiver::Config{.format = config.format}),
-      fabric_(vortex::Geometry::for_heights(config.ports, config.angles)),
-      path_(config.path),
+      fabric_(vortex::Geometry::for_heights(kPorts, kAngles)),
       optics_faults_(config.faults.component("optics")) {
   config_.format.validate();
-  MGT_CHECK(config_.signal_check_period >= 1);
   fabric_.set_faults(config_.faults.component("fabric"));
   // One laser/detector pair per high-speed channel, on a WDM grid.
   for (std::size_t ch = 0; ch < kHighSpeedChannels; ++ch) {
-    vortex::LaserDriver::Config laser = config_.laser;
+    vortex::LaserDriver::Config laser;
     laser.wavelength_nm += 1.6 * static_cast<double>(ch);  // 200 GHz grid
     lasers_.emplace_back(laser, rng_.fork());
-    detectors_.emplace_back(config_.detector, rng_.fork());
+    detectors_.emplace_back(vortex::Photodetector::Config{}, rng_.fork());
   }
 }
 
@@ -36,11 +42,12 @@ OpticalTestbed::SingleResult OpticalTestbed::send_one(
 
   // E/O -> fiber -> O/E, per channel. Each WDM lane has its own laser and
   // detector (with their own Rng streams) and the fiber model is read-only,
-  // so the five conversions run concurrently. A dark channel — scheduled
-  // loss-of-signal or a detect() budget violation — is flatlined instead of
-  // aborting the transfer: the receiver keeps running degraded. Per-channel
-  // flags are reduced in channel order after the parallel section so the
-  // totals never depend on thread scheduling.
+  // so the five conversions run concurrently. A channel under scheduled
+  // loss-of-signal is flatlined instead of aborting the transfer: the
+  // receiver keeps running degraded. Per-channel flags are reduced in
+  // channel order after the parallel section so the totals never depend on
+  // thread scheduling. The fixed link budget clears the detectors'
+  // sensitivity, so detect() does not throw here.
   std::array<std::uint8_t, kHighSpeedChannels> dark{};
   util::parallel_for(kHighSpeedChannels, [&](std::size_t ch) {
     sig::EdgeStream& electrical =
@@ -52,13 +59,7 @@ OpticalTestbed::SingleResult OpticalTestbed::send_one(
       return;
     }
     const auto launched = lasers_[ch].modulate(electrical);
-    const auto received = path_.propagate(launched);
-    try {
-      electrical = detectors_[ch].detect(received);
-    } catch (const RecoverableError&) {
-      electrical = sig::EdgeStream(false);
-      dark[ch] = 1;
-    }
+    electrical = detectors_[ch].detect(path_.propagate(launched));
   });
   // Frame/header ride the electrical sideband (lower speed, no optics in
   // the present test bed).
@@ -95,8 +96,8 @@ OpticalTestbed::SingleResult OpticalTestbed::send_one(
 OpticalTestbed::RoutedResult OpticalTestbed::send_routed(
     const TestbedPacket& packet, std::size_t input_port,
     std::uint32_t destination) {
-  MGT_CHECK(input_port < config_.ports, "input port out of range");
-  MGT_CHECK(destination < config_.ports, "destination port out of range");
+  MGT_CHECK(input_port < kPorts, "input port out of range");
+  MGT_CHECK(destination < kPorts, "destination port out of range");
 
   // Bounds that make the call total: enough slots to drain a full fabric
   // at the input, and enough for any surviving packet to spiral out.
@@ -182,9 +183,7 @@ OpticalTestbed::RunStats OpticalTestbed::run(double offered_load,
                                              std::size_t n_slots) {
   MGT_CHECK(offered_load >= 0.0 && offered_load <= 1.0);
   RunStats stats;
-  stats.budget =
-      vortex::compute_link_budget(config_.laser, config_.path,
-                                  config_.detector);
+  stats.budget = link_budget();
 
   RunningStats latency;
   RunningStats deflections;
@@ -199,21 +198,20 @@ OpticalTestbed::RunStats OpticalTestbed::run(double offered_load,
       max_lat = std::max(max_lat, d.latency_slots());
       MGT_CHECK(d.output_port == d.packet.destination,
                 "fabric delivered a packet to the wrong port");
-      if (d.packet.id % config_.signal_check_period == 0) {
+      if (d.packet.id % kSignalCheckPeriod == 0) {
         signal_check(d.packet, stats);
       }
     }
   };
 
   for (std::size_t slot = 0; slot < n_slots; ++slot) {
-    for (std::size_t port = 0; port < config_.ports; ++port) {
+    for (std::size_t port = 0; port < kPorts; ++port) {
       if (!rng_.chance(offered_load)) {
         continue;
       }
       vortex::Packet p;
       p.id = next_packet_id_++;
-      p.destination = static_cast<std::uint32_t>(
-          rng_.below(config_.ports));
+      p.destination = static_cast<std::uint32_t>(rng_.below(kPorts));
       p.payload = BitVector::random(
           kDataChannels * config_.format.data_bits, rng_);
       // A rejected injection is backpressure, not loss: the fabric counts

@@ -5,9 +5,9 @@
 // Vortex, the fabric deflection-routes them to their destination port,
 // photodetectors recover the electrical signals, and the source-
 // synchronous receiver rebuilds the packets. Packet-level routing runs
-// slot-synchronously; a configurable fraction of delivered packets also
-// takes the full signal-level path so payload integrity is checked against
-// the analog chain.
+// slot-synchronously; every 8th delivered packet also takes the full
+// signal-level path so payload integrity is checked against the analog
+// chain.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +25,7 @@ class OpticalTestbed {
 public:
   struct Config {
     SlotFormat format{};
-    std::size_t ports = 16;   // fabric heights; 4 header bits (Fig 4)
-    std::size_t angles = 4;
     core::ChannelConfig channel = core::presets::optical_testbed();
-    vortex::LaserDriver::Config laser{};
-    vortex::OpticalPath::Config path{};
-    vortex::Photodetector::Config detector{};
-    /// Every Nth delivered packet takes the full signal path (1 = all).
-    std::size_t signal_check_period = 8;
     /// Scheduled faults. Slices wired at construction: "fabric"
     /// (kNodeFailure; index = flat node, tick = slot) and "optics"
     /// (kLossOfSignal; index = high-speed channel, tick = send count).
@@ -51,8 +44,8 @@ public:
     std::size_t payload_bit_errors = 0;
     bool header_ok = false;
     /// High-speed channels that were dark for this transfer (scheduled
-    /// loss-of-signal or link budget below detector sensitivity). The
-    /// receiver sees a flatlined channel instead of the test aborting.
+    /// loss-of-signal). The receiver sees a flatlined channel instead of
+    /// the test aborting.
     std::size_t los_channels = 0;
   };
 
@@ -100,12 +93,6 @@ public:
       return bits == 0.0 ? 0.0
                          : static_cast<double>(payload_bit_errors) / bits;
     }
-    [[nodiscard]] double delivered_per_slot() const {
-      return fabric.slots == 0
-                 ? 0.0
-                 : static_cast<double>(fabric.delivered) /
-                       static_cast<double>(fabric.slots);
-    }
   };
 
   /// Runs `n_slots` of random traffic at `offered_load` (injection
@@ -114,6 +101,10 @@ public:
   RunStats run(double offered_load, std::size_t n_slots);
 
   [[nodiscard]] const Config& config() const { return config_; }
+  /// Power budget of one WDM channel: laser -> fiber -> detector.
+  [[nodiscard]] vortex::LinkBudget link_budget() const {
+    return vortex::compute_link_budget(detectors_.front().config());
+  }
   [[nodiscard]] OpticalTransmitter& transmitter() { return tx_; }
   [[nodiscard]] vortex::DataVortex& fabric() { return fabric_; }
 

@@ -9,13 +9,19 @@
 namespace mgt::testbed {
 
 namespace {
+
 constexpr std::uint8_t kUsbAddress = 6;
-}
+/// FPGA-direct outputs (frame/header) carry this timing uncertainty.
+constexpr Picoseconds kFpgaIoRjSigma{18.0};
+/// Calibrated so the CMOS sideband lines up with the PECL data path
+/// (serializer 220 ps + buffer 160 ps + delay-line insertion 900 ps).
+constexpr Picoseconds kFpgaIoDelay{1280.0};
+
+}  // namespace
 
 OpticalTransmitter::OpticalTransmitter(Config config, std::uint64_t seed)
     : config_(config),
       rng_(seed),
-      dlc_(config.channel.dlc_spec),
       usb_device_(kUsbAddress, dlc_.usb_handler()),
       usb_host_(usb_device_) {
   config_.format.validate();
@@ -131,9 +137,9 @@ OpticalTransmitter::Output OpticalTransmitter::transmit(
   // Frame + header come straight off FPGA I/O: slower edges, more jitter,
   // a different (CMOS) delay.
   auto fpga_offset = [this](std::size_t, Picoseconds) {
-    return Picoseconds{rng_.gaussian(0.0, config_.fpga_io_rj_sigma.ps())};
+    return Picoseconds{rng_.gaussian(0.0, kFpgaIoRjSigma.ps())};
   };
-  const Picoseconds fpga_t0 = t_start + config_.fpga_io_delay;
+  const Picoseconds fpga_t0 = t_start + kFpgaIoDelay;
   BitVector frame_bits = out.bits.frame;
   out.frame = sig::EdgeStream::from_bits(frame_bits, config_.format.ui,
                                          fpga_t0, fpga_offset);
@@ -147,7 +153,7 @@ OpticalTransmitter::Output OpticalTransmitter::transmit(
   out.levels = hw0.buffer.levels();
   out.grid_origin = t_start + hw0.serializer.total_prop_delay() +
                     hw0.buffer.config().prop_delay +
-                    hw0.delay.config().insertion_delay;
+                    pecl::ProgrammableDelay::kInsertionDelay;
   return out;
 }
 

@@ -26,11 +26,6 @@ public:
     SlotFormat format{};
     /// High-speed channel hardware (preset: core::presets::optical_testbed).
     core::ChannelConfig channel;
-    /// FPGA-direct outputs (frame/header) carry this timing uncertainty.
-    Picoseconds fpga_io_rj_sigma{18.0};
-    /// Calibrated so the CMOS sideband lines up with the PECL data path
-    /// (serializer 220 ps + buffer 160 ps + delay-line insertion 900 ps).
-    Picoseconds fpga_io_delay{1280.0};
   };
 
   /// All transmitted signals for one packet slot.

@@ -43,7 +43,6 @@ public:
 
   [[nodiscard]] const Geometry& geometry() const { return geometry_; }
   [[nodiscard]] const FabricStats& stats() const { return stats_; }
-  [[nodiscard]] std::uint64_t current_slot() const { return stats_.slots; }
 
   /// Offers a packet at input port `port` (an outer-cylinder height) at the
   /// injection angle. Returns false when the entry node is occupied — the

@@ -8,6 +8,13 @@ namespace mgt::vortex {
 
 namespace {
 
+constexpr double kFiberLengthM = 10.0;
+constexpr double kFiberLossDbPerKm = 0.25;
+constexpr double kCombinerLossDb = 3.5;  // WDM mux insertion loss
+constexpr double kSplitterLossDb = 3.5;  // demux/splitter loss
+/// Group delay ~5 ns/m in fiber.
+constexpr double kDelayPsPerM = 4900.0;
+
 sig::EdgeStream delay_and_jitter(const sig::EdgeStream& in, Picoseconds delay,
                                  Picoseconds rj_sigma, Rng& rng) {
   sig::EdgeStream out(in.initial_level());
@@ -29,19 +36,19 @@ sig::EdgeStream delay_and_jitter(const sig::EdgeStream& in, Picoseconds delay,
 OpticalStream LaserDriver::modulate(const sig::EdgeStream& electrical) {
   OpticalStream out;
   out.wavelength_nm = config_.wavelength_nm;
-  out.power_dbm = config_.launch_power_dbm;
+  out.power_dbm = kLaunchPowerDbm;
   out.edges = delay_and_jitter(electrical, config_.prop_delay,
                                config_.rj_sigma, rng_);
   return out;
 }
 
 double OpticalPath::total_loss_db() const {
-  return config_.combiner_loss_db + config_.splitter_loss_db +
-         config_.fiber_loss_db_per_km * config_.fiber_length_m / 1000.0;
+  return kCombinerLossDb + kSplitterLossDb +
+         kFiberLossDbPerKm * kFiberLengthM / 1000.0;
 }
 
 Picoseconds OpticalPath::delay() const {
-  return Picoseconds{config_.delay_ps_per_m * config_.fiber_length_m};
+  return Picoseconds{kDelayPsPerM * kFiberLengthM};
 }
 
 OpticalStream OpticalPath::propagate(const OpticalStream& in) const {
@@ -66,12 +73,10 @@ sig::EdgeStream Photodetector::detect(const OpticalStream& in) {
                           rng_);
 }
 
-LinkBudget compute_link_budget(const LaserDriver::Config& laser,
-                               const OpticalPath::Config& path,
-                               const Photodetector::Config& detector) {
+LinkBudget compute_link_budget(const Photodetector::Config& detector) {
   LinkBudget budget;
-  budget.launch_dbm = laser.launch_power_dbm;
-  budget.loss_db = OpticalPath(path).total_loss_db();
+  budget.launch_dbm = LaserDriver::kLaunchPowerDbm;
+  budget.loss_db = OpticalPath().total_loss_db();
   budget.received_dbm = budget.launch_dbm - budget.loss_db;
   budget.sensitivity_dbm = detector.sensitivity_dbm;
   return budget;

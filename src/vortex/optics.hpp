@@ -27,13 +27,11 @@ class LaserDriver {
 public:
   struct Config {
     double wavelength_nm = 1550.0;
-    double launch_power_dbm = 3.0;
     Picoseconds prop_delay{300.0};
     Picoseconds rj_sigma{1.0};
-    /// Finite extinction: a residual "zero" level; tracked for the power
-    /// budget only.
-    double extinction_db = 12.0;
   };
+
+  static constexpr double kLaunchPowerDbm = 3.0;
 
   LaserDriver(Config config, Rng rng) : config_(config), rng_(rng) {}
 
@@ -46,27 +44,13 @@ private:
   Rng rng_;
 };
 
-/// Passive optical path: combiners, fiber, splitters.
+/// Passive optical path: WDM combiner, 10 m of fiber, splitter.
 class OpticalPath {
 public:
-  struct Config {
-    double fiber_length_m = 10.0;
-    double fiber_loss_db_per_km = 0.25;
-    double combiner_loss_db = 3.5;   // WDM mux insertion loss
-    double splitter_loss_db = 3.5;   // demux/splitter loss
-    /// Group delay ~5 ns/m in fiber.
-    double delay_ps_per_m = 4900.0;
-  };
-
-  explicit OpticalPath(Config config) : config_(config) {}
-
   [[nodiscard]] double total_loss_db() const;
   [[nodiscard]] Picoseconds delay() const;
 
   OpticalStream propagate(const OpticalStream& in) const;
-
-private:
-  Config config_;
 };
 
 /// O/E: photodetector + limiting amplifier.
@@ -106,8 +90,7 @@ struct LinkBudget {
   }
 };
 
-LinkBudget compute_link_budget(const LaserDriver::Config& laser,
-                               const OpticalPath::Config& path,
-                               const Photodetector::Config& detector);
+/// Budget of one laser -> OpticalPath -> `detector` link.
+LinkBudget compute_link_budget(const Photodetector::Config& detector);
 
 }  // namespace mgt::vortex

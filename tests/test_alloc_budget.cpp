@@ -92,9 +92,10 @@ TEST(AllocBudget, AcquireEyeDoesNotAllocatePerBit) {
 TEST(AllocBudget, SingleEdgeJitterDoesNotAllocatePerEdge) {
   // This window is long (about 2^20 grid samples per 80 edges), and each
   // render chunk of 2^20 samples makes a few allocations of its own (the
-  // chunk's sink and its crossing vector's growth). At 100 and 400 edges
-  // (2 and 5 chunks) that term stays inside the slack; a per-bit
-  // allocation (over 100 per edge) does not.
+  // one-entry sink list render_chunk takes and the chunk recorder's
+  // crossing vector growth; the chunk sink itself lives in a pre-sized
+  // slot). At 100 and 400 edges (2 and 5 chunks) that term stays inside
+  // the slack; a per-bit allocation (over 100 per edge) does not.
   const util::ScopedThreads serial(0);
   core::TestSystem sys(core::presets::optical_testbed(), 3);
   expect_flat("TestSystem::measure_single_edge_jitter", 100, [&](std::size_t n) {

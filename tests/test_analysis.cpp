@@ -177,9 +177,6 @@ TEST(EyeDiagram, InvalidConfigThrows) {
   config = basic_eye_config();
   config.time_bins = 0;
   EXPECT_THROW(EyeDiagram{config}, mgt::Error);
-  config = basic_eye_config();
-  config.center_window = 0.7;
-  EXPECT_THROW(EyeDiagram{config}, mgt::Error);
   // Non-finite values: the bin boundaries need finite ends.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -217,7 +214,7 @@ TEST(EyeDiagram, MergeRejectsDifferentConfig) {
   EyeDiagram eye{base};
   EyeDiagram same{base};
   EXPECT_NO_THROW(eye.merge(same));
-  std::vector<EyeDiagram::Config> others(8, base);
+  std::vector<EyeDiagram::Config> others(7, base);
   others[0].ui = base.ui + Picoseconds{1.0};
   others[1].t_ref = base.t_ref + Picoseconds{1.0};
   others[2].v_lo = base.v_lo - Millivolts{1.0};
@@ -225,7 +222,6 @@ TEST(EyeDiagram, MergeRejectsDifferentConfig) {
   others[4].threshold = base.threshold + Millivolts{1.0};
   others[5].time_bins = base.time_bins + 1;
   others[6].volt_bins = base.volt_bins + 1;
-  others[7].center_window = base.center_window / 2.0;
   for (std::size_t i = 0; i < others.size(); ++i) {
     SCOPED_TRACE(i);
     const EyeDiagram other{others[i]};

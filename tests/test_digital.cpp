@@ -519,11 +519,11 @@ TEST(Dlc, PatternModeWithoutUploadThrows) {
 }
 
 TEST(Dlc, OversizedBitstreamRejected) {
-  DlcSpec spec;
-  spec.bitstream_max_bytes = 16;
-  Dlc dlc(spec);
+  Dlc dlc;
   Bitstream bs;
-  bs.payload.assign(17, 0);
+  bs.payload.assign(DlcSpec::kBitstreamMaxBytes, 0);
+  EXPECT_NO_THROW(dlc.configure(bs));
+  bs.payload.push_back(0);
   EXPECT_THROW(dlc.configure(bs), Error);
 }
 

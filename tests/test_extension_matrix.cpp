@@ -51,10 +51,10 @@ TEST(VernierTimebase, SubPicosecondStepAndRange) {
             10000.0);
   // The detuned clock is one beat step short of the main period.
   EXPECT_DOUBLE_EQ(vernier.vernier_period().ps(),
-                   vernier.config().main_clock.period().ps() - 0.67);
+                   pecl::VernierTimebase::kMainClock.period().ps() - 0.67);
   EXPECT_EQ(vernier.codes_per_beat(),
             static_cast<std::size_t>(
-                std::floor(vernier.config().main_clock.period().ps() / 0.67)));
+                std::floor(pecl::VernierTimebase::kMainClock.period().ps() / 0.67)));
 }
 
 TEST(VernierTimebase, CodeZeroIsCoincidence) {
@@ -152,7 +152,7 @@ TEST(VernierDelayLine, ApplyShiftsEdgesLikeStepped) {
   const auto out = delay.apply(in);
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_NEAR(out.transitions()[i].time.ps() - in.transitions()[i].time.ps(),
-                config.insertion_delay.ps() + delay.insertion_offset().ps() +
+                pecl::ProgrammableDelay::kInsertionDelay.ps() + delay.insertion_offset().ps() +
                     delay.actual_delay(1000).ps(),
                 1e-9);
   }

@@ -131,8 +131,7 @@ TEST(ReceiverStartup, AmplePreClocksLoseNothing) {
   config.format = short_preamble_format(7);
   config.channel = core::presets::optical_testbed();
   testbed::OpticalTransmitter tx(config, 5);
-  testbed::Receiver rx(
-      testbed::Receiver::Config{.format = config.format, .startup_edges = 3});
+  testbed::Receiver rx(testbed::Receiver::Config{.format = config.format});
   Rng rng(6);
   testbed::TestbedPacket packet;
   for (auto& lane : packet.payload) {
@@ -147,14 +146,14 @@ TEST(ReceiverStartup, AmplePreClocksLoseNothing) {
 }
 
 TEST(ReceiverStartup, TooFewPreClocksTruncateLeadingBits) {
-  // Protocol variant with only 1 pre-clock against a receiver that needs
-  // 3 start-up edges: the first two payload bits are lost.
+  // Protocol variant with no pre-clocks against a receiver that needs
+  // 2 start-up edges: the first two payload bits are lost.
+  static_assert(testbed::Receiver::kStartupEdges == 2);
   testbed::OpticalTransmitter::Config config;
-  config.format = short_preamble_format(1);
+  config.format = short_preamble_format(0);
   config.channel = core::presets::optical_testbed();
   testbed::OpticalTransmitter tx(config, 7);
-  testbed::Receiver rx(
-      testbed::Receiver::Config{.format = config.format, .startup_edges = 3});
+  testbed::Receiver rx(testbed::Receiver::Config{.format = config.format});
   Rng rng(8);
   testbed::TestbedPacket packet;
   for (auto& lane : packet.payload) {
@@ -177,8 +176,7 @@ TEST(ReceiverStartup, ProtocolSweepFindsMinimumPreamble) {
     config.format = short_preamble_format(pre);
     config.channel = core::presets::optical_testbed();
     testbed::OpticalTransmitter tx(config, 11);
-    testbed::Receiver rx(testbed::Receiver::Config{.format = config.format,
-                                                   .startup_edges = 3});
+    testbed::Receiver rx(testbed::Receiver::Config{.format = config.format});
     Rng rng(12);
     testbed::TestbedPacket packet;
     for (auto& lane : packet.payload) {
@@ -191,7 +189,8 @@ TEST(ReceiverStartup, ProtocolSweepFindsMinimumPreamble) {
       minimum = std::min(minimum, pre);
     }
   }
-  EXPECT_EQ(minimum, 3u);  // exactly the receiver's startup requirement
+  // Exactly the receiver's startup requirement.
+  EXPECT_EQ(minimum, testbed::Receiver::kStartupEdges);
 }
 
 }  // namespace

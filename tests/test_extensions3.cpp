@@ -27,7 +27,7 @@ std::vector<sig::Crossing> jittered_edges(std::size_t n, double ui,
   out.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
     const Picoseconds nominal{static_cast<double>(k + 1) * ui};
-    out.push_back({nominal + source.offset(true, nominal), true});
+    out.push_back({nominal + source.offset(nominal), true});
   }
   return out;
 }

@@ -461,12 +461,20 @@ TEST(TestbedFaults, LosOnClockChannelMeansNoCapture) {
 TEST(CalibrationRecovery, RetriesWithDeeperAveragingThenReportsFailure) {
   testbed::OpticalTransmitter::Config config;
   config.channel = core::presets::optical_testbed();
+  // Channel 1's serializer drops the first 50 serial bits of every slot,
+  // so its first edge comes 30 UI (12 ns) late: more than a delay line's
+  // 10.23 ns range can align. The channel stays alive, and its residual
+  // stays far above the 25 ps bound.
+  FaultPlan plan(60);
+  plan.schedule({.kind = FaultKind::kMuxDropout,
+                 .component = "tx.ch1.serializer",
+                 .duration = 50});
+  config.channel.faults = plan;
   testbed::OpticalTransmitter tx(config, 60);
 
   testbed::CalibrationOptions options;
   options.averaging_slots = 2;
   options.max_attempts = 3;
-  options.residual_bound = Picoseconds{0.0};  // unreachable on purpose
   const auto outcome = testbed::calibrate_with_recovery(tx, options);
   EXPECT_FALSE(outcome.converged);
   EXPECT_FALSE(outcome.healthy());
@@ -711,7 +719,6 @@ TEST(SelfTest, LinkDegradedModeRoundTripsThroughSystemReport) {
   link::LinkChannel::Config config;
   config.arq = arq;
   config.degrade_window = 4;
-  config.degrade_fer_threshold = 0.25;
   link::LinkChannel channel(
       config, link::make_fault_transport(plan, "link.fwd"),
       link::make_fault_transport(plan, "link.rev"));

@@ -76,9 +76,7 @@ TEST(Integration, TestbedAndMinitesterShareTheArchitecture) {
 }
 
 TEST(Integration, TestbedPacketsSurviveFabricContention) {
-  testbed::OpticalTestbed::Config config;
-  config.signal_check_period = 2;
-  testbed::OpticalTestbed tb(config, 31);
+  testbed::OpticalTestbed tb(testbed::OpticalTestbed::Config{}, 31);
   const auto stats = tb.run(0.8, 100);  // heavy load
   EXPECT_EQ(stats.fabric.delivered, stats.fabric.injected);
   EXPECT_EQ(stats.payload_bit_errors, 0u);

@@ -180,7 +180,7 @@ TEST(LinkFrameCodec, NarrowFormatFitsCodecButNotTheLinkProtocol) {
 // ------------------------------------------------------------ arq receiver --
 
 TEST(LinkArqReceiver, ReconstructsFullSequenceAcrossWrap) {
-  ArqReceiver rx(8);
+  ArqReceiver rx;
   // Drive the expectation to 300 (past the 8-bit wrap).
   for (std::uint64_t s = 0; s < 300; ++s) {
     EXPECT_TRUE(rx.on_data(s).deliver);
@@ -196,13 +196,13 @@ TEST(LinkArqReceiver, BehindStreamStartIsSignalledNotDelivered) {
   // false pass on a corrupted header can produce one) must be reported
   // explicitly — a clamped 0 would equal a fresh receiver's expectation
   // and deliver a wrong payload as payload #0.
-  ArqReceiver fresh(8);
+  ArqReceiver fresh;
   EXPECT_EQ(fresh.reconstruct(0xFF), std::nullopt);
   EXPECT_EQ(fresh.expected(), 0u) << "a behind frame must not advance state";
 
   // Once the stream is past the wrap distance, "behind" is an ordinary
   // duplicate and still reconstructs.
-  ArqReceiver rx(8);
+  ArqReceiver rx;
   for (std::uint64_t s = 0; s < 3; ++s) {
     EXPECT_TRUE(rx.on_data(s).deliver);
   }
@@ -212,7 +212,7 @@ TEST(LinkArqReceiver, BehindStreamStartIsSignalledNotDelivered) {
 }
 
 TEST(LinkArqReceiver, VerdictsAreExclusive) {
-  ArqReceiver rx(4);
+  ArqReceiver rx;
   const auto first = rx.on_data(0);
   EXPECT_TRUE(first.deliver && !first.duplicate && !first.gap);
   const auto dup = rx.on_data(0);
@@ -224,7 +224,7 @@ TEST(LinkArqReceiver, VerdictsAreExclusive) {
 // ------------------------------------------------------------ sync monitor --
 
 TEST(LinkSyncMonitor, WalksLockedSuspectHuntingRelock) {
-  SyncMonitor sync{SyncMonitor::Config{.hunt_after = 2, .relock_guards = 2}};
+  SyncMonitor sync{SyncMonitor::Config{.hunt_after = 2}};
   EXPECT_EQ(sync.state(), SyncState::kLocked);
 
   sync.observe_bad_frame();
@@ -363,12 +363,11 @@ TEST(LinkChannel, TimeoutsBackOffExponentiallyAndStayBounded) {
   los.component = "link.rev";
   plan.schedule(los);
 
+  // Five retries take the backoff from kTimeoutSlots up to its cap.
+  static_assert(ArqConfig::kTimeoutSlots == 4 && ArqConfig::kBackoffBase == 2 &&
+                ArqConfig::kBackoffCapSlots == 64);
   ArqConfig arq;
-  arq.window = 1;
-  arq.max_retries = 3;
-  arq.timeout_slots = 2;
-  arq.backoff_base = 2;
-  arq.backoff_cap_slots = 8;
+  arq.max_retries = 5;
   LinkChannel::Config config;
   config.arq = arq;
 
@@ -383,9 +382,10 @@ TEST(LinkChannel, TimeoutsBackOffExponentiallyAndStayBounded) {
   EXPECT_EQ(stats.delivered, 1u);
   EXPECT_EQ(stats.reconciled, 1u);
   EXPECT_EQ(ch.delivered_payloads(), payloads);
-  EXPECT_EQ(stats.timeouts, 4u) << "initial round + max_retries";
-  // Slots: 4 rounds x (1 data + 1 response) + backoffs 2, 4, 8, 8 (capped).
-  EXPECT_EQ(stats.slots, 4u * 2u + 2u + 4u + 8u + 8u);
+  EXPECT_EQ(stats.timeouts, 6u) << "initial round + max_retries";
+  // Slots: 6 rounds x (1 data + 1 response) + backoffs 4, 8, 16, 32, 64,
+  // 64 (capped).
+  EXPECT_EQ(stats.slots, 6u * 2u + 4u + 8u + 16u + 32u + 64u + 64u);
 
   LinkChannel again = make_channel(plan, config);
   (void)again.transfer(payloads);
@@ -404,10 +404,7 @@ TEST(LinkChannel, TotalOutageAbandonsOnlyTrulyUndeliveredPayloads) {
   }
 
   ArqConfig arq;
-  arq.window = 2;
   arq.max_retries = 2;
-  arq.timeout_slots = 1;
-  arq.max_resync_slots = 4;
   LinkChannel::Config config;
   config.arq = arq;
 
@@ -442,11 +439,7 @@ TEST(LinkChannel, ReverseOutageSpanningRetryBudgetNeverSubstitutesPayloads) {
   plan.schedule(los);
 
   ArqConfig arq;
-  arq.window = 4;
   arq.max_retries = 2;
-  arq.timeout_slots = 2;
-  arq.backoff_base = 2;
-  arq.backoff_cap_slots = 8;
   LinkChannel::Config config;
   config.arq = arq;
 
@@ -485,7 +478,6 @@ TEST(LinkChannel, SyncLossTriggersHuntAndRelock) {
 
   LinkChannel::Config config;
   config.sync.hunt_after = 2;
-  config.sync.relock_guards = 2;
   LinkChannel ch = make_channel(plan, config);
   const auto payloads = random_payloads(24, ch.codec().user_bits(), 19);
 
@@ -511,15 +503,13 @@ TEST(LinkChannel, DegradedModeStepsRateDownAndReportsIt) {
   LinkChannel::Config config;
   config.arq = arq;
   config.degrade_window = 4;
-  config.degrade_fer_threshold = 0.25;
-  config.max_rate_steps = 2;
 
   LinkChannel ch = make_channel(plan, config);
   const auto payloads = random_payloads(32, ch.codec().user_bits(), 59);
   (void)ch.transfer(payloads);
 
   EXPECT_GT(ch.rate_steps(), 0u) << "sustained residual FER must step rate";
-  EXPECT_LE(ch.rate_steps(), config.max_rate_steps);
+  EXPECT_LE(ch.rate_steps(), LinkChannel::kMaxRateSteps);
   const double factor = std::ldexp(1.0, static_cast<int>(ch.rate_steps()));
   EXPECT_DOUBLE_EQ(ch.current_ui().ps(),
                    testbed::SlotFormat{}.ui.ps() * factor);

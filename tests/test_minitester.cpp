@@ -47,10 +47,10 @@ TEST(Misr, SensitiveToBitOrder) {
 
 TEST(WlpDut, LoopbackDelayIsSumOfPath) {
   const WlpDut dut(WlpDut::Config{});
-  const auto& c = dut.config();
+  const double lead = sig::Channel::compliant_lead().config().delay.ps();
   EXPECT_DOUBLE_EQ(dut.loopback_delay().ps(),
-                   c.interposer.delay.ps() + c.lead_in.delay.ps() +
-                       c.lead_out.delay.ps() + c.internal_delay.ps());
+                   sig::Channel::interposer_trace().config().delay.ps() +
+                       lead + lead + WlpDut::kInternalDelay.ps());
 }
 
 TEST(WlpDut, RespondShiftsEdges) {

@@ -190,7 +190,7 @@ TEST(DelayLine, ApplyShiftsEdges) {
   const double shift =
       out.transitions()[0].time.ps() - in.transitions()[0].time.ps();
   EXPECT_NEAR(shift,
-              config.insertion_delay.ps() + delay.insertion_offset().ps() +
+              ProgrammableDelay::kInsertionDelay.ps() + delay.insertion_offset().ps() +
                   delay.actual_delay(100).ps(),
               1e-9);
   // Same shift on every edge (deterministic part).

@@ -179,7 +179,6 @@ TEST_P(UsbFuzz, CorruptionNeverYieldsWrongData) {
           static_cast<std::uint8_t>(1u << rng.below(8));
     }
   });
-  host.set_max_retries(16);
 
   for (std::uint32_t i = 0; i < 200; ++i) {
     const std::uint32_t value = static_cast<std::uint32_t>(rng.next());

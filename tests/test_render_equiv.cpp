@@ -764,7 +764,7 @@ struct TwoModFold {
              std::min(vb, cfg.volt_bins - 1)];
     }
     const double phase1 = mod(t - cfg.t_ref.ps(), ui);
-    if (std::abs(phase1 - ui / 2.0) <= cfg.center_window * ui) {
+    if (std::abs(phase1 - ui / 2.0) <= ana::EyeDiagram::kCenterWindow * ui) {
       if (v >= cfg.threshold.mv()) {
         min_high = std::min(min_high, v);
         high.add(v);

@@ -146,7 +146,7 @@ TEST(Jitter, RjSigmaIsRealized) {
   JitterSource src(spec, Rng(42));
   RunningStats stats;
   for (int i = 0; i < 50000; ++i) {
-    stats.add(src.offset(true, Picoseconds{0.0}).ps());
+    stats.add(src.offset(Picoseconds{0.0}).ps());
   }
   EXPECT_NEAR(stats.stddev(), 3.2, 0.1);
   EXPECT_NEAR(stats.mean(), 0.0, 0.1);
@@ -159,7 +159,7 @@ TEST(Jitter, DualDiracIsBimodalAndBounded) {
   bool saw_plus = false;
   bool saw_minus = false;
   for (int i = 0; i < 1000; ++i) {
-    const double dt = src.offset(true, Picoseconds{0.0}).ps();
+    const double dt = src.offset(Picoseconds{0.0}).ps();
     EXPECT_TRUE(std::abs(std::abs(dt) - 10.0) < 1e-12);
     saw_plus |= dt > 0;
     saw_minus |= dt < 0;
@@ -168,22 +168,14 @@ TEST(Jitter, DualDiracIsBimodalAndBounded) {
   EXPECT_TRUE(saw_minus);
 }
 
-TEST(Jitter, DcdSplitsByEdgeDirection) {
-  JitterSpec spec;
-  spec.dcd_pp = Picoseconds{8.0};
-  JitterSource src(spec, Rng(44));
-  EXPECT_DOUBLE_EQ(src.offset(true, Picoseconds{0.0}).ps(), 4.0);
-  EXPECT_DOUBLE_EQ(src.offset(false, Picoseconds{0.0}).ps(), -4.0);
-}
-
 TEST(Jitter, PeriodicJitterFollowsSine) {
   JitterSpec spec;
   spec.pj_amplitude = Picoseconds{5.0};
   spec.pj_frequency = Gigahertz{0.001};  // period = 1e6 ps
   JitterSource src(spec, Rng(45));
-  EXPECT_NEAR(src.offset(true, Picoseconds{0.0}).ps(), 0.0, 1e-9);
-  EXPECT_NEAR(src.offset(true, Picoseconds{250000.0}).ps(), 5.0, 1e-6);
-  EXPECT_NEAR(src.offset(true, Picoseconds{750000.0}).ps(), -5.0, 1e-6);
+  EXPECT_NEAR(src.offset(Picoseconds{0.0}).ps(), 0.0, 1e-9);
+  EXPECT_NEAR(src.offset(Picoseconds{250000.0}).ps(), 5.0, 1e-6);
+  EXPECT_NEAR(src.offset(Picoseconds{750000.0}).ps(), -5.0, 1e-6);
 }
 
 TEST(Jitter, ApplyPreservesWellFormedness) {

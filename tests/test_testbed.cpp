@@ -233,9 +233,7 @@ TEST(OpticalTestbed, SinglePacketEndToEnd) {
 }
 
 TEST(OpticalTestbed, RunDeliversEverythingErrorFree) {
-  OpticalTestbed::Config config;
-  config.signal_check_period = 4;
-  OpticalTestbed tb(config, 19);
+  OpticalTestbed tb(OpticalTestbed::Config{}, 19);
   const auto stats = tb.run(0.3, 150);
 
   EXPECT_GT(stats.fabric.injected, 200u);
@@ -248,10 +246,11 @@ TEST(OpticalTestbed, RunDeliversEverythingErrorFree) {
   EXPECT_GT(stats.budget.margin_db(), 3.0);  // healthy optical link
 }
 
-TEST(OpticalTestbed, LinkBudgetFailureDegradesInsteadOfThrowing) {
+TEST(OpticalTestbed, DarkChannelsDegradeInsteadOfThrowing) {
+  // Loss of signal on every high-speed channel for the whole run.
   OpticalTestbed::Config config;
-  config.path.fiber_length_m = 100000.0;  // 100 km of fiber: hopeless
-  config.path.fiber_loss_db_per_km = 0.25;
+  config.faults.schedule(
+      {.kind = fault::FaultKind::kLossOfSignal, .component = "optics"});
   OpticalTestbed tb(config, 20);
   Rng rng(21);
   // Every channel goes dark, but the transfer completes in degraded mode:

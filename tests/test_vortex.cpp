@@ -277,20 +277,15 @@ TEST(Fabric, InvalidPortsThrow) {
 // ----------------------------------------------------------------- optics --
 
 TEST(Optics, LinkBudgetArithmetic) {
-  LaserDriver::Config laser;
-  laser.launch_power_dbm = 3.0;
-  OpticalPath::Config path;
-  path.fiber_length_m = 1000.0;
-  path.fiber_loss_db_per_km = 0.25;
-  path.combiner_loss_db = 3.5;
-  path.splitter_loss_db = 3.5;
+  // 3 dBm launch; 3.5 + 3.5 dB combiner/splitter + 10 m at 0.25 dB/km.
   Photodetector::Config detector;
   detector.sensitivity_dbm = -18.0;
 
-  const auto budget = compute_link_budget(laser, path, detector);
-  EXPECT_NEAR(budget.loss_db, 7.25, 1e-9);
-  EXPECT_NEAR(budget.received_dbm, -4.25, 1e-9);
-  EXPECT_NEAR(budget.margin_db(), 13.75, 1e-9);
+  const auto budget = compute_link_budget(detector);
+  EXPECT_NEAR(budget.launch_dbm, 3.0, 1e-9);
+  EXPECT_NEAR(budget.loss_db, 7.0025, 1e-9);
+  EXPECT_NEAR(budget.received_dbm, -4.0025, 1e-9);
+  EXPECT_NEAR(budget.margin_db(), 13.9975, 1e-9);
 }
 
 TEST(Optics, DetectorRejectsWeakSignal) {
@@ -303,7 +298,7 @@ TEST(Optics, DetectorRejectsWeakSignal) {
 
 TEST(Optics, EndToEndPreservesData) {
   LaserDriver laser(LaserDriver::Config{}, Rng(2));
-  OpticalPath path(OpticalPath::Config{});
+  const OpticalPath path;
   Photodetector detector(Photodetector::Config{}, Rng(3));
 
   Rng rng(4);
@@ -323,11 +318,9 @@ TEST(Optics, EndToEndPreservesData) {
   EXPECT_TRUE(recovered.well_formed());
 }
 
-TEST(Optics, PathDelayScalesWithFiberLength) {
-  OpticalPath::Config config;
-  config.fiber_length_m = 2.0;
-  const OpticalPath path(config);
-  EXPECT_NEAR(path.delay().ps(), 9800.0, 1e-6);
+TEST(Optics, PathDelayIsFiberGroupDelay) {
+  // 10 m of fiber at 4900 ps/m.
+  EXPECT_NEAR(OpticalPath().delay().ps(), 49000.0, 1e-6);
 }
 
 }  // namespace
