@@ -58,7 +58,14 @@ std::array<double, FilterChain::kMaxPoles> FilterChain::alpha_row(
     Picoseconds dt) const {
   std::array<double, kMaxPoles> row{};
   for (std::size_t i = 0; i < taus_.size(); ++i) {
-    row[i] = 1.0 - std::exp(-dt.ps() / taus_[i]);
+    // Poles split from one rise time share their tau. A pole equal to an
+    // earlier one copies its alpha: the same expression of the same
+    // operands, so the very same double, for one exp() per distinct tau.
+    std::size_t j = 0;
+    while (taus_[j] != taus_[i]) {
+      ++j;
+    }
+    row[i] = j < i ? row[j] : 1.0 - std::exp(-dt.ps() / taus_[i]);
   }
   return row;
 }

@@ -81,10 +81,12 @@ private:
   friend class internal::Walk;
 
   /// The per-stage alphas 1 - exp(-dt/tau) of a step of dt; entries past
-  /// pole_count() are zero. The renderer's walk computes the rows of the
-  /// grid step and the rest bound once per window, and the row of any
-  /// other step as it takes it. Defined out of line, so the walk's loops
-  /// hold a call here and not the exp() code.
+  /// pole_count() are zero. One exp() per distinct tau: a pole whose tau
+  /// equals an earlier pole's copies that pole's alpha, the same double.
+  /// The renderer's walk computes the rows of the grid step and the rest
+  /// bound once per window, and the row of any other step as it takes it.
+  /// Defined out of line, so the walk's loops hold a call here and not the
+  /// exp() code.
   [[nodiscard]] std::array<double, kMaxPoles> alpha_row(Picoseconds dt) const;
 
   std::vector<double> taus_;      // per-stage time constants, ps

@@ -147,21 +147,26 @@ void deliver_strobe_pairs(const Window& w, const FilterChain& chain,
       }
     }
   }
-  std::sort(reads.begin(), reads.end());
+  // One sampler's reads come sorted unless two strobes share a K.
+  if (!std::is_sorted(reads.begin(), reads.end())) {
+    std::sort(reads.begin(), reads.end());
+  }
   reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
   if (reads.empty()) {
     return;
   }
 
-  std::vector<typename Walk<N>::Matrix> powers;
+  typename Walk<N>::Powers powers(w.k_end - w.k_start);
   std::size_t k = w.k_start;
   walk.to(k);
+  // The grid sample that absorbs the next transition: the first at or
+  // after it past k. It stays the answer while jumps move k short of it,
+  // so it is found again only once to(k_tr) has absorbed the transition.
+  std::size_t k_tr =
+      walk.first_at_or_after(Picoseconds{walk.t_next()}, k + 1, w.k_end);
   Delivery out(sinks);
   for (const std::size_t r : reads) {
     while (k < r) {
-      // The grid sample that absorbs the next transition.
-      const std::size_t k_tr =
-          walk.first_at_or_after(Picoseconds{walk.t_next()}, k + 1, w.k_end);
       const std::size_t free_to = std::min(k_tr - 1, r);
       if (free_to > k) {
         walk.jump(k, free_to, powers);
@@ -170,6 +175,8 @@ void deliver_strobe_pairs(const Window& w, const FilterChain& chain,
       if (k < r) {
         k = k_tr;
         walk.to(k);
+        k_tr = walk.first_at_or_after(Picoseconds{walk.t_next()}, k + 1,
+                                      w.k_end);
       }
     }
     out.push(Picoseconds{walk.grid(r)}, Millivolts{walk.output()});

@@ -38,7 +38,8 @@
 //     one, and the sinks record the same crossings.
 //   - strobe pairs: when every sink reads only strobes
 //     (WaveformSink::strobe_times), it reaches only the grid samples that
-//     absorb transitions, jumps every other stretch by powers of the
+//     absorb transitions (searching for each once, when the transition
+//     before it is absorbed), jumps every other stretch by powers of the
 //     one-grid-step map, and delivers only the grid pair around each
 //     strobe. Its samples differ from the dense ones by rounding only:
 //     under 1e-10 mV on the mini-tester's 6-pole chain near t = 0, and

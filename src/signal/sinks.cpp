@@ -41,7 +41,10 @@ StrobeSampler::StrobeSampler(std::vector<Picoseconds> strobes, Config config,
     for (auto& s : strobes_) {
       s += Picoseconds{rng_.gaussian(0.0, config_.strobe_rj_sigma.ps())};
     }
-    std::sort(strobes_.begin(), strobes_.end());
+    // RJ well under the strobe spacing leaves them in order.
+    if (!std::is_sorted(strobes_.begin(), strobes_.end())) {
+      std::sort(strobes_.begin(), strobes_.end());
+    }
   } else {
     MGT_CHECK(std::is_sorted(strobes_.begin(), strobes_.end()),
               "strobe times must be sorted");

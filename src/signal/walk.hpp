@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -37,14 +38,18 @@ namespace mgt::sig::internal {
 /// k_start with every stage at the steady state of the stream level there,
 /// mid + gain * (v - mid), and owns its stage states for the whole window;
 /// the chain itself is only read, for its gain, midpoint and alphas.
-/// Every delivery loop constructs its walk as a local, the constructor and
-/// every method are inlined, and the per-stage loops of the constructor,
-/// step() and at_rest() are folds over constant stage indices with no
-/// closure holding the walk's address. So the compiler can split the walk
-/// into scalars and keep the stage states and alpha rows of the dense and
-/// side-change loops in registers, with no store and reload of a state per
-/// sample (GCC 12 at -O3; jump() indexes by loop variables, so the strobe
-/// loop keeps its walk in memory).
+/// Every delivery loop constructs its walk as a local, the constructor is
+/// inlined, and the per-stage loops of the constructor, step(), at_rest()
+/// and jump() are folds over constant stage indices with no closure holding
+/// the walk's address. So where to() is inlined too, the compiler can split
+/// the walk into scalars and keep the stage states and alpha rows of the
+/// dense and side-change loops in registers, with no store and reload of a
+/// state per sample (GCC 12 at -O3). The strobe loop calls to() out of
+/// line, which takes the walk's address, so it keeps its walk in memory;
+/// each jump() still runs its deviations in registers. Inlining to() there
+/// (forced, or by flattening the loop) splits that walk too, but changes
+/// the code GCC gives the dense and side-change loops beside it, and the
+/// crossing loop ran slower (DESIGN §4).
 ///
 /// to() and at_rest() are FilterChain::step and FilterChain::at_rest with
 /// the same operations, operands and order, so every dense sample is
@@ -218,56 +223,35 @@ public:
   // map M of the alphas alone, the same at both levels.
   using Matrix = std::array<std::array<double, N>, N>;
 
+  /// The powers M^(2^j) a window's jumps use: bit_width(n) matrices,
+  /// allocated once, enough for any jump of fewer than n grid steps. The
+  /// first `squared` of them hold M^(2^j), each squared up on first need.
+  struct Powers {
+    explicit Powers(std::size_t n) : m(std::bit_width(n)) {}
+    std::vector<Matrix> m;
+    std::size_t squared = 0;
+  };
+
   /// Advances from grid sample `from` to k, with no transition in
   /// (t_from, t_k], by k - from steps of exactly dt at the current level:
-  /// one product with M^(2^j) per set bit j of the count. `powers[j]`
-  /// holds M^(2^j), squared up on first need and kept across calls.
-  void jump(std::size_t from, std::size_t k, std::vector<Matrix>& powers) {
-    const double x = input();
+  /// one product with M^(2^j) per set bit j of the count, which must be
+  /// under the n `powers` was sized for.
+  void jump(std::size_t from, std::size_t k, Powers& powers) {
+    const Millivolts x{input()};
     if constexpr (N == 0) {
-      pass_ = x;
+      pass_ = x.mv();
     } else {
-      if (powers.empty()) {
-        Matrix m{};
-        for (std::size_t i = 0; i < N; ++i) {
-          for (std::size_t j = 0; j < i; ++j) {
-            m[i][j] = a_dt_[i] * m[i - 1][j];
-          }
-          m[i][i] = 1.0 - a_dt_[i];
-        }
-        powers.push_back(m);
-      }
-      std::array<double, N> d{};
-      for (std::size_t i = 0; i < N; ++i) {
-        d[i] = s_[i] - x;
-      }
+      std::array<double, N> d;
+      deviations(d, x, Stages{});
       for (std::size_t p = 0, n = k - from; n != 0; ++p, n >>= 1) {
-        if (p == powers.size()) {
-          const Matrix& a = powers.back();
-          Matrix sq{};
-          for (std::size_t i = 0; i < N; ++i) {
-            for (std::size_t j = 0; j <= i; ++j) {
-              for (std::size_t l = j; l <= i; ++l) {
-                sq[i][j] += a[i][l] * a[l][j];
-              }
-            }
-          }
-          powers.push_back(sq);
+        if (p == powers.squared) {
+          square_up(powers);
         }
         if ((n & 1) != 0) {
-          const Matrix& a = powers[p];
-          std::array<double, N> out{};
-          for (std::size_t i = 0; i < N; ++i) {
-            for (std::size_t l = 0; l <= i; ++l) {
-              out[i] += a[i][l] * d[l];
-            }
-          }
-          d = out;
+          multiply(powers.m[p], d, Stages{});
         }
       }
-      for (std::size_t i = 0; i < N; ++i) {
-        s_[i] = x + d[i];
-      }
+      settle(d, x, Stages{});
     }
     now_ = grid(k);
   }
@@ -298,6 +282,67 @@ private:
                        Picoseconds dt, std::index_sequence<I...>) {
     const auto row = chain.alpha_row(dt);
     ((to[I] = row[I]), ...);
+  }
+
+  /// jump()'s per-stage loops: the deviations d = s - x, their product
+  /// with a power of M, and the states x + d they move the stages to.
+  /// Row I of the product adds its terms left to right, starting from the
+  /// first term, not from 0.0 + it: the two differ only where that term is
+  /// -0, and then only in the sign of a zero row, which x + d erases
+  /// (DESIGN §4).
+  template <std::size_t... I>
+  void deviations(std::array<double, N>& d, Millivolts x,
+                  std::index_sequence<I...>) const {
+    ((d[I] = s_[I] - x.mv()), ...);
+  }
+
+  template <std::size_t I, std::size_t... L>
+  static double row(const Matrix& a, const std::array<double, N>& d,
+                    std::index_sequence<L...>) {
+    double sum = a[I][0] * d[0];
+    ((sum += a[I][L + 1] * d[L + 1]), ...);
+    return sum;
+  }
+
+  template <std::size_t... I>
+  static void multiply(const Matrix& a, std::array<double, N>& d,
+                       std::index_sequence<I...>) {
+    const std::array<double, N> out{
+        row<I>(a, d, std::make_index_sequence<I>{})...};
+    copy(d, out, Stages{});
+  }
+
+  template <std::size_t... I>
+  void settle(const std::array<double, N>& d, Millivolts x,
+              std::index_sequence<I...>) {
+    ((s_[I] = x.mv() + d[I]), ...);
+  }
+
+  /// Fills the next power: M itself from the grid step's alphas, else the
+  /// square of the last one, summed over the triangle it can be nonzero on.
+  void square_up(Powers& powers) const {
+    const std::size_t p = powers.squared++;
+    Matrix& to = powers.m[p];
+    if (p == 0) {
+      // A local copy, so no loop variable indexes a member of the walk.
+      std::array<double, N> a;
+      copy(a, a_dt_, Stages{});
+      for (std::size_t i = 0; i < N; ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+          to[i][j] = a[i] * to[i - 1][j];
+        }
+        to[i][i] = 1.0 - a[i];
+      }
+      return;
+    }
+    const Matrix& from = powers.m[p - 1];
+    for (std::size_t i = 0; i < N; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        for (std::size_t l = j; l <= i; ++l) {
+          to[i][j] += from[i][l] * from[l][j];
+        }
+      }
+    }
   }
 
   /// FilterChain::step's stage loop: each stage moves toward its input by

@@ -1,6 +1,8 @@
 #include "util/rng.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 
 #include "util/error.hpp"
 
@@ -20,6 +22,17 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+/// xoshiro256's state transition, one step.
+void advance(std::array<std::uint64_t, 4>& s) {
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -31,13 +44,7 @@ Rng::Rng(std::uint64_t seed) {
 
 std::uint64_t Rng::next() {
   const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
+  advance(s_);
   return result;
 }
 
@@ -88,16 +95,18 @@ Rng Rng::fork() {
   static constexpr std::uint64_t kJump[] = {
       0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
       0x39ABDC4529B1661CULL};
+  // The 256 steps run on local state words, not through next()'s members.
   Rng child = *this;
+  std::array<std::uint64_t, 4> s = s_;
   std::array<std::uint64_t, 4> acc{};
   for (std::uint64_t jump_word : kJump) {
     for (int bit = 0; bit < 64; ++bit) {
       if (jump_word & (1ULL << bit)) {
-        for (int i = 0; i < 4; ++i) {
-          acc[static_cast<std::size_t>(i)] ^= s_[static_cast<std::size_t>(i)];
+        for (std::size_t i = 0; i < 4; ++i) {
+          acc[i] ^= s[i];
         }
       }
-      next();
+      advance(s);
     }
   }
   s_ = acc;

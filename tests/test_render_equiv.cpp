@@ -693,12 +693,11 @@ TEST(QuiescentSkip, AtRestOnlyAtAFixedPoint) {
 
 // ------------------------------------------------- filter-chain step ----
 
-TEST(FilterChain, StepMatchesFreshAlphasAcrossDts) {
-  // Eleven distinct dts, visited in cycles, repeats and reversals, with
-  // the grid step between them. Every output must equal stepping with
-  // alpha = 1 - exp(-dt/tau) computed afresh: the oracle for
-  // FilterChain::step, which the render walk reproduces.
-  const std::vector<double> taus = {7.0, 19.5, 33.0};
+// Eleven distinct dts, visited in cycles, repeats and reversals, with the
+// grid step between them. Every output must equal stepping with
+// alpha = 1 - exp(-dt/tau) computed afresh for each pole: the oracle for
+// FilterChain::step, which the render walk reproduces.
+void expect_step_matches_fresh_alphas(const std::vector<double>& taus) {
   const double gain = 0.85, mid = 2000.0;
   sig::FilterChain chain;
   for (double tau : taus) {
@@ -731,6 +730,27 @@ TEST(FilterChain, StepMatchesFreshAlphasAcrossDts) {
     ASSERT_EQ(dbits(chain.step(Millivolts{u}, Picoseconds{dt}).mv()),
               dbits(x))
         << "step " << n << " dt " << dt;
+  }
+}
+
+TEST(FilterChain, StepMatchesFreshAlphasAcrossDts) {
+  expect_step_matches_fresh_alphas({7.0, 19.5, 33.0});
+}
+
+TEST(FilterChain, StepMatchesFreshAlphasWithRepeatedTaus) {
+  // alpha_row computes one exp() per distinct tau and copies it to the
+  // poles that repeat it; every output must still match the per-pole
+  // oracle bit for bit. Equal neighbours; the mini-tester's chain, whose
+  // buffer and DUT leads split their rise times over identical poles (three
+  // distinct taus in six, equal poles apart); and a full chain of one tau.
+  const std::vector<std::vector<double>> chains = {
+      {7.0, 7.0, 19.5, 19.5, 19.5, 33.0},
+      {51.0, 51.0, 28.85, 21.64, 28.85, 28.85},
+      std::vector<double>(sig::FilterChain::kMaxPoles, 12.5),
+  };
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    SCOPED_TRACE(c);
+    expect_step_matches_fresh_alphas(chains[c]);
   }
 }
 
@@ -1179,6 +1199,70 @@ TEST(SparseStrobe, AdversarialWindowsKeepTheirBits) {
       });
   EXPECT_EQ(cases, kAdversarialWindows);
   EXPECT_EQ(digest.digest(), 0x8e60e2183fde85f2ULL);
+}
+
+// A window built to reach every branch of the strobe walk's transition
+// search and jumps: the first read far from the window's start, so the
+// walk jumps from rest with every deviation exactly zero; two transitions
+// inside one grid step, and two in consecutive grid steps; a transition
+// exactly on a read sample K and one on K - 1; five transitions between
+// two strobe pairs; a strobe in the window's last grid step and one past
+// it. The grid is k * 0.5 ps from 0, exact in binary, so each of these
+// lands where it says.
+TEST(SparseStrobe, CrowdedWindowKeepsItsBits) {
+  sig::EdgeStream stream;
+  bool level = false;
+  for (double t : {1500.25, 1500.3, 1600.0, 1700.0, 1750.1, 1750.6, 1850.1,
+                   1900.7, 1950.3, 2000.0, 2100.45}) {
+    level = !level;
+    stream.push(Picoseconds{t}, level);
+  }
+  const std::vector<Picoseconds> strobes = {
+      Picoseconds{1000.0},  // reads 1999 and 2000, reached by one jump
+      Picoseconds{1500.4},  // just past the two-transition grid step
+      Picoseconds{1599.8},  // K = 3200, t_K = 1600: a transition
+      Picoseconds{1700.2},  // K = 3401, t_(K-1) = 1700: a transition
+      Picoseconds{1800.0},
+      Picoseconds{2200.0},  // five transitions since the last pair
+      Picoseconds{2999.3},  // K = 5999, the window's last sample
+      Picoseconds{2999.7},  // K = 6000, past the window: missed
+  };
+  sig::RenderConfig rc;
+  rc.sample_step = Picoseconds{0.5};
+  const Picoseconds t_begin{0.0};
+  const Picoseconds t_end{3000.0};
+  ASSERT_EQ(sig::render_sample_count(rc, t_begin, t_end), 6000u);
+
+  std::vector<sig::FilterChain> chains = skip_chains();
+  sig::FilterChain minitester;  // three distinct taus in six poles
+  for (double tau : {51.0, 51.0, 28.85, 21.64, 28.85, 28.85}) {
+    minitester.add_pole(Picoseconds{tau});
+  }
+  minitester.set_gain(0.8, Millivolts{2000.0});
+  chains.push_back(minitester);
+  // alpha(dt) of the 0.01-ps pole rounds to 1, so row 0 of every jump
+  // product is a zero of the sign of d_0: the signed-zero case.
+  sig::FilterChain fast_first;
+  fast_first.add_pole(Picoseconds{0.01}).add_pole(Picoseconds{20.0});
+  chains.push_back(fast_first);
+
+  const sig::StrobeSampler::Config config{.threshold = rc.levels.midpoint()};
+  util::Fnv64 digest;
+  for (const sig::FilterChain& chain : chains) {
+    SCOPED_TRACE(chain.pole_count());
+    expect_sparse_matches_dense(stream, chain, rc, t_begin, t_end, strobes,
+                                config);
+    sig::StrobeSampler sparse{strobes, config, Rng(9)};
+    sig::render(stream, chain, rc, t_begin, t_end, {&sparse});
+    EXPECT_EQ(sparse.missed(), 1u);
+    digest.mix_u64(sparse.missed());
+    for (const Millivolts v : sparse.analog()) {
+      digest.mix_double(v.mv());
+    }
+  }
+  // Recorded on the walk before its jump folds and its once-per-transition
+  // search; it depends on the libm exp() behind the alphas.
+  EXPECT_EQ(digest.digest(), 0xb74fee1e9787db4aULL);
 }
 
 TEST(SparseStrobe, MiniTesterAcquisitionsMatchDenseBitForBit) {

@@ -306,6 +306,42 @@ TEST(Rng, ForkIsDeterministic) {
   }
 }
 
+TEST(Rng, ForkMatchesPinnedStream) {
+  // The first eight words of the parent (jumped by 2^128 steps) and of the
+  // child (the pre-jump state) after one fork(), recorded on the jump loop
+  // as first written. The two tests above hold for any rewrite of the
+  // jump that changes the stream; these words do not.
+  struct Golden {
+    std::uint64_t seed;
+    std::array<std::uint64_t, 8> parent, child;
+  };
+  const std::array<Golden, 2> golden = {{
+      {1,
+       {0xdafd92f1adffc5b9ULL, 0x89d5ed6828f5becfULL, 0xc81a7b85673e9dacULL,
+        0xe3ed98a07ef5a746ULL, 0xe294a7e13e75c33cULL, 0xccf30d2611797724ULL,
+        0x9d4b1fe0948c2378ULL, 0x04a810f6c7f4acc6ULL},
+       {0xcfc5d07f6f03c29bULL, 0xbf424132963fe08dULL, 0x19a37d5757aaf520ULL,
+        0xbf08119f05cd56d6ULL, 0x2f47184b86186fa4ULL, 0x97299fcae7202345ULL,
+        0xfca3c79508f41507ULL, 0x85fea5c90363f221ULL}},
+      {0xC0FFEE,
+       {0x3a6bc996e17c0d26ULL, 0xa2bfb15f70366607ULL, 0x5707110dbc37cbb8ULL,
+        0x97c1014be7ccdfd9ULL, 0x33587309086b2d63ULL, 0xf62b4db0010c7756ULL,
+        0x94c4554c0f8bc1e3ULL, 0x23a69a1ced31cb13ULL},
+       {0x8c7615e9af6b4ae5ULL, 0xd175fd6e7f597969ULL, 0xac823e0ae898e8ecULL,
+        0x671278cc50163c69ULL, 0xb667cb9226a19096ULL, 0x5a29ff026eb6d50eULL,
+        0x033317478868e9a6ULL, 0xeafc7ec5ec4add36ULL}},
+  }};
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(g.seed);
+    Rng parent(g.seed);
+    Rng child = parent.fork();
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(parent.next(), g.parent[i]) << "parent word " << i;
+      EXPECT_EQ(child.next(), g.child[i]) << "child word " << i;
+    }
+  }
+}
+
 // --------------------------------------------------------------- bitvec --
 
 TEST(BitVector, BasicSetGet) {
