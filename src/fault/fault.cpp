@@ -2,26 +2,11 @@
 
 #include <algorithm>
 
+#include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace mgt::fault {
-
-namespace {
-
-/// FNV-1a over the component name: gives every component a stable 64-bit
-/// identity that, mixed with the plan seed, decorrelates its fault streams
-/// from every other component's.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::string_view to_string(FaultKind kind) {
   switch (kind) {
@@ -123,7 +108,7 @@ ComponentFaults FaultPlan::component(std::string_view name) const {
       matching.push_back(spec);
     }
   }
-  return ComponentFaults(util::mix_seed(seed_, fnv1a(name)),
+  return ComponentFaults(util::mix_seed(seed_, util::fnv1a(name)),
                          std::move(matching));
 }
 

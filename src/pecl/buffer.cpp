@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "signal/jitter.hpp"
 #include "util/error.hpp"
 
 namespace mgt::pecl {
@@ -49,18 +50,8 @@ void OutputBuffer::set_midpoint(Millivolts mid) {
 }
 
 sig::EdgeStream OutputBuffer::apply(const sig::EdgeStream& input) {
-  sig::EdgeStream out(input.initial_level());
-  double last = -1e300;
-  for (const auto& tr : input.transitions()) {
-    double t = tr.time.ps() + config_.prop_delay.ps();
-    if (config_.rj_sigma.ps() > 0.0) {
-      t += rng_.gaussian(0.0, config_.rj_sigma.ps());
-    }
-    t = std::max(t, last + 1e-3);
-    out.push(Picoseconds{t}, tr.level);
-    last = t;
-  }
-  return out;
+  return sig::delay_and_jitter(input, config_.prop_delay, config_.rj_sigma,
+                               rng_);
 }
 
 void OutputBuffer::contribute(sig::FilterChain& chain) const {

@@ -91,23 +91,19 @@ sig::EdgeStream ProgrammableDelay::apply(const sig::EdgeStream& input) {
   const double base =
       kInsertionDelay.ps() + offset_ps_ + actual_delay(code_).ps();
   const bool drifting = faults_.any(fault::FaultKind::kDelayDrift);
-  sig::EdgeStream out(input.initial_level());
-  double last = -1e300;
   std::uint64_t edge = 0;
-  for (const auto& tr : input.transitions()) {
-    double t = tr.time.ps() + base;
+  return input.retimed([&](Picoseconds t) {
+    t += Picoseconds{base};
     if (config_.rj_sigma.ps() > 0.0) {
-      t += rng_.gaussian(0.0, config_.rj_sigma.ps());
+      t += Picoseconds{rng_.gaussian(0.0, config_.rj_sigma.ps())};
     }
+    // After the RJ draw: a drift fault leaves the healthy draws alone.
     if (drifting) {
-      t += fault_drift(edge).ps();
+      t += fault_drift(edge);
     }
     ++edge;
-    t = std::max(t, last + 1e-3);
-    out.push(Picoseconds{t}, tr.level);
-    last = t;
-  }
-  return out;
+    return t;
+  });
 }
 
 }  // namespace mgt::pecl

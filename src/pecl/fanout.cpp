@@ -1,5 +1,6 @@
 #include "pecl/fanout.hpp"
 
+#include "signal/jitter.hpp"
 #include "util/error.hpp"
 
 namespace mgt::pecl {
@@ -22,63 +23,8 @@ Picoseconds ClockFanout::skew_of(std::size_t output) const {
 sig::EdgeStream ClockFanout::drive(const sig::EdgeStream& input,
                                    std::size_t output) {
   MGT_CHECK(output < skews_.size(), "fanout output index out of range");
-  const double base = config_.prop_delay.ps() + skews_[output].ps();
-  sig::EdgeStream out(input.initial_level());
-  double last = -1e300;
-  for (const auto& tr : input.transitions()) {
-    double t = tr.time.ps() + base;
-    if (config_.rj_sigma.ps() > 0.0) {
-      t += rng_.gaussian(0.0, config_.rj_sigma.ps());
-    }
-    t = std::max(t, last + 1e-3);
-    out.push(Picoseconds{t}, tr.level);
-    last = t;
-  }
-  return out;
-}
-
-sig::EdgeStream divide_clock(const sig::EdgeStream& clock,
-                             std::size_t divisor) {
-  MGT_CHECK(divisor >= 1, "divisor must be at least 1");
-  if (divisor == 1) {
-    return clock;
-  }
-  sig::EdgeStream out(false);
-  bool level = false;
-  std::size_t rising_seen = 0;
-  for (const auto& tr : clock.transitions()) {
-    if (!tr.level) {
-      continue;  // count rising edges only
-    }
-    if (rising_seen++ % divisor == 0) {
-      level = !level;
-      out.push(tr.time, level);
-    }
-  }
-  return out;
-}
-
-sig::EdgeStream XorGate::combine(const sig::EdgeStream& a,
-                                 const sig::EdgeStream& b) {
-  sig::EdgeStream ideal = a.xor_with(b);
-  sig::EdgeStream out(ideal.initial_level());
-  double last = -1e300;
-  for (const auto& tr : ideal.transitions()) {
-    double t = tr.time.ps() + config_.prop_delay.ps();
-    if (config_.rj_sigma.ps() > 0.0) {
-      t += rng_.gaussian(0.0, config_.rj_sigma.ps());
-    }
-    t = std::max(t, last + 1e-3);
-    out.push(Picoseconds{t}, tr.level);
-    last = t;
-  }
-  return out;
-}
-
-sig::EdgeStream XorGate::double_clock(const sig::EdgeStream& clock,
-                                      Picoseconds quarter_period) {
-  MGT_CHECK(quarter_period.ps() > 0.0);
-  return combine(clock, clock.shifted(quarter_period));
+  return sig::delay_and_jitter(input, config_.prop_delay + skews_[output],
+                               config_.rj_sigma, rng_);
 }
 
 }  // namespace mgt::pecl

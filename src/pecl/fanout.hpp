@@ -1,9 +1,8 @@
-// Clock fanout buffers, frequency dividers and the XOR gate.
+// Clock fanout buffers.
 //
 // The PECL section distributes the RF clock to muxes, delay lines and the
 // DUT (Fig 15 "Clock Fanout"). Each fanout output adds a fixed skew and a
-// small additive random jitter; dividers derive the lane-rate clocks; the
-// XOR gate implements edge combining and clock doubling.
+// small additive random jitter.
 #pragma once
 
 #include <vector>
@@ -38,34 +37,6 @@ private:
   Config config_;
   Rng rng_;
   std::vector<Picoseconds> skews_;
-};
-
-/// Synchronous divide-by-N: output toggles at every Nth rising edge of the
-/// input, producing a divided clock with 50% duty (for even division of a
-/// 50% clock).
-sig::EdgeStream divide_clock(const sig::EdgeStream& clock, std::size_t divisor);
-
-/// PECL XOR gate with propagation delay and additive jitter. Classic use:
-/// doubling a clock by XOR with a quarter-period-delayed copy of itself.
-class XorGate {
-public:
-  struct Config {
-    Picoseconds prop_delay{150.0};
-    Picoseconds rj_sigma{0.5};
-  };
-
-  XorGate(Config config, Rng rng) : config_(config), rng_(rng) {}
-
-  sig::EdgeStream combine(const sig::EdgeStream& a, const sig::EdgeStream& b);
-
-  /// Frequency-doubles `clock` via XOR with a copy delayed by a quarter
-  /// period.
-  sig::EdgeStream double_clock(const sig::EdgeStream& clock,
-                               Picoseconds quarter_period);
-
-private:
-  Config config_;
-  Rng rng_;
 };
 
 }  // namespace mgt::pecl

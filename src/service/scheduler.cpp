@@ -12,17 +12,6 @@ namespace mgt::service {
 
 namespace {
 
-/// FNV-1a over the tenant name: the stable identity that namespaces a
-/// tenant's seeds away from every other tenant's.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 void count_tenant(const std::string& tenant, std::string_view what) {
   obs::add_counter("service.tenant." + tenant + "." + std::string(what));
 }
@@ -74,7 +63,7 @@ Admission Scheduler::submit(const TestPlan& plan) {
   const std::uint64_t id = next_plan_id_++;
   PlanRuntime runtime;
   runtime.plan = plan;
-  runtime.tenant_seed = util::mix_seed(seed_, fnv1a(plan.tenant));
+  runtime.tenant_seed = util::mix_seed(seed_, util::fnv1a(plan.tenant));
   runtime.admitted_tick = tick_;
   runtime.deadline_tick =
       plan.deadline_ticks == 0 ? 0 : tick_ + plan.deadline_ticks;

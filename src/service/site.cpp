@@ -6,6 +6,7 @@
 #include "core/test_system.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace mgt::service {
 
@@ -113,11 +114,7 @@ std::uint64_t SiteFleet::chunk_digest(std::uint64_t chunk_seed,
   std::uint64_t x = chunk_seed;
   std::uint64_t acc = 0;
   for (std::uint64_t i = 0; i < iterations; ++i) {
-    x += 0x9E3779B97F4A7C15ULL;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    acc ^= z ^ (z >> 31);
+    acc ^= splitmix64(x);
   }
   return acc;
 }

@@ -6,6 +6,7 @@
 // and cheap enough for millions of unit intervals.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -20,6 +21,12 @@ struct Transition {
   Picoseconds time;
   bool level;
 };
+
+/// Minimum spacing between two transitions of a stream that a stage has
+/// displaced. Physically a pulse squeezed below this survives as a sliver;
+/// keeping a floor preserves the alternating-level invariant without
+/// changing any statistics that matter.
+inline constexpr Picoseconds kMinEdgeSpacing{1e-3};
 
 /// Per-edge timing perturbation callback: given the edge's serial bit index
 /// and nominal time, returns the time offset to apply (jitter, skew, ...).
@@ -36,7 +43,8 @@ public:
   /// [t0 + k*ui, t0 + (k+1)*ui). A transition is emitted at each boundary
   /// where the bit value changes; `offset` (optional) perturbs each
   /// transition time. Transition times are kept strictly monotonic by
-  /// clamping (models pulse narrowing when jitter exceeds spacing).
+  /// the kMinEdgeSpacing clamp (models pulse narrowing when jitter exceeds
+  /// spacing).
   static EdgeStream from_bits(const BitVector& bits, Picoseconds ui,
                               Picoseconds t0 = Picoseconds{0},
                               const EdgeOffsetFn& offset = nullptr);
@@ -65,11 +73,20 @@ public:
   /// Uniformly shifts all transition times by dt.
   [[nodiscard]] EdgeStream shifted(Picoseconds dt) const;
 
-  /// Logical inversion (levels flip, times unchanged).
-  [[nodiscard]] EdgeStream inverted() const;
-
-  /// XOR of two streams (what a PECL XOR gate outputs, zero delay).
-  [[nodiscard]] EdgeStream xor_with(const EdgeStream& other) const;
+  /// Moves every transition, in order, to `time_of(time)`: a callable from
+  /// Picoseconds to Picoseconds, called once per transition (it may draw
+  /// jitter). A transition that would land less than kMinEdgeSpacing after
+  /// its predecessor is clamped to exactly that spacing, so the result stays
+  /// strictly increasing and alternating however far the edges move.
+  template <typename TimeOf>
+  [[nodiscard]] EdgeStream retimed(TimeOf&& time_of) const {
+    EdgeStream out(initial_);
+    out.transitions_.reserve(transitions_.size());
+    for (const Transition& tr : transitions_) {
+      out.push_spaced(time_of(tr.time), tr.level);
+    }
+    return out;
+  }
 
   /// Samples the stream at the center of each of n_bits unit intervals
   /// (t0 + (k+0.5)*ui) and returns the recovered bit sequence.
@@ -84,6 +101,15 @@ public:
   [[nodiscard]] bool well_formed() const;
 
 private:
+  /// push() at `t`, or at kMinEdgeSpacing after the previous transition
+  /// when `t` comes sooner.
+  void push_spaced(Picoseconds t, bool level) {
+    if (!transitions_.empty()) {
+      t = std::max(t, transitions_.back().time + kMinEdgeSpacing);
+    }
+    push(t, level);
+  }
+
   bool initial_ = false;
   std::vector<Transition> transitions_;
 };

@@ -22,16 +22,18 @@ Picoseconds JitterSource::offset(Picoseconds t) {
 }
 
 EdgeStream JitterSource::apply(const EdgeStream& in) {
-  EdgeStream out(in.initial_level());
-  double last_time = -1e300;
-  for (const auto& tr : in.transitions()) {
-    double t = tr.time.ps() + offset(tr.time).ps();
-    t = std::max(t, last_time + 1e-3);
-    // push() enforces monotonicity and alternation; the clamp guarantees it.
-    out.push(Picoseconds{t}, tr.level);
-    last_time = t;
-  }
-  return out;
+  return in.retimed([this](Picoseconds t) { return t + offset(t); });
+}
+
+EdgeStream delay_and_jitter(const EdgeStream& in, Picoseconds delay,
+                            Picoseconds rj_sigma, Rng& rng) {
+  return in.retimed([&](Picoseconds t) {
+    t += delay;
+    if (rj_sigma.ps() > 0.0) {
+      t += Picoseconds{rng.gaussian(0.0, rj_sigma.ps())};
+    }
+    return t;
+  });
 }
 
 Picoseconds expected_gaussian_pp(std::size_t n, Picoseconds sigma) {

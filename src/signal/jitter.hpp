@@ -44,6 +44,13 @@ private:
   Rng rng_;
 };
 
+/// The timing stage of one part: every edge moves by the part's fixed
+/// `delay` plus its additive Gaussian RJ, one draw from `rng` per edge, in
+/// stream order (no draw at all when `rj_sigma` is 0), then
+/// EdgeStream::retimed's spacing clamp.
+EdgeStream delay_and_jitter(const EdgeStream& in, Picoseconds delay,
+                            Picoseconds rj_sigma, Rng& rng);
+
 /// Expected peak-to-peak spread of n samples of a zero-mean Gaussian with
 /// standard deviation sigma (asymptotic extreme-value formula). This is what
 /// a scope's "p-p jitter over n edges" converges to for pure RJ.

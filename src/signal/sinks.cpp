@@ -27,13 +27,6 @@ void CrossingRecorder::merge(const CrossingRecorder& later) {
                     later.crossings_.end());
 }
 
-void WaveformTrace::on_sample(Picoseconds t, Millivolts v) {
-  if (counter_++ % decimation_ == 0) {
-    t_.push_back(t.ps());
-    v_.push_back(v.mv());
-  }
-}
-
 StrobeSampler::StrobeSampler(std::vector<Picoseconds> strobes, Config config,
                              Rng rng)
     : strobes_(std::move(strobes)), config_(config), rng_(rng) {

@@ -1,5 +1,5 @@
-// Reusable waveform sinks: threshold-crossing recorder, trace recorder,
-// strobe sampler, and amplitude tracker. The measurement library builds the
+// Reusable waveform sinks: threshold-crossing recorder, strobe sampler,
+// and amplitude tracker. The measurement library builds the
 // paper's instruments (eye diagram, jitter, rise/fall) on top of these.
 #pragma once
 
@@ -79,25 +79,6 @@ inline void CrossingRecorder::fold(Picoseconds t, Millivolts v) {
   prev_v_ = v.mv();
   have_prev_ = true;
 }
-
-/// Stores samples, optionally decimated, for plotting and debugging.
-class WaveformTrace final : public WaveformSink {
-public:
-  explicit WaveformTrace(std::size_t decimation = 1)
-      : decimation_(decimation == 0 ? 1 : decimation) {}
-
-  void on_sample(Picoseconds t, Millivolts v) override;
-
-  [[nodiscard]] const std::vector<double>& times_ps() const { return t_; }
-  [[nodiscard]] const std::vector<double>& volts_mv() const { return v_; }
-  [[nodiscard]] std::size_t size() const { return t_.size(); }
-
-private:
-  std::size_t decimation_;
-  std::size_t counter_ = 0;
-  std::vector<double> t_;
-  std::vector<double> v_;
-};
 
 /// Captures the analog value at each of a sorted list of strobe times
 /// (linear interpolation), then slices to bits against a threshold. This is

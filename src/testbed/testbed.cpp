@@ -31,7 +31,7 @@ OpticalTestbed::OpticalTestbed(Config config, std::uint64_t seed)
     vortex::LaserDriver::Config laser;
     laser.wavelength_nm += 1.6 * static_cast<double>(ch);  // 200 GHz grid
     lasers_.emplace_back(laser, rng_.fork());
-    detectors_.emplace_back(vortex::Photodetector::Config{}, rng_.fork());
+    detectors_.emplace_back(rng_.fork());
   }
 }
 
@@ -64,8 +64,8 @@ OpticalTestbed::SingleResult OpticalTestbed::send_one(
   // Frame/header ride the electrical sideband (lower speed, no optics in
   // the present test bed).
   const Picoseconds optical_delay =
-      path_.delay() + lasers_.front().config().prop_delay +
-      detectors_.front().config().prop_delay;
+      path_.delay() + vortex::LaserDriver::kPropDelay +
+      vortex::Photodetector::kPropDelay;
   signals.frame = signals.frame.shifted(optical_delay);
   for (auto& h : signals.header) {
     h = h.shifted(optical_delay);

@@ -103,7 +103,7 @@ public:
   [[nodiscard]] const Config& config() const { return config_; }
   /// Power budget of one WDM channel: laser -> fiber -> detector.
   [[nodiscard]] vortex::LinkBudget link_budget() const {
-    return vortex::compute_link_budget(detectors_.front().config());
+    return vortex::compute_link_budget();
   }
   [[nodiscard]] OpticalTransmitter& transmitter() { return tx_; }
   [[nodiscard]] vortex::DataVortex& fabric() { return fabric_; }

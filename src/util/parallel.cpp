@@ -14,14 +14,6 @@ namespace mgt::util {
 
 namespace {
 
-std::uint64_t splitmix64_next(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 std::atomic<std::uint64_t> g_env_rejections{0};
 
 std::size_t env_thread_count() {
@@ -65,9 +57,9 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t task_index) {
   // Two dependent splitmix64 rounds: the first whitens the seed, the second
   // folds in the index, so (s, 0) and (s+1, ...) streams stay decorrelated.
   std::uint64_t x = seed;
-  const std::uint64_t whitened = splitmix64_next(x);
+  const std::uint64_t whitened = splitmix64(x);
   x = whitened ^ (task_index * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL);
-  return splitmix64_next(x);
+  return splitmix64(x);
 }
 
 Rng task_rng(std::uint64_t seed, std::uint64_t task_index) {

@@ -10,6 +10,17 @@
 
 namespace mgt {
 
+/// One splitmix64 step (Vigna): advances `x` by the golden-ratio increment
+/// and returns the mix of the new value. Seeds Rng's state words and the
+/// per-task seeds of util::mix_seed.
+constexpr std::uint64_t splitmix64(std::uint64_t& x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  std::uint64_t z = x;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256++ PRNG (Blackman & Vigna). Fast, high quality, 2^256-1 period.
 class Rng {
 public:

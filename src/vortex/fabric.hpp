@@ -103,13 +103,4 @@ private:
   std::size_t injection_angle_ = 0;
 };
 
-/// One point of a load/latency characterization run.
-struct LoadPoint {
-  double offered_load = 0.0;      // injection probability per input per slot
-  double throughput = 0.0;        // delivered packets per slot per port
-  double mean_latency_slots = 0.0;
-  double mean_deflections = 0.0;
-  double injection_block_rate = 0.0;
-};
-
 }  // namespace mgt::vortex

@@ -1,7 +1,6 @@
 #include "vortex/optics.hpp"
 
-#include <algorithm>
-
+#include "signal/jitter.hpp"
 #include "util/error.hpp"
 
 namespace mgt::vortex {
@@ -15,30 +14,13 @@ constexpr double kSplitterLossDb = 3.5;  // demux/splitter loss
 /// Group delay ~5 ns/m in fiber.
 constexpr double kDelayPsPerM = 4900.0;
 
-sig::EdgeStream delay_and_jitter(const sig::EdgeStream& in, Picoseconds delay,
-                                 Picoseconds rj_sigma, Rng& rng) {
-  sig::EdgeStream out(in.initial_level());
-  double last = -1e300;
-  for (const auto& tr : in.transitions()) {
-    double t = tr.time.ps() + delay.ps();
-    if (rj_sigma.ps() > 0.0) {
-      t += rng.gaussian(0.0, rj_sigma.ps());
-    }
-    t = std::max(t, last + 1e-3);
-    out.push(Picoseconds{t}, tr.level);
-    last = t;
-  }
-  return out;
-}
-
 }  // namespace
 
 OpticalStream LaserDriver::modulate(const sig::EdgeStream& electrical) {
   OpticalStream out;
   out.wavelength_nm = config_.wavelength_nm;
   out.power_dbm = kLaunchPowerDbm;
-  out.edges = delay_and_jitter(electrical, config_.prop_delay,
-                               config_.rj_sigma, rng_);
+  out.edges = sig::delay_and_jitter(electrical, kPropDelay, kRjSigma, rng_);
   return out;
 }
 
@@ -59,7 +41,7 @@ OpticalStream OpticalPath::propagate(const OpticalStream& in) const {
 }
 
 bool Photodetector::detects(const OpticalStream& in) const {
-  return in.power_dbm >= config_.sensitivity_dbm;
+  return in.power_dbm >= kSensitivityDbm;
 }
 
 sig::EdgeStream Photodetector::detect(const OpticalStream& in) {
@@ -69,16 +51,15 @@ sig::EdgeStream Photodetector::detect(const OpticalStream& in) {
     throw RecoverableError(
         "detector", "optical power below sensitivity: link budget");
   }
-  return delay_and_jitter(in.edges, config_.prop_delay, config_.rj_sigma,
-                          rng_);
+  return sig::delay_and_jitter(in.edges, kPropDelay, kRjSigma, rng_);
 }
 
-LinkBudget compute_link_budget(const Photodetector::Config& detector) {
+LinkBudget compute_link_budget() {
   LinkBudget budget;
   budget.launch_dbm = LaserDriver::kLaunchPowerDbm;
   budget.loss_db = OpticalPath().total_loss_db();
   budget.received_dbm = budget.launch_dbm - budget.loss_db;
-  budget.sensitivity_dbm = detector.sensitivity_dbm;
+  budget.sensitivity_dbm = Photodetector::kSensitivityDbm;
   return budget;
 }
 

@@ -27,11 +27,12 @@ class LaserDriver {
 public:
   struct Config {
     double wavelength_nm = 1550.0;
-    Picoseconds prop_delay{300.0};
-    Picoseconds rj_sigma{1.0};
   };
 
   static constexpr double kLaunchPowerDbm = 3.0;
+  /// Driver + laser turn-on delay, and the additive RJ of the conversion.
+  static constexpr Picoseconds kPropDelay{300.0};
+  static constexpr Picoseconds kRjSigma{1.0};
 
   LaserDriver(Config config, Rng rng) : config_(config), rng_(rng) {}
 
@@ -56,15 +57,14 @@ public:
 /// O/E: photodetector + limiting amplifier.
 class Photodetector {
 public:
-  struct Config {
-    double sensitivity_dbm = -18.0;  // minimum detectable power
-    Picoseconds prop_delay{250.0};
-    Picoseconds rj_sigma{1.5};
-  };
+  /// Minimum detectable optical power.
+  static constexpr double kSensitivityDbm = -18.0;
+  /// Detector + limiting-amplifier delay, and the additive RJ of the
+  /// conversion.
+  static constexpr Picoseconds kPropDelay{250.0};
+  static constexpr Picoseconds kRjSigma{1.5};
 
-  Photodetector(Config config, Rng rng) : config_(config), rng_(rng) {}
-
-  [[nodiscard]] const Config& config() const { return config_; }
+  explicit Photodetector(Rng rng) : rng_(rng) {}
 
   /// True when the stream's power clears the sensitivity floor.
   [[nodiscard]] bool detects(const OpticalStream& in) const;
@@ -75,7 +75,6 @@ public:
   sig::EdgeStream detect(const OpticalStream& in);
 
 private:
-  Config config_;
   Rng rng_;
 };
 
@@ -90,7 +89,7 @@ struct LinkBudget {
   }
 };
 
-/// Budget of one laser -> OpticalPath -> `detector` link.
-LinkBudget compute_link_budget(const Photodetector::Config& detector);
+/// Budget of one laser -> OpticalPath -> photodetector link.
+LinkBudget compute_link_budget();
 
 }  // namespace mgt::vortex

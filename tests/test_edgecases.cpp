@@ -21,28 +21,6 @@ namespace {
 
 // ----------------------------------------------------------------- signal --
 
-TEST(EdgeCases, XorCoincidentEdgesCancel) {
-  // Two streams toggling at exactly the same instants XOR to a constant.
-  const auto a = sig::EdgeStream::from_bits(BitVector::alternating(50),
-                                            Picoseconds{100.0});
-  const auto x = a.xor_with(a);
-  EXPECT_TRUE(x.empty());
-  EXPECT_FALSE(x.initial_level());
-  EXPECT_TRUE(x.well_formed());
-}
-
-TEST(EdgeCases, XorWithConstantIsIdentityOrInversion) {
-  const auto a = sig::EdgeStream::from_bits(BitVector::alternating(20),
-                                            Picoseconds{100.0});
-  const sig::EdgeStream zeros(false);
-  const sig::EdgeStream ones(true);
-  const auto same = a.xor_with(zeros);
-  EXPECT_EQ(same.size(), a.size());
-  EXPECT_EQ(same.initial_level(), a.initial_level());
-  const auto inverted = a.xor_with(ones);
-  EXPECT_EQ(inverted.initial_level(), !a.initial_level());
-}
-
 TEST(EdgeCases, EmptyBitVectorMakesEmptyStream) {
   const auto s = sig::EdgeStream::from_bits(BitVector{}, Picoseconds{100.0});
   EXPECT_TRUE(s.empty());

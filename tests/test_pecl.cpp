@@ -1,4 +1,4 @@
-// Unit tests for src/pecl: clock source, fanout/dividers/XOR, delay lines,
+// Unit tests for src/pecl: clock source, fanout, delay lines,
 // serializer trees, output buffers, and the sampling circuit.
 #include <gtest/gtest.h>
 
@@ -91,40 +91,6 @@ TEST(Fanout, SkewIsFixedPerOutput) {
     }
   }
   EXPECT_THROW(fanout.drive(clk, 4), Error);
-}
-
-class DivideClock : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(DivideClock, DividesRisingEdgeRate) {
-  const std::size_t divisor = GetParam();
-  const auto clk = sig::EdgeStream::clock(Picoseconds{400.0}, 64);
-  const auto divided = divide_clock(clk, divisor);
-  // Input has 64 rising edges; output toggles on every divisor-th one
-  // (divide-by-1 passes the input through untouched).
-  EXPECT_EQ(divided.size(), divisor == 1 ? clk.size() : 64 / divisor);
-  EXPECT_TRUE(divided.well_formed());
-  if (divisor >= 2 && divided.size() >= 2) {
-    // Output toggles every divisor-th rising edge: its full period is
-    // 2 * divisor input periods.
-    const double period = (divided.transitions()[1].time -
-                           divided.transitions()[0].time).ps() * 2.0;
-    EXPECT_DOUBLE_EQ(period, 400.0 * 2.0 * static_cast<double>(divisor));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Divisors, DivideClock, ::testing::Values(1, 2, 4, 8));
-
-TEST(XorGate, DoubleClockDoublesEdgeCount) {
-  XorGate::Config config;
-  config.rj_sigma = Picoseconds{0.0};
-  XorGate gate(config, Rng(6));
-  const auto clk = sig::EdgeStream::clock(Picoseconds{800.0}, 16);
-  const auto doubled = gate.double_clock(clk, Picoseconds{200.0});
-  EXPECT_TRUE(doubled.well_formed());
-  // XOR with quarter-period delayed copy: twice the transitions (edges at
-  // both input edges and delayed edges).
-  EXPECT_NEAR(static_cast<double>(doubled.size()),
-              2.0 * static_cast<double>(clk.size()), 2.0);
 }
 
 // ------------------------------------------------------------ delayline --

@@ -59,6 +59,7 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "waveform_trace.hpp"
 
 namespace {
 

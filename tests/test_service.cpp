@@ -164,6 +164,13 @@ TEST(CircuitBreaker, FailuresWhileOpenDoNotRetrip) {
 
 // ------------------------------------------------------------- admission --
 
+TEST(ServiceFleet, ChunkDigestIsPinned) {
+  // 256 splitmix64 rounds from seed 5, recorded while the fleet carried its
+  // own copy of splitmix64.
+  EXPECT_EQ(service::SiteFleet::chunk_digest(5, 256), 0x1ec50a40602e241eULL);
+  EXPECT_EQ(service::SiteFleet::chunk_digest(5, 0), 0u);
+}
+
 TEST(ServiceAdmission, TypedRejectionsAndExactCounts) {
   Scheduler::Config config;
   config.fleet.sites = 2;

@@ -16,6 +16,7 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "waveform_trace.hpp"
 
 namespace mgt::sig {
 namespace {
@@ -100,24 +101,6 @@ TEST(EdgeStream, ShiftAndInvert) {
                                        Picoseconds{100.0});
   const auto shifted = s.shifted(Picoseconds{37.0});
   EXPECT_DOUBLE_EQ(shifted.transitions()[0].time.ps(), 137.0);
-  const auto inv = s.inverted();
-  EXPECT_TRUE(inv.initial_level());
-  EXPECT_FALSE(inv.transitions()[0].level);
-}
-
-TEST(EdgeStream, XorBehavesAsGate) {
-  const Picoseconds ui{100.0};
-  const auto a_bits = BitVector::from_string("00110101");
-  const auto b_bits = BitVector::from_string("01010011");
-  const auto a = EdgeStream::from_bits(a_bits, ui);
-  const auto b = EdgeStream::from_bits(b_bits, ui);
-  const auto x = a.xor_with(b);
-  EXPECT_TRUE(x.well_formed());
-  for (std::size_t k = 0; k < 8; ++k) {
-    EXPECT_EQ(x.level_at(Picoseconds{(static_cast<double>(k) + 0.5) * 100.0}),
-              a_bits.get(k) != b_bits.get(k))
-        << "bit " << k;
-  }
 }
 
 TEST(EdgeStream, PushValidation) {

@@ -264,7 +264,7 @@ TEST(OpticalTestbed, DarkChannelsDegradeInsteadOfThrowing) {
 TEST(OpticalTestbed, DetectorStillThrowsRecoverableErrorDirectly) {
   // The underlying contract is unchanged for direct users: a budget
   // violation at the detector is a RecoverableError (and an Error).
-  vortex::Photodetector detector(vortex::Photodetector::Config{}, Rng(5));
+  vortex::Photodetector detector(Rng(5));
   vortex::OpticalStream weak;
   weak.power_dbm = -40.0;
   EXPECT_THROW(detector.detect(weak), RecoverableError);

@@ -277,11 +277,9 @@ TEST(Fabric, InvalidPortsThrow) {
 // ----------------------------------------------------------------- optics --
 
 TEST(Optics, LinkBudgetArithmetic) {
-  // 3 dBm launch; 3.5 + 3.5 dB combiner/splitter + 10 m at 0.25 dB/km.
-  Photodetector::Config detector;
-  detector.sensitivity_dbm = -18.0;
-
-  const auto budget = compute_link_budget(detector);
+  // 3 dBm launch; 3.5 + 3.5 dB combiner/splitter + 10 m at 0.25 dB/km,
+  // against a -18 dBm detector.
+  const auto budget = compute_link_budget();
   EXPECT_NEAR(budget.launch_dbm, 3.0, 1e-9);
   EXPECT_NEAR(budget.loss_db, 7.0025, 1e-9);
   EXPECT_NEAR(budget.received_dbm, -4.0025, 1e-9);
@@ -289,7 +287,7 @@ TEST(Optics, LinkBudgetArithmetic) {
 }
 
 TEST(Optics, DetectorRejectsWeakSignal) {
-  Photodetector detector(Photodetector::Config{}, Rng(1));
+  Photodetector detector(Rng(1));
   OpticalStream weak;
   weak.power_dbm = -30.0;
   EXPECT_FALSE(detector.detects(weak));
@@ -299,7 +297,7 @@ TEST(Optics, DetectorRejectsWeakSignal) {
 TEST(Optics, EndToEndPreservesData) {
   LaserDriver laser(LaserDriver::Config{}, Rng(2));
   const OpticalPath path;
-  Photodetector detector(Photodetector::Config{}, Rng(3));
+  Photodetector detector(Rng(3));
 
   Rng rng(4);
   const auto bits = BitVector::random(1000, rng);
@@ -311,9 +309,8 @@ TEST(Optics, EndToEndPreservesData) {
   ASSERT_TRUE(detector.detects(received));
   const auto recovered = detector.detect(received);
 
-  const Picoseconds total_delay{laser.config().prop_delay.ps() +
-                                path.delay().ps() +
-                                detector.config().prop_delay.ps()};
+  const Picoseconds total_delay =
+      LaserDriver::kPropDelay + path.delay() + Photodetector::kPropDelay;
   EXPECT_EQ(recovered.to_bits(1000, ui, total_delay), bits);
   EXPECT_TRUE(recovered.well_formed());
 }
