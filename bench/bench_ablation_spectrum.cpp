@@ -12,7 +12,6 @@
 #include "core/presets.hpp"
 #include "core/test_system.hpp"
 #include "signal/jitter.hpp"
-#include "signal/render.hpp"
 #include "signal/sinks.hpp"
 
 using namespace mgt;
@@ -80,22 +79,15 @@ void run_reproduction(ReportTable& table) {
   sys.program_prbs(7, 0xACE1);
   sys.start();
   const auto stim = sys.generate(16384);
-  const sig::PeclLevels rails = sig::attenuated(stim.levels,
-                                                stim.chain.gain());
-  sig::CrossingRecorder recorder(rails.midpoint());
-  sig::render(stim.edges, stim.chain,
-              sig::RenderConfig{.levels = stim.levels},
-              Picoseconds{stim.t0.ps() + 16.0 * stim.ui.ps()},
-              Picoseconds{stim.t0.ps() + 16383.0 * stim.ui.ps()},
-              {&recorder});
+  const auto real_crossings = stim.crossings();
   const auto real_d =
-      ana::decompose_jitter(recorder.crossings(), stim.ui, stim.t0);
+      ana::decompose_jitter(real_crossings, stim.ui, stim.t0);
   table.add_comparison("test-bed channel RJ (Fig 9 budget: 3.2 ps)",
                        "chain RJ consistent with Fig 9",
                        fmt_unit(real_d.rj_sigma.ps(), "ps", 2),
                        bench::verdict(real_d.rj_sigma.ps(), 3.2, 1.5));
   const auto real_tie =
-      ana::extract_tie(recorder.crossings(), stim.ui, stim.t0);
+      ana::extract_tie(real_crossings, stim.ui, stim.t0);
   const auto real_tones =
       ana::find_tones(ana::jitter_spectrum(real_tie, 256), 8.0);
   table.add_comparison("test-bed channel periodic tones",

@@ -42,7 +42,6 @@ using namespace mgt;
 namespace {
 
 constexpr std::uint64_t kSeed = 77;
-constexpr std::size_t kWarmupBits = 16;
 constexpr std::size_t kStrobeBits = 256;   // multiple of every lane count
 constexpr std::size_t kEyeBits = 1536;     // multiple of every lane count
 
@@ -90,21 +89,19 @@ core::ChannelConfig matrix_config(double rate_gbps, const TreeAxis& tree,
 
 // -- Strobed capture rig ----------------------------------------------------
 
-/// Error count of one strobed acquisition with the strobe placed
+/// Bits of one strobed acquisition with the strobe placed
 /// `delay.actual_delay(code)` past the warmup boundary (the capture side
 /// of the mini-tester, pointed at a TestSystem stimulus).
-std::size_t errors_at_code(const core::Stimulus& stim,
-                           pecl::PeclSampler& sampler,
-                           const pecl::ProgrammableDelay& delay,
-                           std::size_t code, const BitVector& expected) {
-  const Picoseconds first{stim.t0.ps() +
-                          static_cast<double>(kWarmupBits) * stim.ui.ps() +
-                          delay.actual_delay(code).ps()};
-  const auto strobes =
-      pecl::PeclSampler::strobe_schedule(first, stim.ui, expected.size());
-  const auto capture =
-      sampler.capture(stim.edges, stim.chain, stim.levels, strobes);
-  return ana::compare_bits_aligned(capture.bits, expected, 4).errors;
+BitVector capture_at(const core::Stimulus& stim, pecl::PeclSampler& sampler,
+                     const pecl::ProgrammableDelay& delay, std::size_t code) {
+  return stim.capture(sampler, stim.first_strobe(delay, code)).bits;
+}
+
+/// Delay code of the mid-UI strobe: errors then come from the data, not
+/// the placement.
+std::size_t mid_code(const core::Stimulus& stim,
+                     const pecl::ProgrammableDelay& delay) {
+  return static_cast<std::size_t>(stim.ui.ps() / 2.0 / delay.step().ps());
 }
 
 struct StrobeWindow {
@@ -123,11 +120,8 @@ StrobeWindow measure_strobe_window(const core::Stimulus& stim,
                                    std::uint64_t rig_seed) {
   auto delay_config = core::presets::strobe_delay(mode);
   pecl::ProgrammableDelay delay(delay_config, Rng(rig_seed));
-  pecl::PeclSampler sampler(pecl::PeclSampler::Config{},
-                            Rng(rig_seed ^ 0x5A3B1EULL));
-  sampler.set_threshold(stim.levels.midpoint());
-  const BitVector expected =
-      stim.bits.slice(kWarmupBits, kStrobeBits - kWarmupBits - 1);
+  pecl::PeclSampler sampler(Rng(rig_seed ^ 0x5A3B1EULL));
+  const BitVector expected = stim.expected();
 
   StrobeWindow out;
   out.step_ps = delay.step().ps();
@@ -137,7 +131,9 @@ StrobeWindow measure_strobe_window(const core::Stimulus& stim,
 
   auto clean = [&](std::size_t code) {
     ++out.captures;
-    return errors_at_code(stim, sampler, delay, code, expected) == 0;
+    return ana::compare_bits_aligned(capture_at(stim, sampler, delay, code),
+                                     expected, 4)
+               .errors == 0;
   };
 
   // Coarse scan: longest clean run across one UI of codes.
@@ -326,21 +322,10 @@ void run_dropout_sweep(ReportTable& table) {
     const core::Stimulus stim = reference_stimulus(plan);
     pecl::ProgrammableDelay delay(
         core::presets::strobe_delay(pecl::TimingMode::kStepped), Rng(kSeed));
-    pecl::PeclSampler sampler(pecl::PeclSampler::Config{}, Rng(kSeed ^ 0xBEu));
-    sampler.set_threshold(stim.levels.midpoint());
-    const BitVector expected =
-        stim.bits.slice(kWarmupBits, kStrobeBits - kWarmupBits - 1);
-    // Strobe at mid-UI: errors then come from the data, not the placement.
-    const auto mid_code = static_cast<std::size_t>(stim.ui.ps() / 2.0 /
-                                                   delay.step().ps());
-    const Picoseconds first{stim.t0.ps() +
-                            static_cast<double>(kWarmupBits) * stim.ui.ps() +
-                            delay.actual_delay(mid_code).ps()};
-    const auto strobes =
-        pecl::PeclSampler::strobe_schedule(first, stim.ui, expected.size());
-    const auto capture =
-        sampler.capture(stim.edges, stim.chain, stim.levels, strobes);
-    return ana::compare_bits_aligned(capture.bits, expected, 4);
+    pecl::PeclSampler sampler(Rng(kSeed ^ 0xBEu));
+    return ana::compare_bits_aligned(
+        capture_at(stim, sampler, delay, mid_code(stim, delay)),
+        stim.expected(), 4);
   };
   const auto sweep = ana::fault_sweep(severities, run);
   std::string trace;
@@ -363,22 +348,9 @@ void run_identity_checks(ReportTable& table) {
       core::Stimulus stim = reference_stimulus(fault::FaultPlan{});
       pecl::ProgrammableDelay delay(
           core::presets::strobe_delay(pecl::TimingMode::kVernier), Rng(kSeed));
-      pecl::PeclSampler sampler(pecl::PeclSampler::Config{},
-                                Rng(kSeed ^ 0xBEu));
-      sampler.set_threshold(stim.levels.midpoint());
-      const BitVector expected =
-          stim.bits.slice(kWarmupBits, kStrobeBits - kWarmupBits - 1);
-      const auto mid_code = static_cast<std::size_t>(stim.ui.ps() / 2.0 /
-                                                     delay.step().ps());
-      const Picoseconds first{stim.t0.ps() +
-                              static_cast<double>(kWarmupBits) *
-                                  stim.ui.ps() +
-                              delay.actual_delay(mid_code).ps()};
-      const auto strobes = pecl::PeclSampler::strobe_schedule(
-          first, stim.ui, expected.size());
-      const auto capture =
-          sampler.capture(stim.edges, stim.chain, stim.levels, strobes);
-      return std::make_pair(std::move(stim), capture.bits);
+      pecl::PeclSampler sampler(Rng(kSeed ^ 0xBEu));
+      BitVector bits = capture_at(stim, sampler, delay, mid_code(stim, delay));
+      return std::make_pair(std::move(stim), std::move(bits));
     };
     const auto serial = acquire(0);
     const auto one = acquire(1);
@@ -429,8 +401,6 @@ void run_identity_checks(ReportTable& table) {
     pecl::ProgrammableDelay vernier(vernier_cfg, Rng(kSeed));
 
     const core::Stimulus stim = reference_stimulus(fault::FaultPlan{});
-    const BitVector expected =
-        stim.bits.slice(kWarmupBits, kStrobeBits - kWarmupBits - 1);
     bool identical = true;
     for (std::size_t code = 0; code < stepped_cfg.code_count; ++code) {
       if (stepped.actual_delay(code).ps() !=
@@ -440,30 +410,10 @@ void run_identity_checks(ReportTable& table) {
       }
     }
     if (identical) {
-      pecl::PeclSampler sampler_s(pecl::PeclSampler::Config{},
-                                  Rng(kSeed ^ 0xBEu));
-      pecl::PeclSampler sampler_v(pecl::PeclSampler::Config{},
-                                  Rng(kSeed ^ 0xBEu));
-      sampler_s.set_threshold(stim.levels.midpoint());
-      sampler_v.set_threshold(stim.levels.midpoint());
-      const Picoseconds first_s{stim.t0.ps() +
-                                static_cast<double>(kWarmupBits) *
-                                    stim.ui.ps() +
-                                stepped.actual_delay(5).ps()};
-      const Picoseconds first_v{stim.t0.ps() +
-                                static_cast<double>(kWarmupBits) *
-                                    stim.ui.ps() +
-                                vernier.actual_delay(80).ps()};
-      const auto strobes_s = pecl::PeclSampler::strobe_schedule(
-          first_s, stim.ui, expected.size());
-      const auto strobes_v = pecl::PeclSampler::strobe_schedule(
-          first_v, stim.ui, expected.size());
-      identical = sampler_s
-                      .capture(stim.edges, stim.chain, stim.levels, strobes_s)
-                      .bits ==
-                  sampler_v
-                      .capture(stim.edges, stim.chain, stim.levels, strobes_v)
-                      .bits;
+      pecl::PeclSampler sampler_s(Rng(kSeed ^ 0xBEu));
+      pecl::PeclSampler sampler_v(Rng(kSeed ^ 0xBEu));
+      identical = capture_at(stim, sampler_s, stepped, 5) ==
+                  capture_at(stim, sampler_v, vernier, 80);
     }
     table.add_comparison("vernier == stepped at coinciding codes",
                          "byte-identical capture (16 x 0.625 ps = 10 ps)",

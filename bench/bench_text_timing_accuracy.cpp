@@ -10,7 +10,6 @@
 #include "core/presets.hpp"
 #include "core/test_system.hpp"
 #include "pecl/delayline.hpp"
-#include "signal/sinks.hpp"
 #include "util/rng.hpp"
 
 using namespace mgt;
@@ -51,22 +50,16 @@ void run_reproduction(ReportTable& table) {
   sys.program_pattern(BitVector::alternating(16));
   sys.start();
   const auto stim = sys.generate(4096);
-  sig::CrossingRecorder recorder(
-      sig::attenuated(stim.levels, stim.chain.gain()).midpoint());
-  sig::RenderConfig render_config{.levels = stim.levels};
-  sig::render(stim.edges, stim.chain, render_config,
-              Picoseconds{stim.t0.ps() + 16.0 * stim.ui.ps()},
-              Picoseconds{stim.t0.ps() + 4095.0 * stim.ui.ps()},
-              {&recorder});
+  const auto crossings = stim.crossings();
   // Standard ATE deskew: calibrate out the fixed pipeline offset (first
   // pass measures it), then report residual placement error.
   auto programmed = stim.boundary_grid(4096);
-  const auto raw = ana::measure_placement(recorder.crossings(), programmed);
+  const auto raw = ana::measure_placement(crossings, programmed);
   for (auto& t : programmed) {
     t += raw.mean_error;
   }
   const auto placement =
-      ana::measure_placement(recorder.crossings(), programmed);
+      ana::measure_placement(crossings, programmed);
   table.add_comparison("edge placement after deskew cal",
                        "about +-25 ps",
                        fmt_unit(placement.max_abs_error.ps(), "ps", 1),

@@ -17,7 +17,6 @@
 #include "core/test_system.hpp"
 #include "minitester/minitester.hpp"
 #include "signal/jitter.hpp"
-#include "signal/render.hpp"
 #include "signal/sinks.hpp"
 
 int main() {
@@ -46,16 +45,8 @@ int main() {
   sys.program_prbs(7, 0xACE1);
   sys.start();
   const auto stim = sys.generate(24000);
-  const sig::PeclLevels rails =
-      sig::attenuated(stim.levels, stim.chain.gain());
-  sig::CrossingRecorder recorder(rails.midpoint());
-  sig::render(stim.edges, stim.chain,
-              sig::RenderConfig{.levels = stim.levels},
-              Picoseconds{stim.t0.ps() + 16.0 * stim.ui.ps()},
-              Picoseconds{stim.t0.ps() + 23999.0 * stim.ui.ps()},
-              {&recorder});
-  const auto split =
-      ana::decompose_jitter(recorder.crossings(), stim.ui, stim.t0);
+  const auto crossings = stim.crossings();
+  const auto split = ana::decompose_jitter(crossings, stim.ui, stim.t0);
   std::printf("3. split: RJ %.2f ps rms + DJ(dd) %.1f ps  "
               "(RJ matches step 2: the mux skew is the DJ)\n",
               split.rj_sigma.ps(), split.dj_pp.ps());
@@ -76,8 +67,7 @@ int main() {
 
   // 5. TIE spectrum: the real channel is clean; a synthetic channel with
   //    a 4 ps tone at 25 MHz shows what contamination looks like.
-  const auto clean_tie =
-      ana::extract_tie(recorder.crossings(), stim.ui, stim.t0);
+  const auto clean_tie = ana::extract_tie(crossings, stim.ui, stim.t0);
   const auto clean_tones =
       ana::find_tones(ana::jitter_spectrum(clean_tie, 256), 8.0);
   std::printf("5. TIE spectrum of the channel: %s\n",

@@ -28,11 +28,8 @@ struct AcqWindow {
 AcqWindow acquisition_window(const core::Stimulus& stimulus,
                              std::size_t n_bits, const EyeOptions& options) {
   AcqWindow w;
-  w.begin = Picoseconds{stimulus.t0.ps() +
-                        static_cast<double>(options.warmup_bits) *
-                            stimulus.ui.ps()};
-  w.end = Picoseconds{stimulus.t0.ps() +
-                      static_cast<double>(n_bits) * stimulus.ui.ps()};
+  w.begin = stimulus.bit_time(options.warmup_bits);
+  w.end = stimulus.bit_time(n_bits);
   w.render = sig::RenderConfig{.levels = stimulus.levels,
                                .sample_step = options.sample_step};
   return w;
@@ -40,13 +37,69 @@ AcqWindow acquisition_window(const core::Stimulus& stimulus,
 
 }  // namespace
 
+Picoseconds Stimulus::bit_time(std::size_t k) const {
+  return Picoseconds{t0.ps() + static_cast<double>(k) * ui.ps()};
+}
+
 std::vector<Picoseconds> Stimulus::boundary_grid(std::size_t n) const {
   std::vector<Picoseconds> grid;
   grid.reserve(n + 1);
   for (std::size_t k = 0; k <= n; ++k) {
-    grid.push_back(Picoseconds{t0.ps() + static_cast<double>(k) * ui.ps()});
+    grid.push_back(bit_time(k));
   }
   return grid;
+}
+
+sig::PeclLevels Stimulus::rails() const {
+  return sig::attenuated(levels, chain.gain());
+}
+
+ana::EyeDiagram::Config Stimulus::eye_frame(const EyeOptions& options) const {
+  const sig::PeclLevels r = rails();
+  const double margin = 0.25 * r.swing().mv();
+  return ana::EyeDiagram::Config{
+      .ui = ui,
+      .t_ref = t0,
+      .v_lo = Millivolts{r.vol.mv() - margin},
+      .v_hi = Millivolts{r.voh.mv() + margin},
+      .threshold = r.midpoint(),
+      .time_bins = options.time_bins,
+      .volt_bins = options.volt_bins,
+  };
+}
+
+std::vector<sig::Crossing> Stimulus::crossings() const {
+  MGT_CHECK(bits.size() > kWarmupBits + 1,
+            "need more bits than the warmup consumes");
+  sig::CrossingRecorder recorder(rails().midpoint());
+  sig::render(edges, chain, sig::RenderConfig{.levels = levels},
+              bit_time(kWarmupBits), bit_time(bits.size() - 1), {&recorder});
+  return recorder.crossings();
+}
+
+std::size_t Stimulus::strobe_count() const {
+  MGT_CHECK(bits.size() > kWarmupBits + 1,
+            "need more bits than the warmup consumes");
+  return bits.size() - kWarmupBits - 1;
+}
+
+BitVector Stimulus::expected() const {
+  return bits.slice(kWarmupBits, strobe_count());
+}
+
+Picoseconds Stimulus::first_strobe(const pecl::ProgrammableDelay& delay,
+                                   std::size_t code) const {
+  return Picoseconds{bit_time(kWarmupBits).ps() +
+                     delay.actual_delay(code).ps() +
+                     delay.fault_drift().ps()};
+}
+
+pecl::PeclSampler::Capture Stimulus::capture(pecl::PeclSampler& sampler,
+                                             Picoseconds first) const {
+  return sampler.capture(
+      edges, chain, levels,
+      pecl::PeclSampler::strobe_schedule(first, ui, strobe_count()),
+      rails().midpoint());
 }
 
 TestSystem::TestSystem(ChannelConfig config, std::uint64_t seed)
@@ -59,6 +112,8 @@ TestSystem::TestSystem(ChannelConfig config, std::uint64_t seed)
       serializer_(config.serializer, rng_.fork()),
       buffer_(config.buffer, rng_.fork()),
       hookup_(config.hookup) {
+  usb_device_.set_bulk_handler(dig::kPatternEndpoint,
+                               dlc_.usb_bulk_pattern_handler());
   // Boot exactly the way the hardware does: the personalization image is
   // programmed into FLASH through the IEEE 1149.1 port, then the FPGA
   // loads it at power-up.
@@ -95,16 +150,9 @@ void TestSystem::program_prbs(unsigned order, std::uint64_t seed) {
 
 void TestSystem::program_pattern(const BitVector& pattern) {
   MGT_CHECK(!pattern.empty());
-  usb_host_.write_register(dig::reg::kPatternAddr, 0);
-  for (std::size_t w = 0; w * 32 < pattern.size(); ++w) {
-    std::uint32_t word = 0;
-    for (std::size_t b = 0; b < 32 && w * 32 + b < pattern.size(); ++b) {
-      word |= static_cast<std::uint32_t>(pattern.get(w * 32 + b)) << b;
-    }
-    usb_host_.write_register(dig::reg::kPatternData, word);
-  }
-  usb_host_.write_register(dig::reg::kPatternLen,
-                           static_cast<std::uint32_t>(pattern.size()));
+  // One stimulus channel: it plays pattern bank 0 (kChannelSel's reset
+  // value, never changed here).
+  dig::upload_pattern(usb_host_, 0, pattern);
   usb_host_.write_register(dig::reg::kCtrl, dig::reg::kCtrlModePattern);
 }
 
@@ -274,33 +322,14 @@ fault::HealthReport TestSystem::self_test() {
   return report;
 }
 
-void TestSystem::render_stimulus(const Stimulus& stimulus, std::size_t n_bits,
-                                 const EyeOptions& options,
-                                 const std::vector<sig::WaveformSink*>& sinks) {
-  const AcqWindow window = acquisition_window(stimulus, n_bits, options);
-  sig::render(stimulus.edges, stimulus.chain, window.render, window.begin,
-              window.end, sinks);
-}
-
 ana::EyeDiagram TestSystem::acquire_eye(std::size_t n_bits,
                                         EyeOptions options) {
   const obs::ProfileScope profile("core.acquire_eye");
-  Stimulus stimulus = generate(n_bits);
-  const sig::PeclLevels rails =
-      sig::attenuated(stimulus.levels, stimulus.chain.gain());
-  const double margin = 0.25 * rails.swing().mv();
-  ana::EyeDiagram::Config config{
-      .ui = stimulus.ui,
-      .t_ref = stimulus.t0,
-      .v_lo = Millivolts{rails.vol.mv() - margin},
-      .v_hi = Millivolts{rails.voh.mv() + margin},
-      .threshold = rails.midpoint(),
-      .time_bins = options.time_bins,
-      .volt_bins = options.volt_bins,
-  };
+  const Stimulus stimulus = generate(n_bits);
   const AcqWindow window = acquisition_window(stimulus, n_bits, options);
   return ana::accumulate_eye(stimulus.edges, stimulus.chain, window.render,
-                             window.begin, window.end, config);
+                             window.begin, window.end,
+                             stimulus.eye_frame(options));
 }
 
 ana::EyeMetrics TestSystem::measure_eye(std::size_t n_bits,
@@ -310,11 +339,12 @@ ana::EyeMetrics TestSystem::measure_eye(std::size_t n_bits,
 
 TestSystem::RiseFall TestSystem::measure_risefall(std::size_t n_bits,
                                                   EyeOptions options) {
-  Stimulus stimulus = generate(n_bits);
-  const sig::PeclLevels rails =
-      sig::attenuated(stimulus.levels, stimulus.chain.gain());
+  const Stimulus stimulus = generate(n_bits);
+  const sig::PeclLevels rails = stimulus.rails();
   ana::RiseFallMeter meter(rails.vol, rails.voh);
-  render_stimulus(stimulus, n_bits, options, {&meter});
+  const AcqWindow window = acquisition_window(stimulus, n_bits, options);
+  sig::render(stimulus.edges, stimulus.chain, window.render, window.begin,
+              window.end, {&meter});
   RiseFall out;
   out.rise_mean = meter.mean_rise();
   out.rise_min = Picoseconds{meter.rise().min()};
@@ -336,14 +366,13 @@ ana::CrossoverJitter TestSystem::measure_single_edge_jitter(
   program_pattern(dig::patterns::square(2 * lanes, lanes));
   start();
   const std::size_t n_bits = n_edges * 2 * lanes;
-  Stimulus stimulus = generate(n_bits);
+  const Stimulus stimulus = generate(n_bits);
 
-  const sig::PeclLevels rails =
-      sig::attenuated(stimulus.levels, stimulus.chain.gain());
+  const Millivolts threshold = stimulus.rails().midpoint();
   const AcqWindow window = acquisition_window(stimulus, n_bits, EyeOptions{});
   const auto recorder = sig::accumulate_chunked<sig::CrossingRecorder>(
       stimulus.edges, stimulus.chain, window.render, window.begin, window.end,
-      {}, [&] { return sig::CrossingRecorder(rails.midpoint()); });
+      {}, [&] { return sig::CrossingRecorder(threshold); });
 
   const Picoseconds pattern_period{2.0 * static_cast<double>(lanes) *
                                    stimulus.ui.ps()};
@@ -353,13 +382,12 @@ ana::CrossoverJitter TestSystem::measure_single_edge_jitter(
 
 TestSystem::Amplitude TestSystem::measure_amplitude(std::size_t n_bits,
                                                     EyeOptions options) {
-  Stimulus stimulus = generate(n_bits);
-  const sig::PeclLevels rails =
-      sig::attenuated(stimulus.levels, stimulus.chain.gain());
+  const Stimulus stimulus = generate(n_bits);
+  const Millivolts threshold = stimulus.rails().midpoint();
   const AcqWindow window = acquisition_window(stimulus, n_bits, options);
   const auto tracker = sig::accumulate_chunked<sig::AmplitudeTracker>(
       stimulus.edges, stimulus.chain, window.render, window.begin, window.end,
-      {}, [&] { return sig::AmplitudeTracker(rails.midpoint()); });
+      {}, [&] { return sig::AmplitudeTracker(threshold); });
   Amplitude out;
   out.settled_high = tracker.settled_high();
   out.settled_low = tracker.settled_low();

@@ -31,7 +31,9 @@
 #include "digital/usb.hpp"
 #include "pecl/buffer.hpp"
 #include "pecl/clocksource.hpp"
+#include "pecl/delayline.hpp"
 #include "pecl/mux.hpp"
+#include "pecl/sampler.hpp"
 #include "signal/channel.hpp"
 #include "util/rng.hpp"
 
@@ -51,8 +53,22 @@ struct ChannelConfig {
   fault::FaultPlan faults{};
 };
 
+/// Bits at the head of every acquisition that only settle the bandwidth
+/// chain: no strobe, eye sample or crossing is taken before bit 16.
+inline constexpr std::size_t kWarmupBits = 16;
+
+/// Acquisition options shared by the scope-style measurements.
+struct EyeOptions {
+  std::size_t warmup_bits = kWarmupBits;
+  std::size_t time_bins = 128;
+  std::size_t volt_bins = 64;
+  Picoseconds sample_step{0.5};
+};
+
 /// One generated stimulus: edges at the measurement point plus everything
-/// needed to render and interpret them.
+/// needed to render and interpret them. Its members below frame every
+/// acquisition: where it starts, what it compares against, the levels it
+/// decides at and where the strobes fall.
 struct Stimulus {
   sig::EdgeStream edges;
   sig::FilterChain chain;     // buffer + hookup bandwidth
@@ -61,16 +77,35 @@ struct Stimulus {
   Picoseconds t0{0.0};        // time of the bit-0 boundary at the output
   Picoseconds ui{400.0};
 
+  /// Nominal time t0 + k*ui of bit boundary k.
+  [[nodiscard]] Picoseconds bit_time(std::size_t k) const;
   /// Nominal bit-boundary times t0 + k*ui for k in [0, n].
   [[nodiscard]] std::vector<Picoseconds> boundary_grid(std::size_t n) const;
-};
 
-/// Acquisition options shared by the scope-style measurements.
-struct EyeOptions {
-  std::size_t warmup_bits = 16;  // settle the bandwidth chain
-  std::size_t time_bins = 128;
-  std::size_t volt_bins = 64;
-  Picoseconds sample_step{0.5};
+  /// The output rails as the receiver sees them: scaled by the chain's DC
+  /// gain. Their midpoint is the receiver's decision threshold.
+  [[nodiscard]] sig::PeclLevels rails() const;
+  /// Eye frame on the rails: rails +- a quarter swing, the threshold at the
+  /// rails' midpoint, the grid on t0.
+  [[nodiscard]] ana::EyeDiagram::Config eye_frame(
+      const EyeOptions& options = {}) const;
+  /// Threshold crossings at the rails' midpoint over
+  /// [bit_time(kWarmupBits), bit_time(n - 1)) for n generated bits.
+  [[nodiscard]] std::vector<sig::Crossing> crossings() const;
+
+  /// Strobes a capture takes: one per bit after the warm-up except the
+  /// last, which a strobe delayed by up to a UI would run past.
+  [[nodiscard]] std::size_t strobe_count() const;
+  /// The bits those strobes should return.
+  [[nodiscard]] BitVector expected() const;
+  /// First strobe through `delay` at `code`: the warm-up boundary plus the
+  /// programmed delay plus the line's fault drift, summed in that order.
+  [[nodiscard]] Picoseconds first_strobe(const pecl::ProgrammableDelay& delay,
+                                         std::size_t code) const;
+  /// Strobed capture: strobe_count() strobes one UI apart from `first`,
+  /// each decided at the rails' midpoint.
+  [[nodiscard]] pecl::PeclSampler::Capture capture(pecl::PeclSampler& sampler,
+                                                   Picoseconds first) const;
 };
 
 class TestSystem {
@@ -140,11 +175,6 @@ public:
   Amplitude measure_amplitude(std::size_t n_bits, EyeOptions options = {});
 
 private:
-  /// Render helper: runs `sinks` over the stimulus window.
-  void render_stimulus(const Stimulus& stimulus, std::size_t n_bits,
-                       const EyeOptions& options,
-                       const std::vector<sig::WaveformSink*>& sinks);
-
   ChannelConfig config_;
   Rng rng_;
   dig::FlashMemory flash_;

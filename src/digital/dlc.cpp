@@ -15,9 +15,6 @@ void Dlc::define_registers() {
   regs_.define(reg::kLaneRateMbps, 312);
   regs_.define(reg::kSeedLo, 0xFFFFFFFFu);
   regs_.define(reg::kSeedHi, 0xFFFFFFFFu);
-  regs_.define(reg::kPatternLen, 0);
-  regs_.define(reg::kPatternAddr, 0);
-  regs_.define(reg::kPatternData, 0);
   regs_.define(reg::kChannelSel, 0);
   regs_.define(reg::kScratch, 0);
 
@@ -29,23 +26,6 @@ void Dlc::define_registers() {
     if (value & reg::kCtrlStop) {
       regs_.poke(reg::kStatus, reg::kStatusIdle);
     }
-  });
-  regs_.on_write(reg::kPatternAddr, [this](std::uint16_t, std::uint32_t value) {
-    pattern_addr_ = value;
-  });
-  regs_.on_write(reg::kPatternData, [this](std::uint16_t, std::uint32_t value) {
-    MGT_CHECK(static_cast<std::size_t>(pattern_addr_) * 32 <
-                  DlcSpec::kPatternDepthBits,
-              "pattern write exceeds pattern-memory depth");
-    auto& bank = banks_[regs_.read(reg::kChannelSel)];
-    if (bank.words.size() <= pattern_addr_) {
-      bank.words.resize(pattern_addr_ + 1, 0);
-    }
-    bank.words[pattern_addr_] = value;
-    ++pattern_addr_;  // auto-increment for streaming uploads
-  });
-  regs_.on_write(reg::kPatternLen, [this](std::uint16_t, std::uint32_t value) {
-    banks_[regs_.read(reg::kChannelSel)].length_bits = value;
   });
 
   regs_.define_ro(reg::kCapCount, 0);
@@ -219,6 +199,28 @@ BitVector read_capture(UsbHost& host) {
     }
   }
   return out;
+}
+
+void upload_pattern(UsbHost& host, std::uint32_t channel,
+                    const BitVector& bits) {
+  std::vector<std::uint8_t> payload;
+  payload.reserve(8 + (bits.size() + 31) / 32 * 4);
+  auto put_u32 = [&](std::uint32_t v) {
+    payload.push_back(static_cast<std::uint8_t>(v & 0xFF));
+    payload.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
+    payload.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
+    payload.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFF));
+  };
+  put_u32(channel);
+  put_u32(static_cast<std::uint32_t>(bits.size()));
+  for (std::size_t w = 0; w * 32 < bits.size(); ++w) {
+    std::uint32_t word = 0;
+    for (std::size_t b = 0; b < 32 && w * 32 + b < bits.size(); ++b) {
+      word |= static_cast<std::uint32_t>(bits.get(w * 32 + b)) << b;
+    }
+    put_u32(word);
+  }
+  host.bulk_write(kPatternEndpoint, payload);
 }
 
 }  // namespace mgt::dig

@@ -67,9 +67,11 @@ public:
   /// Handler implementing the vendor register protocol for a UsbDevice.
   [[nodiscard]] UsbDevice::ControlHandler usb_handler();
 
-  /// Bulk OUT handler for streaming pattern uploads. Payload layout:
-  /// [channel u32 | length_bits u32 | pattern words u32...], little-endian.
-  /// Far faster than word-by-word register writes for long patterns.
+  /// Bulk OUT handler for pattern uploads, the only way a pattern reaches
+  /// the pattern memory (install it on kPatternEndpoint; upload_pattern is
+  /// the PC side). Payload layout: [channel u32 | length_bits u32 | pattern
+  /// words u32...], little-endian, pattern bit i at bit i % 32 of word
+  /// i / 32. The upload replaces the channel's whole bank.
   [[nodiscard]] UsbDevice::BulkHandler usb_bulk_pattern_handler();
 
   // -- Test synthesis ------------------------------------------------------
@@ -110,8 +112,8 @@ public:
 private:
   void define_registers();
 
-  /// One per-channel pattern bank (the FPGA dedicates BRAM per channel;
-  /// kChannelSel picks which bank the upload registers address).
+  /// One per-channel pattern bank (the FPGA dedicates BRAM per channel; a
+  /// bulk upload names its bank, kChannelSel picks the one that plays).
   struct PatternBank {
     std::vector<std::uint32_t> words;
     std::uint32_t length_bits = 0;
@@ -122,13 +124,20 @@ private:
   bool configured_ = false;
   std::string design_name_;
   std::map<std::uint32_t, PatternBank> banks_;
-  std::uint32_t pattern_addr_ = 0;
   BitVector capture_;
   std::uint32_t capture_addr_ = 0;
 };
 
+/// Bulk OUT endpoint the DLC's pattern handler listens on.
+inline constexpr std::uint8_t kPatternEndpoint = 1;
+
 /// PC-side helper: reads the whole capture memory back over the bus
 /// (USB host or direct registers) and reassembles the bit sequence.
 BitVector read_capture(UsbHost& host);
+
+/// PC-side helper: uploads `bits` into pattern bank `channel` in one bulk
+/// transfer on kPatternEndpoint (packed 32 bits per word, LSB first).
+void upload_pattern(UsbHost& host, std::uint32_t channel,
+                    const BitVector& bits);
 
 }  // namespace mgt::dig

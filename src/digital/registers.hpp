@@ -21,9 +21,6 @@ inline constexpr std::uint16_t kLaneCount = 0x004;   // serializer width
 inline constexpr std::uint16_t kLaneRateMbps = 0x005;
 inline constexpr std::uint16_t kSeedLo = 0x006;
 inline constexpr std::uint16_t kSeedHi = 0x007;
-inline constexpr std::uint16_t kPatternLen = 0x008;
-inline constexpr std::uint16_t kPatternAddr = 0x009;  // auto-incrementing
-inline constexpr std::uint16_t kPatternData = 0x00A;  // 32 pattern bits/word
 inline constexpr std::uint16_t kChannelSel = 0x00B;   // pattern channel
 inline constexpr std::uint16_t kCapCount = 0x00C;     // RO: captured bits
 inline constexpr std::uint16_t kCapAddr = 0x00D;      // auto-incrementing

@@ -7,12 +7,6 @@
 #include "util/error.hpp"
 
 namespace mgt::minitester {
-namespace {
-
-/// Bits skipped at the head of each capture (chain settling).
-constexpr std::size_t kWarmupBits = 16;
-
-}  // namespace
 
 MiniTester::MiniTester(Config config, std::uint64_t seed)
     : config_(config),
@@ -20,7 +14,7 @@ MiniTester::MiniTester(Config config, std::uint64_t seed)
       system_(config.channel, seed ^ 0x31A17E57E5ull),
       dut_(config.dut),
       strobe_delay_(config.strobe_delay, rng_.fork()),
-      sampler_(pecl::PeclSampler::Config{}, rng_.fork()) {
+      sampler_(rng_.fork()) {
   // Default strobe: mid-UI (center of the ideal eye). Code math comes
   // from the instance's mode-aware step so vernier mode works unchanged.
   const double ui = config_.channel.rate.unit_interval().ps();
@@ -45,42 +39,24 @@ void MiniTester::program_pattern(const BitVector& pattern) {
 
 void MiniTester::start() { system_.start(); }
 
-MiniTester::Path MiniTester::through_dut(std::size_t n_bits) {
-  core::Stimulus stim = system_.generate(n_bits);
-  Path path;
-  path.edges = dut_.respond(stim.edges);
-  path.chain = stim.chain;
+core::Stimulus MiniTester::through_dut(std::size_t n_bits) {
+  core::Stimulus path = system_.generate(n_bits);
+  path.edges = dut_.respond(path.edges);
   const Picoseconds stimulus_group_delay = path.chain.group_delay();
-  dut_.contribute(path.chain, stim.levels.midpoint());
-  path.levels = stim.levels;
-  // Deskew: stim.t0 already accounts for the stimulus chain's group delay;
-  // add only what the DUT's leads contribute on top.
-  path.t0 = stim.t0 + dut_.loopback_delay() +
+  dut_.contribute(path.chain, path.levels.midpoint());
+  // Deskew: t0 already accounts for the stimulus chain's group delay; add
+  // only what the DUT's leads contribute on top.
+  path.t0 = path.t0 + dut_.loopback_delay() +
             (path.chain.group_delay() - stimulus_group_delay);
-  path.ui = stim.ui;
-  path.bits = stim.bits;
   return path;
 }
 
 ana::BerResult MiniTester::run_loopback(std::size_t n_bits) {
-  MGT_CHECK(n_bits > kWarmupBits + 1,
-            "need more bits than the warmup consumes");
-  Path path = through_dut(n_bits);
-
+  const core::Stimulus path = through_dut(n_bits);
   // Strobe placement: the delay line's insertion delay is calibrated out;
   // the programmed code positions the strobe within the unit interval.
-  const std::size_t n_capture = n_bits - kWarmupBits - 1;
-  const Picoseconds first{
-      path.t0.ps() + static_cast<double>(kWarmupBits) * path.ui.ps() +
-      strobe_delay_.actual_delay(strobe_delay_.code()).ps() +
-      strobe_delay_.fault_drift().ps()};
-  const auto strobes =
-      pecl::PeclSampler::strobe_schedule(first, path.ui, n_capture);
-
-  const sig::PeclLevels rails = sig::attenuated(path.levels, path.chain.gain());
-  sampler_.set_threshold(rails.midpoint());
-  const auto capture =
-      sampler_.capture(path.edges, path.chain, path.levels, strobes);
+  const auto capture = path.capture(
+      sampler_, path.first_strobe(strobe_delay_, strobe_delay_.code()));
 
   // The capture lands in the DLC's capture memory; the controlling PC can
   // read it back over USB (last_capture_via_usb).
@@ -88,8 +64,7 @@ ana::BerResult MiniTester::run_loopback(std::size_t n_bits) {
 
   // The programmed delay selects which bit each strobe lands in; alignment
   // search mirrors the pattern-sync a BERT performs.
-  const BitVector expected = path.bits.slice(kWarmupBits, n_capture);
-  return ana::compare_bits_aligned(capture.bits, expected, 4);
+  return ana::compare_bits_aligned(capture.bits, path.expected(), 4);
 }
 
 std::vector<ana::BathtubPoint> MiniTester::bathtub(std::size_t n_bits,
@@ -150,51 +125,26 @@ std::size_t MiniTester::center_strobe(std::size_t n_bits) {
 }
 
 MiniTester::BistResult MiniTester::run_bist(std::size_t n_bits) {
-  MGT_CHECK(n_bits > kWarmupBits + 1,
-            "need more bits than the warmup consumes");
   // The DUT's internal flip-flops sample the incoming stream at bit
   // centers; the compacted signature comes back over the low-speed test
   // bus and is compared against the golden signature of the programmed
   // pattern.
-  Path path = through_dut(n_bits);
-  const std::size_t n = n_bits - kWarmupBits - 1;
-  const BitVector expected = path.bits.slice(kWarmupBits, n);
-
-  const sig::PeclLevels rails = sig::attenuated(path.levels, path.chain.gain());
-  sampler_.set_threshold(rails.midpoint());
+  const core::Stimulus path = through_dut(n_bits);
   const Picoseconds first{path.t0.ps() +
-                          (static_cast<double>(kWarmupBits) + 0.5) *
+                          (static_cast<double>(core::kWarmupBits) + 0.5) *
                               path.ui.ps()};
-  const auto strobes = pecl::PeclSampler::strobe_schedule(first, path.ui, n);
-  const BitVector received =
-      sampler_.capture(path.edges, path.chain, path.levels, strobes).bits;
-
   BistResult out;
-  out.expected = misr_signature(expected);
-  out.actual = misr_signature(received);
+  out.expected = misr_signature(path.expected());
+  out.actual = misr_signature(path.capture(sampler_, first).bits);
   return out;
 }
 
 ana::EyeMetrics MiniTester::measure_loopback_eye(std::size_t n_bits) {
-  Path path = through_dut(n_bits);
+  const core::Stimulus path = through_dut(n_bits);
   MGT_CHECK(!path.edges.empty(), "cannot take an eye of a stuck output");
-  const sig::PeclLevels rails = sig::attenuated(path.levels, path.chain.gain());
-  const double margin = 0.25 * rails.swing().mv();
-  ana::EyeDiagram::Config config{
-      .ui = path.ui,
-      .t_ref = path.t0,
-      .v_lo = Millivolts{rails.vol.mv() - margin},
-      .v_hi = Millivolts{rails.voh.mv() + margin},
-      .threshold = rails.midpoint(),
-  };
-  ana::EyeDiagram eye(config);
-  const Picoseconds t_begin{path.t0.ps() +
-                            static_cast<double>(kWarmupBits) *
-                                path.ui.ps()};
-  const Picoseconds t_end{path.t0.ps() +
-                          static_cast<double>(n_bits) * path.ui.ps()};
+  ana::EyeDiagram eye(path.eye_frame());
   sig::render(path.edges, path.chain, sig::RenderConfig{.levels = path.levels},
-              t_begin, t_end, {&eye});
+              path.bit_time(core::kWarmupBits), path.bit_time(n_bits), {&eye});
   return eye.metrics();
 }
 

@@ -83,16 +83,9 @@ public:
   ana::EyeMetrics measure_loopback_eye(std::size_t n_bits);
 
 private:
-  /// Stimulus + DUT response and the full analog chain at the sampler.
-  struct Path {
-    sig::EdgeStream edges;
-    sig::FilterChain chain;
-    sig::PeclLevels levels;
-    Picoseconds t0{0.0};  // bit-boundary grid origin at the sampler
-    Picoseconds ui{200.0};
-    BitVector bits;
-  };
-  Path through_dut(std::size_t n_bits);
+  /// The generated stimulus carried through the DUT: its edges, poles and
+  /// bit-boundary origin become those at the sampler.
+  core::Stimulus through_dut(std::size_t n_bits);
 
   Config config_;
   Rng rng_;

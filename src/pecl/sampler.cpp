@@ -20,13 +20,14 @@ std::vector<Picoseconds> PeclSampler::strobe_schedule(Picoseconds first,
 
 PeclSampler::Capture PeclSampler::capture(
     const sig::EdgeStream& stream, const sig::FilterChain& chain,
-    const sig::PeclLevels& levels, const std::vector<Picoseconds>& strobes) {
+    const sig::PeclLevels& levels, const std::vector<Picoseconds>& strobes,
+    Millivolts threshold) {
   MGT_CHECK(!strobes.empty(), "capture needs at least one strobe");
 
   sig::StrobeSampler::Config sampler_config{
-      .threshold = config_.threshold,
-      .strobe_rj_sigma = config_.strobe_rj_sigma,
-      .aperture = config_.aperture,
+      .threshold = threshold,
+      .strobe_rj_sigma = kStrobeRjSigma,
+      .aperture = kAperture,
   };
   sig::StrobeSampler sampler(strobes, sampler_config, rng_.fork());
 
@@ -36,7 +37,7 @@ PeclSampler::Capture PeclSampler::capture(
   const Picoseconds t_end = strobes.back() + pad;
 
   sig::RenderConfig render_config{.levels = levels,
-                                  .sample_step = config_.sample_step};
+                                  .sample_step = kSampleStep};
   sig::render(stream, chain, render_config, t_begin, t_end, {&sampler});
   MGT_CHECK(sampler.missed() == 0, "strobes fell outside the render window");
 

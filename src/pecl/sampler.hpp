@@ -19,18 +19,15 @@ namespace mgt::pecl {
 
 class PeclSampler {
 public:
-  struct Config {
-    Millivolts threshold{2000.0};
-    Picoseconds strobe_rj_sigma{1.5};
-    Picoseconds aperture{8.0};
-    /// Render step used when digitizing the waveform under test.
-    Picoseconds sample_step{0.5};
-  };
+  /// RMS random jitter the strobe picks up on its way from the RF clock.
+  static constexpr Picoseconds kStrobeRjSigma{1.5};
+  /// Setup+hold window of the latch: a threshold crossing within
+  /// +-kAperture/2 of the strobe captures a random bit.
+  static constexpr Picoseconds kAperture{8.0};
+  /// Render step used when digitizing the waveform under test.
+  static constexpr Picoseconds kSampleStep{0.5};
 
-  PeclSampler(Config config, Rng rng) : config_(config), rng_(rng) {}
-
-  [[nodiscard]] const Config& config() const { return config_; }
-  void set_threshold(Millivolts threshold) { config_.threshold = threshold; }
+  explicit PeclSampler(Rng rng) : rng_(rng) {}
 
   /// Uniform strobe schedule: first strobe at `first`, then every `period`.
   static std::vector<Picoseconds> strobe_schedule(Picoseconds first,
@@ -44,15 +41,15 @@ public:
   };
 
   /// Renders `stream` (levels + bandwidth chain) and captures it at the
-  /// given strobes. The render window automatically pads around the
-  /// strobes so the filter is settled.
+  /// given strobes, deciding each bit against `threshold`. The render
+  /// window automatically pads around the strobes so the filter is settled.
   Capture capture(const sig::EdgeStream& stream,
                   const sig::FilterChain& chain,
                   const sig::PeclLevels& levels,
-                  const std::vector<Picoseconds>& strobes);
+                  const std::vector<Picoseconds>& strobes,
+                  Millivolts threshold);
 
 private:
-  Config config_;
   Rng rng_;
 };
 

@@ -49,7 +49,6 @@ struct MaskedSkew {
 
 MaskedSkew measure_skew_masked(OpticalTransmitter& tx,
                                std::size_t averaging_slots) {
-  MGT_CHECK(averaging_slots >= 1);
   const SlotFormat& fmt = tx.config().format;
   const auto packet = alignment_packet(fmt);
   // The clock's first window edge leads the first payload edge by the
@@ -130,10 +129,7 @@ Picoseconds worst_alive_residual(
 /// residual misses the bound. With `strict`, the first measurement that
 /// sees a dead channel throws instead of masking it.
 CalibrationOutcome align_channels(OpticalTransmitter& tx,
-                                  const CalibrationOptions& options,
-                                  bool strict) {
-  MGT_CHECK(options.max_attempts >= 1);
-  MGT_CHECK(options.averaging_slots >= 1);
+                                  std::size_t max_attempts, bool strict) {
   auto measure = [&](std::size_t averaging) {
     MaskedSkew measured = measure_skew_masked(tx, averaging);
     if (strict) {
@@ -143,8 +139,8 @@ CalibrationOutcome align_channels(OpticalTransmitter& tx,
   };
 
   CalibrationOutcome outcome;
-  std::size_t averaging = options.averaging_slots;
-  for (std::size_t attempt = 1; attempt <= options.max_attempts; ++attempt) {
+  std::size_t averaging = kAveragingSlots;
+  for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
     outcome.attempts = attempt;
     outcome.averaging_slots_used = averaging;
 
@@ -239,23 +235,18 @@ bool CalibrationReport::within(Picoseconds bound) const {
 }
 
 std::array<Picoseconds, kHighSpeedChannels> measure_channel_skew(
-    OpticalTransmitter& tx, std::size_t averaging_slots) {
-  const MaskedSkew measured = measure_skew_masked(tx, averaging_slots);
+    OpticalTransmitter& tx) {
+  const MaskedSkew measured = measure_skew_masked(tx, kAveragingSlots);
   require_alive(measured);
   return measured.skew;
 }
 
-CalibrationReport calibrate_transmitter(OpticalTransmitter& tx,
-                                        std::size_t averaging_slots) {
-  return align_channels(
-             tx, {.averaging_slots = averaging_slots, .max_attempts = 1},
-             /*strict=*/true)
-      .report;
+CalibrationReport calibrate_transmitter(OpticalTransmitter& tx) {
+  return align_channels(tx, /*max_attempts=*/1, /*strict=*/true).report;
 }
 
-CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx,
-                                           const CalibrationOptions& options) {
-  return align_channels(tx, options, /*strict=*/false);
+CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx) {
+  return align_channels(tx, kMaxAttempts, /*strict=*/false);
 }
 
 }  // namespace mgt::testbed

@@ -33,34 +33,31 @@ struct CalibrationReport {
   [[nodiscard]] bool within(Picoseconds bound) const;
 };
 
+/// Packet slots averaged per skew measurement on a first attempt; doubled
+/// on every retry (bounded backoff: more averaging beats down the random
+/// jitter that made the previous attempt miss the bound).
+inline constexpr std::size_t kAveragingSlots = 8;
+/// Attempts calibrate_with_recovery makes before it reports failure.
+inline constexpr std::size_t kMaxAttempts = 3;
+
 /// Measures each channel's mean edge time relative to the clock channel
-/// using a repeated alignment pattern, then programs the delay lines so
-/// all channels land on the latest one (delays can only add). Returns the
-/// report; the transmitter is left calibrated.
+/// using a repeated alignment pattern (kAveragingSlots packet slots), then
+/// programs the delay lines so all channels land on the latest one (delays
+/// can only add). Returns the report; the transmitter is left calibrated.
 ///
-/// `averaging_slots` sets how many packet slots are averaged per
-/// measurement (more slots average down the random jitter). This is the
-/// calibrate_with_recovery procedure with a single attempt, except that a
-/// dead channel throws mgt::RecoverableError instead of being masked.
-CalibrationReport calibrate_transmitter(OpticalTransmitter& tx,
-                                        std::size_t averaging_slots = 8);
+/// This is the calibrate_with_recovery procedure with a single attempt,
+/// except that a dead channel throws mgt::RecoverableError instead of
+/// being masked.
+CalibrationReport calibrate_transmitter(OpticalTransmitter& tx);
 
-/// Measures the current per-channel skew (relative to the clock channel)
-/// without changing any programming. Element kClockChannel is 0 by
-/// construction. Throws mgt::RecoverableError when a channel produces no
-/// edges (dead channel); use calibrate_with_recovery to mask dead channels
-/// and keep going instead.
+/// Measures the current per-channel skew (relative to the clock channel),
+/// averaged over kAveragingSlots packet slots, without changing any
+/// programming. Element kClockChannel is 0 by construction. Throws
+/// mgt::RecoverableError when a channel produces no edges (dead channel);
+/// use calibrate_with_recovery to mask dead channels and keep going
+/// instead.
 std::array<Picoseconds, kHighSpeedChannels> measure_channel_skew(
-    OpticalTransmitter& tx, std::size_t averaging_slots = 8);
-
-/// Knobs of the bring-up procedure with recovery.
-struct CalibrationOptions {
-  /// Packet slots averaged per measurement on the first attempt; doubled
-  /// on every retry (bounded backoff: more averaging beats down the random
-  /// jitter that made the previous attempt miss the bound).
-  std::size_t averaging_slots = 8;
-  std::size_t max_attempts = 3;
-};
+    OpticalTransmitter& tx);
 
 /// What calibrate_with_recovery did and how it ended.
 struct CalibrationOutcome {
@@ -82,10 +79,9 @@ struct CalibrationOutcome {
 /// dead channels (no edges — all-lane stuck-at faults, unplugged parts)
 /// are detected, excluded from the alignment, and reported; when the
 /// residual misses the 25 ps bound the procedure retries with doubled
-/// averaging up to max_attempts. The transmitter is left with the best
-/// programming of the final attempt. A dead clock channel aborts early (no timing
-/// reference to calibrate against) with converged = false.
-CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx,
-                                           const CalibrationOptions& options = {});
+/// averaging, up to kMaxAttempts attempts. The transmitter is left with the
+/// programming of the final attempt. A dead clock channel aborts early (no
+/// timing reference to calibrate against) with converged = false.
+CalibrationOutcome calibrate_with_recovery(OpticalTransmitter& tx);
 
 }  // namespace mgt::testbed

@@ -25,7 +25,8 @@ OpticalTransmitter::OpticalTransmitter(Config config, std::uint64_t seed)
       usb_device_(kUsbAddress, dlc_.usb_handler()),
       usb_host_(usb_device_) {
   config_.format.validate();
-  usb_device_.set_bulk_handler(1, dlc_.usb_bulk_pattern_handler());
+  usb_device_.set_bulk_handler(dig::kPatternEndpoint,
+                              dlc_.usb_bulk_pattern_handler());
 
   dig::Bitstream bitstream;
   bitstream.design_name = "optical-testbed-tx";
@@ -68,29 +69,6 @@ const pecl::ProgrammableDelay& OpticalTransmitter::channel_delay(
   return channels_[channel].delay;
 }
 
-void OpticalTransmitter::program_channel(std::uint32_t channel,
-                                         const BitVector& bits) {
-  // Stream the whole bank in one bulk transfer: [channel | bits | words].
-  std::vector<std::uint8_t> payload;
-  payload.reserve(8 + (bits.size() + 31) / 32 * 4);
-  auto put_u32 = [&](std::uint32_t v) {
-    payload.push_back(static_cast<std::uint8_t>(v & 0xFF));
-    payload.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-    payload.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-    payload.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFF));
-  };
-  put_u32(channel);
-  put_u32(static_cast<std::uint32_t>(bits.size()));
-  for (std::size_t w = 0; w * 32 < bits.size(); ++w) {
-    std::uint32_t word = 0;
-    for (std::size_t b = 0; b < 32 && w * 32 + b < bits.size(); ++b) {
-      word |= static_cast<std::uint32_t>(bits.get(w * 32 + b)) << b;
-    }
-    put_u32(word);
-  }
-  usb_host_.bulk_write(1, payload);
-}
-
 OpticalTransmitter::Output OpticalTransmitter::transmit(
     const TestbedPacket& packet, Picoseconds t_start) {
   Output out;
@@ -102,9 +80,10 @@ OpticalTransmitter::Output OpticalTransmitter::transmit(
 
   // Program every channel bank over USB, then start the run.
   for (std::size_t ch = 0; ch < kDataChannels; ++ch) {
-    program_channel(static_cast<std::uint32_t>(ch), out.bits.data[ch]);
+    dig::upload_pattern(usb_host_, static_cast<std::uint32_t>(ch),
+                        out.bits.data[ch]);
   }
-  program_channel(kClockChannel, out.bits.clock);
+  dig::upload_pattern(usb_host_, kClockChannel, out.bits.clock);
   usb_host_.write_register(dig::reg::kCtrl, dig::reg::kCtrlModePattern |
                                                 dig::reg::kCtrlStart);
 

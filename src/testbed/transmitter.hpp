@@ -61,9 +61,6 @@ public:
   [[nodiscard]] dig::Dlc& dlc() { return dlc_; }
 
 private:
-  /// Uploads `bits` into the DLC pattern bank for `channel` over USB.
-  void program_channel(std::uint32_t channel, const BitVector& bits);
-
   Config config_;
   Rng rng_;
   dig::Dlc dlc_;

@@ -494,15 +494,11 @@ TEST(Dlc, PrbsSerialMatchesLfsr) {
 TEST(Dlc, PatternBanksArePerChannel) {
   Dlc dlc;
   dlc.configure(named_bitstream("x"));
-  auto upload = [&](std::uint32_t channel, std::uint32_t word,
-                    std::uint32_t len) {
-    dlc.regs().write(reg::kChannelSel, channel);
-    dlc.regs().write(reg::kPatternAddr, 0);
-    dlc.regs().write(reg::kPatternData, word);
-    dlc.regs().write(reg::kPatternLen, len);
-  };
-  upload(0, 0x0000000F, 8);  // 11110000
-  upload(1, 0x000000F0, 8);  // 00001111
+  UsbDevice device(5, dlc.usb_handler());
+  device.set_bulk_handler(kPatternEndpoint, dlc.usb_bulk_pattern_handler());
+  UsbHost host(device);
+  upload_pattern(host, 0, BitVector::from_string("11110000"));
+  upload_pattern(host, 1, BitVector::from_string("00001111"));
   dlc.regs().write(reg::kCtrl, reg::kCtrlModePattern);
 
   dlc.regs().write(reg::kChannelSel, 0);

@@ -314,17 +314,11 @@ std::pair<core::Stimulus, BitVector> acquire_vernier_cell(
 
   pecl::ProgrammableDelay delay(
       core::presets::strobe_delay(pecl::TimingMode::kVernier), Rng(21));
-  pecl::PeclSampler sampler(pecl::PeclSampler::Config{}, Rng(22));
-  sampler.set_threshold(stim.levels.midpoint());
+  pecl::PeclSampler sampler(Rng(22));
   const auto mid_code =
       static_cast<std::size_t>(stim.ui.ps() / 2.0 / delay.step().ps());
-  const std::size_t n_capture = 256 - 17;
-  const Picoseconds first{stim.t0.ps() + 16.0 * stim.ui.ps() +
-                          delay.actual_delay(mid_code).ps()};
-  const auto strobes =
-      pecl::PeclSampler::strobe_schedule(first, stim.ui, n_capture);
   BitVector bits =
-      sampler.capture(stim.edges, stim.chain, stim.levels, strobes).bits;
+      stim.capture(sampler, stim.first_strobe(delay, mid_code)).bits;
   return {std::move(stim), std::move(bits)};
 }
 
@@ -369,26 +363,15 @@ TEST(ExtensionGoldenPins, SteppedAndVernierCapturesCoincide) {
   const auto [stepped_cfg, vernier_cfg] = coinciding_configs();
   pecl::ProgrammableDelay stepped(stepped_cfg, Rng(23));
   pecl::ProgrammableDelay vernier(vernier_cfg, Rng(23));
-  pecl::PeclSampler sampler_s(pecl::PeclSampler::Config{}, Rng(24));
-  pecl::PeclSampler sampler_v(pecl::PeclSampler::Config{}, Rng(24));
-  sampler_s.set_threshold(stim.levels.midpoint());
-  sampler_v.set_threshold(stim.levels.midpoint());
+  pecl::PeclSampler sampler_s(Rng(24));
+  pecl::PeclSampler sampler_v(Rng(24));
 
-  const std::size_t n_capture = 256 - 17;
   for (const std::size_t code : {std::size_t{0}, std::size_t{5}}) {
-    const Picoseconds first_s{stim.t0.ps() + 16.0 * stim.ui.ps() +
-                              stepped.actual_delay(code).ps()};
-    const Picoseconds first_v{stim.t0.ps() + 16.0 * stim.ui.ps() +
-                              vernier.actual_delay(16 * code).ps()};
+    const Picoseconds first_s = stim.first_strobe(stepped, code);
+    const Picoseconds first_v = stim.first_strobe(vernier, 16 * code);
     ASSERT_EQ(first_s.ps(), first_v.ps());
-    const auto strobes_s =
-        pecl::PeclSampler::strobe_schedule(first_s, stim.ui, n_capture);
-    const auto strobes_v =
-        pecl::PeclSampler::strobe_schedule(first_v, stim.ui, n_capture);
-    EXPECT_EQ(
-        sampler_s.capture(stim.edges, stim.chain, stim.levels, strobes_s).bits,
-        sampler_v.capture(stim.edges, stim.chain, stim.levels, strobes_v)
-            .bits)
+    EXPECT_EQ(stim.capture(sampler_s, first_s).bits,
+              stim.capture(sampler_v, first_v).bits)
         << "code " << code;
   }
 }

@@ -209,13 +209,16 @@ TEST_F(BulkFixture, UnconfiguredEndpointStalls) {
   EXPECT_THROW(host_.bulk_write(2, {1, 2, 3}), Error);
 }
 
-TEST(BulkDlc, PatternUploadMatchesRegisterPath) {
+TEST(BulkDlc, UploadPatternMatchesHandPackedPayload) {
+  // The wire format written out by hand (channel, length, then 32 bits per
+  // word LSB first) and dig::upload_pattern fill their banks alike.
   dig::Dlc dlc;
   dig::Bitstream bitstream;
   bitstream.design_name = "bulk";
   dlc.configure(bitstream);
   dig::UsbDevice device(5, dlc.usb_handler());
-  device.set_bulk_handler(1, dlc.usb_bulk_pattern_handler());
+  device.set_bulk_handler(dig::kPatternEndpoint,
+                          dlc.usb_bulk_pattern_handler());
   dig::UsbHost host(device);
 
   Rng rng(3);
@@ -235,10 +238,13 @@ TEST(BulkDlc, PatternUploadMatchesRegisterPath) {
     }
     put(word);
   }
-  host.bulk_write(1, payload);
+  host.bulk_write(dig::kPatternEndpoint, payload);
+  dig::upload_pattern(host, 4, pattern);
 
   host.write_register(dig::reg::kCtrl, dig::reg::kCtrlModePattern);
   host.write_register(dig::reg::kChannelSel, 3);
+  EXPECT_EQ(dlc.expected_serial(777), pattern);
+  host.write_register(dig::reg::kChannelSel, 4);
   EXPECT_EQ(dlc.expected_serial(777), pattern);
 }
 

@@ -472,14 +472,12 @@ TEST(CalibrationRecovery, RetriesWithDeeperAveragingThenReportsFailure) {
   config.channel.faults = plan;
   testbed::OpticalTransmitter tx(config, 60);
 
-  testbed::CalibrationOptions options;
-  options.averaging_slots = 2;
-  options.max_attempts = 3;
-  const auto outcome = testbed::calibrate_with_recovery(tx, options);
+  static_assert(testbed::kAveragingSlots == 8 && testbed::kMaxAttempts == 3);
+  const auto outcome = testbed::calibrate_with_recovery(tx);
   EXPECT_FALSE(outcome.converged);
   EXPECT_FALSE(outcome.healthy());
   EXPECT_EQ(outcome.attempts, 3u);
-  EXPECT_EQ(outcome.averaging_slots_used, 8u);  // 2 -> 4 -> 8
+  EXPECT_EQ(outcome.averaging_slots_used, 32u);  // 8 -> 16 -> 32
   EXPECT_TRUE(outcome.dead_channels.empty());
 }
 
@@ -517,9 +515,13 @@ TEST(CalibrationRecovery, SingleAttemptMatchesPlainCalibration) {
   testbed::OpticalTransmitter tx(config, 66);
   testbed::OpticalTransmitter tx2(config, 66);
 
+  // A recovery run that converges on its first attempt is the plain
+  // calibration, bit for bit.
   const auto plain = testbed::calibrate_transmitter(tx);
-  const auto outcome = testbed::calibrate_with_recovery(
-      tx2, {.averaging_slots = 8, .max_attempts = 1});
+  const auto outcome = testbed::calibrate_with_recovery(tx2);
+  ASSERT_TRUE(outcome.converged);
+  ASSERT_EQ(outcome.attempts, 1u);
+  EXPECT_EQ(outcome.averaging_slots_used, testbed::kAveragingSlots);
   for (std::size_t ch = 0; ch < testbed::kHighSpeedChannels; ++ch) {
     EXPECT_EQ(plain.initial_skew[ch].ps(),
               outcome.report.initial_skew[ch].ps())

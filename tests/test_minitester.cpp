@@ -8,6 +8,7 @@
 #include "minitester/dut.hpp"
 #include "minitester/minitester.hpp"
 #include "minitester/shmoo.hpp"
+#include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -221,6 +222,60 @@ TEST(MiniTester, StuckDutEyeThrows) {
   tester.program_prbs(7, 1);
   tester.start();
   EXPECT_THROW(tester.measure_loopback_eye(512), Error);
+}
+
+TEST(MiniTester, AcquisitionsKeepTheirBits) {
+  // One digest over every acquisition the mini-tester makes: loopback BER
+  // and the capture read back over USB at codes across the UI (stepped,
+  // vernier, and stepped under a "strobe" delay-drift fault, which moves
+  // every strobe), the BIST signatures, and the loopback eye's metrics.
+  util::Fnv64 h;
+  const auto mix_bits = [&](const BitVector& bits) {
+    h.mix_u64(bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      h.mix_bool(bits.get(i));
+    }
+  };
+  const auto acquire = [&](const MiniTester::Config& config,
+                           std::uint64_t seed) {
+    MiniTester tester(config, seed);
+    tester.program_prbs(7, 0xACE1);
+    tester.start();
+    const double ui = config.channel.rate.unit_interval().ps();
+    const double codes_per_ui = ui / tester.strobe_delay().step().ps();
+    for (const double frac : {0.0, 0.2, 0.45, 0.7, 0.95}) {
+      tester.set_strobe_code(static_cast<std::size_t>(frac * codes_per_ui));
+      const auto ber = tester.run_loopback(256);
+      h.mix_u64(ber.bits_compared);
+      h.mix_u64(ber.errors);
+      h.mix_u64(ber.alignment);
+      mix_bits(tester.last_capture_via_usb());
+    }
+    const auto bist = tester.run_bist(256);
+    h.mix_u64(bist.expected);
+    h.mix_u64(bist.actual);
+    const auto eye = tester.measure_loopback_eye(512);
+    h.mix_u64(eye.jitter.count);
+    for (const double v :
+         {eye.jitter.peak_to_peak.ps(), eye.jitter.rms.ps(),
+          eye.jitter.mean_phase.ps(), eye.eye_opening.ui(),
+          eye.eye_width.ps(), eye.eye_height.mv(), eye.level_high.mv(),
+          eye.level_low.mv()}) {
+      h.mix_double(v);
+    }
+  };
+
+  acquire(MiniTester::Config{}, 3);
+  MiniTester::Config vernier;
+  vernier.strobe_delay = core::presets::strobe_delay(pecl::TimingMode::kVernier);
+  acquire(vernier, 4);
+  MiniTester::Config drifting;
+  drifting.channel.faults = fault::FaultPlan(5);
+  drifting.channel.faults.schedule({.kind = fault::FaultKind::kDelayDrift,
+                                    .component = "strobe",
+                                    .severity = 0.3});
+  acquire(drifting, 5);
+  EXPECT_EQ(h.digest(), 0x8e34c0f783271232ull);
 }
 
 // ----------------------------------------------------------------- shmoo --

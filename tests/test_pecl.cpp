@@ -453,11 +453,8 @@ TEST(Sampler, StrobeSchedule) {
 }
 
 TEST(Sampler, CapturesKnownPattern) {
-  PeclSampler::Config config;
-  config.threshold = Millivolts{2000.0};
-  config.strobe_rj_sigma = Picoseconds{0.0};
-  config.aperture = Picoseconds{0.0};
-  PeclSampler sampler(config, Rng(31));
+  // Strobes at mid-bit sit far outside the aperture and the strobe RJ.
+  PeclSampler sampler(Rng(31));
 
   const auto bits = BitVector::from_string("1100101001110100");
   const Picoseconds ui{200.0};
@@ -468,17 +465,15 @@ TEST(Sampler, CapturesKnownPattern) {
 
   const auto strobes = PeclSampler::strobe_schedule(
       Picoseconds{100.0 + chain.group_delay().ps()}, ui, bits.size());
-  const auto capture = sampler.capture(edges, chain, levels, strobes);
+  const auto capture =
+      sampler.capture(edges, chain, levels, strobes, Millivolts{2000.0});
   EXPECT_EQ(capture.bits, bits);
   ASSERT_EQ(capture.analog.size(), bits.size());
   EXPECT_GT(capture.analog[0].mv(), 2300.0);  // settled high
 }
 
 TEST(Sampler, ApertureCausesMetastabilityOnEdges) {
-  PeclSampler::Config config;
-  config.aperture = Picoseconds{20.0};
-  config.strobe_rj_sigma = Picoseconds{0.0};
-  PeclSampler sampler(config, Rng(32));
+  PeclSampler sampler(Rng(32));
 
   // Strobe exactly on the data edges: captures must be a random mix.
   const auto bits = BitVector::alternating(2000);
@@ -492,7 +487,8 @@ TEST(Sampler, ApertureCausesMetastabilityOnEdges) {
   const auto strobes = PeclSampler::strobe_schedule(
       Picoseconds{200.0 + chain.group_delay().ps() * std::log(2.0)}, ui,
       bits.size() - 2);
-  const auto capture = sampler.capture(edges, chain, levels, strobes);
+  const auto capture =
+      sampler.capture(edges, chain, levels, strobes, Millivolts{2000.0});
   const double ones = static_cast<double>(capture.bits.popcount()) /
                       static_cast<double>(capture.bits.size());
   EXPECT_GT(ones, 0.15);
@@ -500,10 +496,10 @@ TEST(Sampler, ApertureCausesMetastabilityOnEdges) {
 }
 
 TEST(Sampler, EmptyStrobesThrow) {
-  PeclSampler sampler(PeclSampler::Config{}, Rng(33));
+  PeclSampler sampler(Rng(33));
   sig::FilterChain chain;
   EXPECT_THROW(sampler.capture(sig::EdgeStream{false}, chain,
-                               sig::PeclLevels{}, {}),
+                               sig::PeclLevels{}, {}, Millivolts{2000.0}),
                Error);
 }
 

@@ -1273,9 +1273,8 @@ TEST(SparseStrobe, MiniTesterAcquisitionsMatchDenseBitForBit) {
   // with the sampler's aperture and strobe RJ. Every bit must agree.
   core::TestSystem system(core::presets::minitester(GbitsPerSec{2.5}), 42);
   const minitester::WlpDut dut{minitester::WlpDut::Config{}};
-  const pecl::PeclSampler::Config sampler;
   const std::size_t n_bits = 128;
-  const std::size_t warmup = 16;
+  const std::size_t warmup = core::kWarmupBits;
   std::size_t acquisitions = 0;
   std::size_t bit_diffs = 0;
   double max_diff = 0.0;
@@ -1297,11 +1296,11 @@ TEST(SparseStrobe, MiniTesterAcquisitionsMatchDenseBitForBit) {
 
       sig::StrobeSampler::Config config{
           .threshold = sig::attenuated(stim.levels, chain.gain()).midpoint(),
-          .strobe_rj_sigma = sampler.strobe_rj_sigma,
-          .aperture = sampler.aperture,
+          .strobe_rj_sigma = pecl::PeclSampler::kStrobeRjSigma,
+          .aperture = pecl::PeclSampler::kAperture,
       };
       const sig::RenderConfig rc{.levels = stim.levels,
-                                 .sample_step = sampler.sample_step};
+                                 .sample_step = pecl::PeclSampler::kSampleStep};
       const Picoseconds t_begin = strobes.front() - Picoseconds{2000.0};
       const Picoseconds t_end = strobes.back() + Picoseconds{2000.0};
       sig::StrobeSampler sparse{strobes, config, Rng(acquisitions)};
