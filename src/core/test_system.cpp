@@ -18,27 +18,19 @@ namespace {
 
 constexpr std::uint8_t kUsbAddress = 5;
 
-/// Render window + grid settings of one scope-style acquisition.
-struct AcqWindow {
-  Picoseconds begin{0.0};
-  Picoseconds end{0.0};
-  sig::RenderConfig render;
-};
-
-AcqWindow acquisition_window(const core::Stimulus& stimulus,
-                             std::size_t n_bits, const EyeOptions& options) {
-  AcqWindow w;
-  w.begin = stimulus.bit_time(options.warmup_bits);
-  w.end = stimulus.bit_time(n_bits);
-  w.render = sig::RenderConfig{.levels = stimulus.levels,
-                               .sample_step = options.sample_step};
-  return w;
-}
-
 }  // namespace
 
 Picoseconds Stimulus::bit_time(std::size_t k) const {
   return Picoseconds{t0.ps() + static_cast<double>(k) * ui.ps()};
+}
+
+Stimulus::Window Stimulus::window(const EyeOptions& options) const {
+  return Window{
+      .begin = bit_time(options.warmup_bits),
+      .end = bit_time(bits.size()),
+      .render = sig::RenderConfig{.levels = levels,
+                                  .sample_step = options.sample_step},
+  };
 }
 
 std::vector<Picoseconds> Stimulus::boundary_grid(std::size_t n) const {
@@ -98,8 +90,7 @@ pecl::PeclSampler::Capture Stimulus::capture(pecl::PeclSampler& sampler,
                                              Picoseconds first) const {
   return sampler.capture(
       edges, chain, levels,
-      pecl::PeclSampler::strobe_schedule(first, ui, strobe_count()),
-      rails().midpoint());
+      pecl::PeclSampler::strobe_schedule(first, ui, strobe_count()));
 }
 
 TestSystem::TestSystem(ChannelConfig config, std::uint64_t seed)
@@ -326,7 +317,7 @@ ana::EyeDiagram TestSystem::acquire_eye(std::size_t n_bits,
                                         EyeOptions options) {
   const obs::ProfileScope profile("core.acquire_eye");
   const Stimulus stimulus = generate(n_bits);
-  const AcqWindow window = acquisition_window(stimulus, n_bits, options);
+  const Stimulus::Window window = stimulus.window(options);
   return ana::accumulate_eye(stimulus.edges, stimulus.chain, window.render,
                              window.begin, window.end,
                              stimulus.eye_frame(options));
@@ -342,7 +333,7 @@ TestSystem::RiseFall TestSystem::measure_risefall(std::size_t n_bits,
   const Stimulus stimulus = generate(n_bits);
   const sig::PeclLevels rails = stimulus.rails();
   ana::RiseFallMeter meter(rails.vol, rails.voh);
-  const AcqWindow window = acquisition_window(stimulus, n_bits, options);
+  const Stimulus::Window window = stimulus.window(options);
   sig::render(stimulus.edges, stimulus.chain, window.render, window.begin,
               window.end, {&meter});
   RiseFall out;
@@ -369,7 +360,7 @@ ana::CrossoverJitter TestSystem::measure_single_edge_jitter(
   const Stimulus stimulus = generate(n_bits);
 
   const Millivolts threshold = stimulus.rails().midpoint();
-  const AcqWindow window = acquisition_window(stimulus, n_bits, EyeOptions{});
+  const Stimulus::Window window = stimulus.window();
   const auto recorder = sig::accumulate_chunked<sig::CrossingRecorder>(
       stimulus.edges, stimulus.chain, window.render, window.begin, window.end,
       {}, [&] { return sig::CrossingRecorder(threshold); });
@@ -384,7 +375,7 @@ TestSystem::Amplitude TestSystem::measure_amplitude(std::size_t n_bits,
                                                     EyeOptions options) {
   const Stimulus stimulus = generate(n_bits);
   const Millivolts threshold = stimulus.rails().midpoint();
-  const AcqWindow window = acquisition_window(stimulus, n_bits, options);
+  const Stimulus::Window window = stimulus.window(options);
   const auto tracker = sig::accumulate_chunked<sig::AmplitudeTracker>(
       stimulus.edges, stimulus.chain, window.render, window.begin, window.end,
       {}, [&] { return sig::AmplitudeTracker(threshold); });

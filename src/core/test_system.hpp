@@ -79,6 +79,15 @@ struct Stimulus {
 
   /// Nominal time t0 + k*ui of bit boundary k.
   [[nodiscard]] Picoseconds bit_time(std::size_t k) const;
+  /// Scope-style acquisition window over the generated bits:
+  /// [bit_time(options.warmup_bits), bit_time(n)), rendered at the output
+  /// levels on options.sample_step.
+  struct Window {
+    Picoseconds begin{0.0};
+    Picoseconds end{0.0};
+    sig::RenderConfig render;
+  };
+  [[nodiscard]] Window window(const EyeOptions& options = {}) const;
   /// Nominal bit-boundary times t0 + k*ui for k in [0, n].
   [[nodiscard]] std::vector<Picoseconds> boundary_grid(std::size_t n) const;
 

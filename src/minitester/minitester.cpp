@@ -142,9 +142,10 @@ MiniTester::BistResult MiniTester::run_bist(std::size_t n_bits) {
 ana::EyeMetrics MiniTester::measure_loopback_eye(std::size_t n_bits) {
   const core::Stimulus path = through_dut(n_bits);
   MGT_CHECK(!path.edges.empty(), "cannot take an eye of a stuck output");
+  const core::Stimulus::Window window = path.window();
   ana::EyeDiagram eye(path.eye_frame());
-  sig::render(path.edges, path.chain, sig::RenderConfig{.levels = path.levels},
-              path.bit_time(core::kWarmupBits), path.bit_time(n_bits), {&eye});
+  sig::render(path.edges, path.chain, window.render, window.begin, window.end,
+              {&eye});
   return eye.metrics();
 }
 

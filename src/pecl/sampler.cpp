@@ -20,12 +20,11 @@ std::vector<Picoseconds> PeclSampler::strobe_schedule(Picoseconds first,
 
 PeclSampler::Capture PeclSampler::capture(
     const sig::EdgeStream& stream, const sig::FilterChain& chain,
-    const sig::PeclLevels& levels, const std::vector<Picoseconds>& strobes,
-    Millivolts threshold) {
+    const sig::PeclLevels& levels, const std::vector<Picoseconds>& strobes) {
   MGT_CHECK(!strobes.empty(), "capture needs at least one strobe");
 
   sig::StrobeSampler::Config sampler_config{
-      .threshold = threshold,
+      .threshold = sig::attenuated(levels, chain.gain()).midpoint(),
       .strobe_rj_sigma = kStrobeRjSigma,
       .aperture = kAperture,
   };

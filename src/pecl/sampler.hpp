@@ -41,13 +41,13 @@ public:
   };
 
   /// Renders `stream` (levels + bandwidth chain) and captures it at the
-  /// given strobes, deciding each bit against `threshold`. The render
-  /// window automatically pads around the strobes so the filter is settled.
+  /// given strobes, deciding each bit at the midpoint of the levels as the
+  /// chain's DC gain delivers them. The render window automatically pads
+  /// around the strobes so the filter is settled.
   Capture capture(const sig::EdgeStream& stream,
                   const sig::FilterChain& chain,
                   const sig::PeclLevels& levels,
-                  const std::vector<Picoseconds>& strobes,
-                  Millivolts threshold);
+                  const std::vector<Picoseconds>& strobes);
 
 private:
   Rng rng_;

@@ -465,8 +465,7 @@ TEST(Sampler, CapturesKnownPattern) {
 
   const auto strobes = PeclSampler::strobe_schedule(
       Picoseconds{100.0 + chain.group_delay().ps()}, ui, bits.size());
-  const auto capture =
-      sampler.capture(edges, chain, levels, strobes, Millivolts{2000.0});
+  const auto capture = sampler.capture(edges, chain, levels, strobes);
   EXPECT_EQ(capture.bits, bits);
   ASSERT_EQ(capture.analog.size(), bits.size());
   EXPECT_GT(capture.analog[0].mv(), 2300.0);  // settled high
@@ -487,8 +486,7 @@ TEST(Sampler, ApertureCausesMetastabilityOnEdges) {
   const auto strobes = PeclSampler::strobe_schedule(
       Picoseconds{200.0 + chain.group_delay().ps() * std::log(2.0)}, ui,
       bits.size() - 2);
-  const auto capture =
-      sampler.capture(edges, chain, levels, strobes, Millivolts{2000.0});
+  const auto capture = sampler.capture(edges, chain, levels, strobes);
   const double ones = static_cast<double>(capture.bits.popcount()) /
                       static_cast<double>(capture.bits.size());
   EXPECT_GT(ones, 0.15);
@@ -498,9 +496,9 @@ TEST(Sampler, ApertureCausesMetastabilityOnEdges) {
 TEST(Sampler, EmptyStrobesThrow) {
   PeclSampler sampler(Rng(33));
   sig::FilterChain chain;
-  EXPECT_THROW(sampler.capture(sig::EdgeStream{false}, chain,
-                               sig::PeclLevels{}, {}, Millivolts{2000.0}),
-               Error);
+  EXPECT_THROW(
+      sampler.capture(sig::EdgeStream{false}, chain, sig::PeclLevels{}, {}),
+      Error);
 }
 
 }  // namespace
