@@ -66,83 +66,67 @@ std::string tap_state_name(TapState state) {
 
 TapDevice::TapDevice(std::uint32_t idcode, FlashMemory* flash,
                      std::size_t boundary_length)
-    : idcode_(idcode), flash_(flash), pins_(boundary_length, false),
-      driven_pins_(boundary_length, false) {}
-
-void TapDevice::set_pins(const std::vector<bool>& pins) {
-  MGT_CHECK(pins.size() == pins_.size(), "boundary length mismatch");
-  pins_ = pins;
+    : idcode_(idcode), flash_(flash), driven_pins_(boundary_length, false) {
+  MGT_CHECK(boundary_length <= kMaxDrLength,
+            "boundary register longer than the 64-bit data register");
 }
 
-std::size_t TapDevice::dr_length() const {
-  switch (ir_) {
-    case tap_ins::kIdcode:
-      return 32;
-    case tap_ins::kSample:
-    case tap_ins::kExtest:
-      return pins_.size();
-    case tap_ins::kFlashAddr:
-    case tap_ins::kFlashErase:
-      return 32;
-    case tap_ins::kFlashData:
-      return 8;
-    case tap_ins::kBypass:
-    default:
-      return 1;  // unknown instructions select BYPASS per the standard
+void TapDevice::set_pins(const std::vector<bool>& pins) {
+  MGT_CHECK(pins.size() == driven_pins_.size(), "boundary length mismatch");
+  pins_ = 0;
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    pins_ |= static_cast<std::uint64_t>(pins[i]) << i;
   }
 }
 
 void TapDevice::capture_dr() {
-  dr_shift_.assign(dr_length(), false);
+  dr_shift_ = 0;  // BYPASS/addr/erase capture zeros
   switch (ir_) {
     case tap_ins::kIdcode:
-      for (std::size_t i = 0; i < 32; ++i) {
-        dr_shift_[i] = (idcode_ >> i) & 1u;
-      }
+      dr_length_ = 32;
+      dr_shift_ = idcode_;
       break;
     case tap_ins::kSample:
     case tap_ins::kExtest:
-      for (std::size_t i = 0; i < pins_.size(); ++i) {
-        dr_shift_[i] = pins_[i];
-      }
+      dr_length_ = driven_pins_.size();
+      dr_shift_ = pins_;
+      break;
+    case tap_ins::kFlashAddr:
+    case tap_ins::kFlashErase:
+      dr_length_ = 32;
       break;
     case tap_ins::kFlashData:
+      dr_length_ = 8;
       if (flash_ != nullptr && flash_addr_ < flash_->size()) {
-        const std::uint8_t byte = flash_->read(flash_addr_);
-        for (std::size_t i = 0; i < 8; ++i) {
-          dr_shift_[i] = (byte >> i) & 1u;
-        }
+        dr_shift_ = flash_->read(flash_addr_);
       }
       break;
+    case tap_ins::kBypass:
     default:
-      break;  // BYPASS/addr/erase capture zeros
+      dr_length_ = 1;  // unknown instructions select BYPASS per the standard
+      break;
   }
 }
 
 void TapDevice::update_dr() {
-  auto dr_value = [&]() {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < dr_shift_.size(); ++i) {
-      v |= static_cast<std::uint64_t>(dr_shift_[i]) << i;
-    }
-    return v;
-  };
   switch (ir_) {
     case tap_ins::kExtest:
-      driven_pins_.assign(dr_shift_.begin(), dr_shift_.end());
+      for (std::size_t i = 0; i < dr_length_; ++i) {
+        driven_pins_[i] = (dr_shift_ >> i) & 1u;
+      }
       break;
     case tap_ins::kFlashAddr:
-      flash_addr_ = static_cast<std::uint32_t>(dr_value());
+      flash_addr_ = static_cast<std::uint32_t>(dr_shift_);
       break;
     case tap_ins::kFlashData:
       if (flash_ != nullptr) {
-        flash_->program(flash_addr_, static_cast<std::uint8_t>(dr_value()));
+        flash_->program(flash_addr_, static_cast<std::uint8_t>(dr_shift_));
         ++flash_addr_;  // auto-increment for streaming writes
       }
       break;
     case tap_ins::kFlashErase:
       if (flash_ != nullptr) {
-        flash_->erase_sector(static_cast<std::size_t>(dr_value()));
+        flash_->erase_sector(static_cast<std::size_t>(dr_shift_));
       }
       break;
     default:
@@ -157,12 +141,10 @@ bool TapDevice::clock(bool tms, bool tdi) {
     tdo = ir_shift_ & 1u;
     ir_shift_ = (ir_shift_ >> 1) |
                 (static_cast<std::uint64_t>(tdi) << (kIrLength - 1));
-  } else if (state_ == TapState::ShiftDr && !dr_shift_.empty()) {
-    tdo = dr_shift_.front();
-    for (std::size_t i = 0; i + 1 < dr_shift_.size(); ++i) {
-      dr_shift_[i] = dr_shift_[i + 1];
-    }
-    dr_shift_.back() = tdi;
+  } else if (state_ == TapState::ShiftDr && dr_length_ != 0) {
+    tdo = dr_shift_ & 1u;
+    dr_shift_ = (dr_shift_ >> 1) |
+                (static_cast<std::uint64_t>(tdi) << (dr_length_ - 1));
   }
 
   state_ = tap_next_state(state_, tms);
@@ -217,17 +199,16 @@ void JtagHost::shift_ir(std::uint8_t instruction) {
   MGT_CHECK(device_.state() == TapState::RunTestIdle);
 }
 
-std::vector<bool> JtagHost::shift_dr(const std::vector<bool>& bits_in) {
-  MGT_CHECK(!bits_in.empty());
+std::uint64_t JtagHost::shift_dr(std::uint64_t bits, std::size_t length) {
+  MGT_CHECK(length >= 1 && length <= TapDevice::kMaxDrLength);
   // RTI -> Select-DR -> Capture-DR -> Shift-DR
   clock(true, false);
   clock(false, false);
   clock(false, false);
-  std::vector<bool> out;
-  out.reserve(bits_in.size());
-  for (std::size_t i = 0; i < bits_in.size(); ++i) {
-    const bool last = i + 1 == bits_in.size();
-    out.push_back(clock(last, bits_in[i]));
+  std::uint64_t out = 0;
+  for (std::size_t i = 0; i < length; ++i) {
+    const bool last = i + 1 == length;
+    out |= static_cast<std::uint64_t>(clock(last, (bits >> i) & 1u)) << i;
   }
   clock(true, false);   // Exit1-DR -> Update-DR
   clock(false, false);  // -> Run-Test/Idle
@@ -237,31 +218,18 @@ std::vector<bool> JtagHost::shift_dr(const std::vector<bool>& bits_in) {
 
 std::uint32_t JtagHost::read_idcode() {
   shift_ir(tap_ins::kIdcode);
-  const auto bits = shift_dr(std::vector<bool>(32, false));
-  std::uint32_t id = 0;
-  for (std::size_t i = 0; i < 32; ++i) {
-    id |= static_cast<std::uint32_t>(bits[i]) << i;
-  }
-  return id;
+  return static_cast<std::uint32_t>(shift_dr(0, 32));
 }
 
 void JtagHost::write_flash_address(std::uint32_t addr) {
   shift_ir(tap_ins::kFlashAddr);
-  std::vector<bool> bits(32);
-  for (std::size_t i = 0; i < 32; ++i) {
-    bits[i] = (addr >> i) & 1u;
-  }
-  shift_dr(bits);
+  shift_dr(addr, 32);
 }
 
 void JtagHost::program_flash_bytes(const std::vector<std::uint8_t>& bytes) {
   shift_ir(tap_ins::kFlashData);
   for (std::uint8_t byte : bytes) {
-    std::vector<bool> bits(8);
-    for (std::size_t i = 0; i < 8; ++i) {
-      bits[i] = (byte >> i) & 1u;
-    }
-    shift_dr(bits);
+    shift_dr(byte, 8);
   }
 }
 
@@ -274,23 +242,14 @@ std::vector<std::uint8_t> JtagHost::read_flash_bytes(std::uint32_t addr,
     // back because Update-DR would program 0xFF (no bit cleared).
     write_flash_address(addr + static_cast<std::uint32_t>(k));
     shift_ir(tap_ins::kFlashData);
-    const auto bits = shift_dr(std::vector<bool>(8, true));
-    std::uint8_t byte = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      byte |= static_cast<std::uint8_t>(bits[i]) << i;
-    }
-    out.push_back(byte);
+    out.push_back(static_cast<std::uint8_t>(shift_dr(0xFF, 8)));
   }
   return out;
 }
 
 void JtagHost::erase_flash_sector(std::uint32_t sector) {
   shift_ir(tap_ins::kFlashErase);
-  std::vector<bool> bits(32);
-  for (std::size_t i = 0; i < 32; ++i) {
-    bits[i] = (sector >> i) & 1u;
-  }
-  shift_dr(bits);
+  shift_dr(sector, 32);
 }
 
 void JtagHost::program_flash_image(std::uint32_t addr,

@@ -4,6 +4,8 @@
 // interface (Fig 2: "MultiLink adaptor" + "IEEE 1149.1"). This is a full
 // 16-state TAP controller with IDCODE, BYPASS, SAMPLE/EXTEST boundary
 // registers and vendor data registers that stream bytes into the FLASH.
+// Every data register is at most 64 bits, so the shift register is one
+// word plus its captured length (DESIGN §4 "The boot at word speed").
 #pragma once
 
 #include <cstdint>
@@ -51,11 +53,18 @@ inline constexpr std::uint8_t kFlashErase = 0x12;  // 32-bit sector DR
 inline constexpr std::uint8_t kBypass = 0xFF;
 }  // namespace tap_ins
 
-/// The DLC-side TAP device: state machine + IR + data registers.
+/// The DLC-side TAP device: state machine + IR + data registers. The
+/// selected data register is one word: Capture-DR loads it (bit i = cell
+/// i), Shift-DR moves bit 0 to TDO and TDI into the top cell, and Update-DR
+/// reads it back as an integer.
 class TapDevice {
 public:
+  /// Longest data register a scan can select (the word width).
+  static constexpr std::size_t kMaxDrLength = 64;
+
   /// `flash` may be null if flash instructions are unused; `boundary_length`
-  /// is the number of boundary-scan cells (one per pin).
+  /// is the number of boundary-scan cells (one per pin), at most
+  /// kMaxDrLength. A zero-length boundary register shifts nothing.
   TapDevice(std::uint32_t idcode, FlashMemory* flash,
             std::size_t boundary_length = 16);
 
@@ -75,7 +84,6 @@ public:
   static constexpr std::size_t kIrLength = 8;
 
 private:
-  [[nodiscard]] std::size_t dr_length() const;
   void capture_dr();
   void update_dr();
 
@@ -84,11 +92,13 @@ private:
   std::uint32_t idcode_;
   FlashMemory* flash_;
   std::uint32_t flash_addr_ = 0;
-  std::vector<bool> pins_;
+  std::uint64_t pins_ = 0;  // bit i = boundary cell i
   std::vector<bool> driven_pins_;
   // Shift registers (LSB-first shifting: TDO from bit 0, TDI into the top).
+  // A captured DR value is below 2^dr_length_, and each shift keeps it so.
   std::uint64_t ir_shift_ = 0;
-  std::vector<bool> dr_shift_;
+  std::uint64_t dr_shift_ = 0;
+  std::size_t dr_length_ = 0;
 };
 
 /// Host-side driver: wiggles TMS/TDI to navigate the TAP and run scans,
@@ -104,9 +114,10 @@ public:
   /// Loads an instruction (kIrLength bits, LSB first); ends in Run-Test/Idle.
   void shift_ir(std::uint8_t instruction);
 
-  /// Shifts `bits_in` through the selected DR; returns the bits shifted
-  /// out (same length); ends in Run-Test/Idle.
-  std::vector<bool> shift_dr(const std::vector<bool>& bits_in);
+  /// Shifts the low `length` bits of `bits` (1..64, LSB first) through the
+  /// selected DR, one TCK each; returns the bits shifted out, bit i the
+  /// TDO of the i-th shift; ends in Run-Test/Idle.
+  std::uint64_t shift_dr(std::uint64_t bits, std::size_t length);
 
   /// Convenience scans.
   std::uint32_t read_idcode();

@@ -7,16 +7,9 @@
 
 namespace mgt {
 
-namespace {
-constexpr std::size_t kBitsPerWord = 64;
-
-std::size_t words_for(std::size_t bits) {
-  return (bits + kBitsPerWord - 1) / kBitsPerWord;
-}
-}  // namespace
-
 BitVector::BitVector(std::size_t n, bool fill)
-    : words_(words_for(n), fill ? ~0ULL : 0ULL), size_(n) {
+    : words_((n + kBitsPerWord - 1) / kBitsPerWord, fill ? ~0ULL : 0ULL),
+      size_(n) {
   if (fill && n % kBitsPerWord != 0) {
     // Keep unused high bits of the last word zero so popcount stays honest.
     words_.back() &= (1ULL << (n % kBitsPerWord)) - 1;
@@ -50,21 +43,6 @@ BitVector BitVector::alternating(std::size_t n, bool first) {
     out.set(i, (i % 2 == 0) == first);
   }
   return out;
-}
-
-bool BitVector::get(std::size_t i) const {
-  MGT_CHECK(i < size_, "BitVector index out of range");
-  return (words_[i / kBitsPerWord] >> (i % kBitsPerWord)) & 1ULL;
-}
-
-void BitVector::set(std::size_t i, bool value) {
-  MGT_CHECK(i < size_, "BitVector index out of range");
-  const std::uint64_t mask = 1ULL << (i % kBitsPerWord);
-  if (value) {
-    words_[i / kBitsPerWord] |= mask;
-  } else {
-    words_[i / kBitsPerWord] &= ~mask;
-  }
 }
 
 void BitVector::push_back(bool bit) {

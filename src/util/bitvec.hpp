@@ -8,6 +8,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace mgt {
 
 class Rng;
@@ -34,8 +36,19 @@ public:
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  [[nodiscard]] bool get(std::size_t i) const;
-  void set(std::size_t i, bool value);
+  [[nodiscard]] bool get(std::size_t i) const {
+    MGT_CHECK(i < size_, "BitVector index out of range");
+    return (words_[i / kBitsPerWord] >> (i % kBitsPerWord)) & 1ULL;
+  }
+  void set(std::size_t i, bool value) {
+    MGT_CHECK(i < size_, "BitVector index out of range");
+    const std::uint64_t mask = 1ULL << (i % kBitsPerWord);
+    if (value) {
+      words_[i / kBitsPerWord] |= mask;
+    } else {
+      words_[i / kBitsPerWord] &= ~mask;
+    }
+  }
   [[nodiscard]] bool operator[](std::size_t i) const { return get(i); }
 
   void push_back(bool bit);
@@ -71,6 +84,8 @@ public:
   friend bool operator==(const BitVector& a, const BitVector& b) = default;
 
 private:
+  static constexpr std::size_t kBitsPerWord = 64;
+
   std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;
 };

@@ -2,8 +2,12 @@
 // bitstream/FLASH, IEEE 1149.1 TAP, USB protocol, and the DLC.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "digital/bitstream.hpp"
 #include "digital/dlc.hpp"
@@ -13,6 +17,7 @@
 #include "digital/pattern.hpp"
 #include "digital/registers.hpp"
 #include "digital/usb.hpp"
+#include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -268,33 +273,24 @@ TEST(Jtag, ReadIdcode) {
   EXPECT_EQ(host.read_idcode(), 0x2005DA7Eu);
   // Reset selects IDCODE automatically; read again without shift_ir.
   host.reset();
-  const auto bits = host.shift_dr(std::vector<bool>(32, false));
-  std::uint32_t id = 0;
-  for (int i = 0; i < 32; ++i) {
-    id |= static_cast<std::uint32_t>(bits[i]) << i;
-  }
-  EXPECT_EQ(id, 0x2005DA7Eu);
+  EXPECT_EQ(host.shift_dr(0, 32), 0x2005DA7Eu);
 }
 
 TEST(Jtag, BypassIsOneBit) {
   TapDevice tap(1, nullptr);
   JtagHost host(tap);
   host.shift_ir(tap_ins::kBypass);
-  // Shifting N bits through a 1-bit bypass returns them delayed by one.
-  const std::vector<bool> in = {true, false, true, true, false};
-  const auto out = host.shift_dr(in);
-  for (std::size_t i = 1; i < in.size(); ++i) {
-    EXPECT_EQ(out[i], in[i - 1]);
-  }
+  // Shifting N bits through a 1-bit bypass returns them delayed by one,
+  // behind the captured zero.
+  const std::uint64_t in = 0b01101;
+  EXPECT_EQ(host.shift_dr(in, 5), (in << 1) & 0b11111);
 }
 
 TEST(Jtag, UnknownInstructionSelectsBypass) {
   TapDevice tap(1, nullptr);
   JtagHost host(tap);
   host.shift_ir(0x5A);
-  const auto out = host.shift_dr({true, false, true});
-  EXPECT_EQ(out[1], true);
-  EXPECT_EQ(out[2], false);
+  EXPECT_EQ(host.shift_dr(0b101, 3), 0b010u);
 }
 
 TEST(Jtag, FlashProgramAndVerify) {
@@ -328,12 +324,354 @@ TEST(Jtag, BoundaryScanSampleAndExtest) {
   JtagHost host(tap);
   tap.set_pins({true, false, true, true});
   host.shift_ir(tap_ins::kSample);
-  const auto sampled = host.shift_dr(std::vector<bool>(4, false));
-  EXPECT_EQ(sampled, (std::vector<bool>{true, false, true, true}));
+  EXPECT_EQ(host.shift_dr(0, 4), 0b1101u);  // pin i -> bit i
 
   host.shift_ir(tap_ins::kExtest);
-  host.shift_dr({false, true, false, true});
+  host.shift_dr(0b1010, 4);
   EXPECT_EQ(tap.driven_pins(), (std::vector<bool>{false, true, false, true}));
+}
+
+TEST(Jtag, DataRegisterIsAtMostOneWord) {
+  EXPECT_NO_THROW(TapDevice(1, nullptr, TapDevice::kMaxDrLength));
+  EXPECT_THROW(TapDevice(1, nullptr, TapDevice::kMaxDrLength + 1), Error);
+  TapDevice tap(1, nullptr);
+  JtagHost host(tap);
+  const auto cycles = host.tck_cycles();
+  EXPECT_THROW(host.shift_dr(0, 0), Error);
+  EXPECT_THROW(host.shift_dr(0, TapDevice::kMaxDrLength + 1), Error);
+  EXPECT_EQ(host.tck_cycles(), cycles);  // rejected before any TCK
+}
+
+TEST(Jtag, ZeroLengthBoundaryShiftsNothing) {
+  TapDevice tap(1, nullptr, 0);
+  JtagHost host(tap);
+  tap.set_pins({});
+  host.shift_ir(tap_ins::kSample);
+  EXPECT_EQ(host.shift_dr(0b111, 3), 0u);
+  host.shift_ir(tap_ins::kExtest);
+  host.shift_dr(~0ull, 4);
+  EXPECT_TRUE(tap.driven_pins().empty());
+}
+
+/// The TAP as it was with a std::vector<bool> data register that moves
+/// every cell on every TCK. It is the oracle for TapDevice's one-word
+/// register: both must agree clock for clock.
+class BitLevelTap {
+public:
+  BitLevelTap(std::uint32_t idcode, FlashMemory* flash,
+              std::size_t boundary_length)
+      : idcode_(idcode), flash_(flash), pins_(boundary_length, false),
+        driven_pins_(boundary_length, false) {}
+
+  void set_pins(const std::vector<bool>& pins) { pins_ = pins; }
+  [[nodiscard]] TapState state() const { return state_; }
+  [[nodiscard]] std::uint8_t instruction() const { return ir_; }
+  [[nodiscard]] const std::vector<bool>& driven_pins() const {
+    return driven_pins_;
+  }
+
+  bool clock(bool tms, bool tdi) {
+    bool tdo = false;
+    if (state_ == TapState::ShiftIr) {
+      tdo = ir_shift_ & 1u;
+      ir_shift_ = (ir_shift_ >> 1) | (static_cast<std::uint64_t>(tdi)
+                                      << (TapDevice::kIrLength - 1));
+    } else if (state_ == TapState::ShiftDr && !dr_shift_.empty()) {
+      tdo = dr_shift_.front();
+      for (std::size_t i = 0; i + 1 < dr_shift_.size(); ++i) {
+        dr_shift_[i] = dr_shift_[i + 1];
+      }
+      dr_shift_.back() = tdi;
+    }
+    state_ = tap_next_state(state_, tms);
+    switch (state_) {
+      case TapState::TestLogicReset: ir_ = tap_ins::kIdcode; break;
+      case TapState::CaptureIr: ir_shift_ = 0b01; break;
+      case TapState::UpdateIr:
+        ir_ = static_cast<std::uint8_t>(ir_shift_ & 0xFFu);
+        break;
+      case TapState::CaptureDr: capture_dr(); break;
+      case TapState::UpdateDr: update_dr(); break;
+      default: break;
+    }
+    return tdo;
+  }
+
+private:
+  [[nodiscard]] std::size_t dr_length() const {
+    switch (ir_) {
+      case tap_ins::kIdcode:
+      case tap_ins::kFlashAddr:
+      case tap_ins::kFlashErase: return 32;
+      case tap_ins::kSample:
+      case tap_ins::kExtest: return pins_.size();
+      case tap_ins::kFlashData: return 8;
+      default: return 1;
+    }
+  }
+
+  void capture_dr() {
+    dr_shift_.assign(dr_length(), false);
+    switch (ir_) {
+      case tap_ins::kIdcode:
+        for (std::size_t i = 0; i < 32; ++i) {
+          dr_shift_[i] = (idcode_ >> i) & 1u;
+        }
+        break;
+      case tap_ins::kSample:
+      case tap_ins::kExtest:
+        for (std::size_t i = 0; i < pins_.size(); ++i) {
+          dr_shift_[i] = pins_[i];
+        }
+        break;
+      case tap_ins::kFlashData:
+        if (flash_ != nullptr && flash_addr_ < flash_->size()) {
+          const std::uint8_t byte = flash_->read(flash_addr_);
+          for (std::size_t i = 0; i < 8; ++i) {
+            dr_shift_[i] = (byte >> i) & 1u;
+          }
+        }
+        break;
+      default:
+        break;
+    }
+  }
+
+  void update_dr() {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < dr_shift_.size(); ++i) {
+      v |= static_cast<std::uint64_t>(dr_shift_[i]) << i;
+    }
+    switch (ir_) {
+      case tap_ins::kExtest:
+        driven_pins_.assign(dr_shift_.begin(), dr_shift_.end());
+        break;
+      case tap_ins::kFlashAddr:
+        flash_addr_ = static_cast<std::uint32_t>(v);
+        break;
+      case tap_ins::kFlashData:
+        if (flash_ != nullptr) {
+          flash_->program(flash_addr_, static_cast<std::uint8_t>(v));
+          ++flash_addr_;
+        }
+        break;
+      case tap_ins::kFlashErase:
+        if (flash_ != nullptr) {
+          flash_->erase_sector(static_cast<std::size_t>(v));
+        }
+        break;
+      default:
+        break;
+    }
+  }
+
+  TapState state_ = TapState::TestLogicReset;
+  std::uint8_t ir_ = tap_ins::kIdcode;
+  std::uint32_t idcode_;
+  FlashMemory* flash_;
+  std::uint32_t flash_addr_ = 0;
+  std::vector<bool> pins_;
+  std::vector<bool> driven_pins_;
+  std::uint64_t ir_shift_ = 0;
+  std::vector<bool> dr_shift_;
+};
+
+class TapOracle
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
+};
+
+TEST_P(TapOracle, WordRegisterMatchesBitLevelTapEveryClock) {
+  const auto [seed, boundary] = GetParam();
+  FlashMemory flash(4, 64);
+  FlashMemory ref_flash(4, 64);
+  TapDevice tap(0x2005DA7E, &flash, boundary);
+  BitLevelTap ref(0x2005DA7E, &ref_flash, boundary);
+  Rng rng(seed);
+
+  std::string mismatch;
+  std::size_t clocks = 0;
+  std::size_t throws = 0;
+  std::size_t reentries = 0;
+  std::size_t programmed = 0;  // segments that left a programmed byte
+  const auto same_flash = [&] {
+    const auto bytes = flash.read_image(0, flash.size());
+    if (std::count(bytes.begin(), bytes.end(), 0xFF) !=
+        static_cast<std::ptrdiff_t>(bytes.size())) {
+      ++programmed;
+    }
+    bool same = bytes == ref_flash.read_image(0, ref_flash.size());
+    for (std::size_t s = 0; s < 4; ++s) {
+      same = same && flash.wear(s) == ref_flash.wear(s);
+    }
+    return same;
+  };
+  // One TCK on both; records the first disagreement. An Update-DR that
+  // programs or erases out of range throws, and must throw on both.
+  const auto clock = [&](bool tms, bool tdi) {
+    bool tdo = false;
+    bool ref_tdo = false;
+    bool threw = false;
+    bool ref_threw = false;
+    try {
+      tdo = tap.clock(tms, tdi);
+    } catch (const Error&) {
+      threw = true;
+    }
+    try {
+      ref_tdo = ref.clock(tms, tdi);
+    } catch (const Error&) {
+      ref_threw = true;
+    }
+    ++clocks;
+    throws += threw ? 1 : 0;
+    if (mismatch.empty() &&
+        (tdo != ref_tdo || threw != ref_threw || tap.state() != ref.state() ||
+         tap.instruction() != ref.instruction() ||
+         tap.driven_pins() != ref.driven_pins())) {
+      mismatch = "clock " + std::to_string(clocks) + " in " +
+                 tap_state_name(tap.state());
+    }
+  };
+  const auto set_pins = [&] {
+    std::vector<bool> pins(boundary);
+    for (std::size_t i = 0; i < boundary; ++i) {
+      pins[i] = rng.chance(0.5);
+    }
+    tap.set_pins(pins);
+    ref.set_pins(pins);
+  };
+  // Every instruction the device decodes, and one it does not (BYPASS).
+  const std::uint8_t instructions[] = {
+      tap_ins::kExtest,    tap_ins::kIdcode,     tap_ins::kSample,
+      tap_ins::kFlashAddr, tap_ins::kFlashData,  tap_ins::kFlashErase,
+      tap_ins::kBypass,    0x5A};
+  // The register a scan fills for each instruction, in range most times.
+  const auto payload = [&](std::uint8_t ins) -> std::uint64_t {
+    switch (ins) {
+      case tap_ins::kFlashAddr: return rng.below(flash.size() + 4);
+      case tap_ins::kFlashErase: return rng.below(5);  // 4 sectors + 1 bad
+      default: return rng.next();
+    }
+  };
+  const auto natural_length = [&](std::uint8_t ins) -> std::size_t {
+    switch (ins) {
+      case tap_ins::kIdcode:
+      case tap_ins::kFlashAddr:
+      case tap_ins::kFlashErase: return 32;
+      case tap_ins::kSample:
+      case tap_ins::kExtest: return boundary;
+      case tap_ins::kFlashData: return 8;
+      default: return 1;
+    }
+  };
+
+  for (int segment = 0; segment < 400 && mismatch.empty(); ++segment) {
+    if (!same_flash()) {
+      mismatch = "FLASH bytes or wear before segment " +
+                 std::to_string(segment);
+      break;
+    }
+    if (rng.chance(0.3)) {
+      // Free walk: any state, any IR the TDI stream happens to load.
+      for (std::uint64_t n = 1 + rng.below(24); n > 0; --n) {
+        clock(rng.chance(0.3), rng.chance(0.5));
+      }
+      continue;
+    }
+    // Reset, then load a chosen instruction (sometimes via Pause-IR).
+    for (int i = 0; i < 5; ++i) {
+      clock(true, false);
+    }
+    clock(false, false);
+    const std::uint8_t ins = instructions[rng.below(std::size(instructions))];
+    clock(true, false);
+    clock(true, false);
+    clock(false, false);
+    clock(false, false);
+    for (std::size_t i = 0; i < TapDevice::kIrLength; ++i) {
+      clock(i + 1 == TapDevice::kIrLength, (ins >> i) & 1u);
+    }
+    if (rng.chance(0.3)) {
+      clock(false, false);  // Exit1-IR -> Pause-IR
+      clock(true, false);   // -> Exit2-IR
+    }
+    clock(true, false);   // -> Update-IR
+    clock(false, false);  // -> Run-Test/Idle
+    for (std::uint64_t scans = 1 + rng.below(3); scans > 0; --scans) {
+      if (rng.chance(0.3)) {
+        set_pins();
+      }
+      const std::size_t natural = natural_length(ins);
+      const std::size_t length = natural != 0 && rng.chance(0.7)
+                                     ? natural
+                                     : 1 + rng.below(70);
+      const std::uint64_t bits = payload(ins);
+      clock(true, false);   // -> Select-DR-Scan
+      clock(false, false);  // -> Capture-DR
+      clock(false, false);  // -> Shift-DR
+      for (std::size_t i = 0; i < length; ++i) {
+        const bool bit = (bits >> (i % 64)) & 1u;
+        const bool last = i + 1 == length;
+        if (!last && rng.chance(0.1)) {
+          // Shift this bit on the way out, pause, and re-enter Shift-DR
+          // through Exit2-DR.
+          clock(true, bit);                   // -> Exit1-DR
+          clock(false, rng.chance(0.5));      // -> Pause-DR
+          for (std::uint64_t p = rng.below(3); p > 0; --p) {
+            clock(false, rng.chance(0.5));
+          }
+          clock(true, rng.chance(0.5));       // -> Exit2-DR
+          clock(false, rng.chance(0.5));      // -> Shift-DR
+          ++reentries;
+        } else {
+          clock(last, bit);
+        }
+      }
+      if (rng.chance(0.3)) {
+        clock(false, false);  // Exit1-DR -> Pause-DR
+        clock(true, false);   // -> Exit2-DR
+      }
+      clock(true, false);   // -> Update-DR
+      clock(false, false);  // -> Run-Test/Idle
+    }
+  }
+  ASSERT_TRUE(mismatch.empty()) << mismatch;
+  EXPECT_TRUE(same_flash());
+  // The walk reached what it is meant to cover.
+  EXPECT_GT(clocks, 10000u);
+  EXPECT_GT(reentries, 0u);
+  EXPECT_GT(throws, 0u);
+  EXPECT_GT(programmed, 0u);
+  EXPECT_GT(flash.wear(0) + flash.wear(1) + flash.wear(2) + flash.wear(3), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndBoundaries, TapOracle,
+    ::testing::Combine(::testing::Values(11u, 2024u, 0xC0FFEEu),
+                       ::testing::Values(0u, 1u, 16u, 64u)));
+
+TEST(Jtag, BootKeepsEveryFlashByteWearAndTck) {
+  // TestSystem's boot: its image (ChannelConfig's default design name and
+  // a 1,024-byte payload) programmed into a default FLASH over JTAG. The
+  // digest was recorded with the bit-level data register.
+  Bitstream bitstream = named_bitstream("mgt-stimulus");
+  bitstream.payload.assign(1024, 0xA5);
+  const auto image = bitstream.serialize();
+  FlashMemory flash;
+  TapDevice tap(0x2005DA7Eu, &flash);
+  JtagHost host(tap);
+  host.program_flash_image(0, image, flash.sector_size());
+  util::Fnv64 h;
+  for (const std::uint8_t byte : flash.read_image(0, flash.size())) {
+    h.mix_u64(byte);
+  }
+  for (std::size_t s = 0; s < flash.size() / flash.sector_size(); ++s) {
+    h.mix_u64(flash.wear(s));
+  }
+  h.mix_u64(host.tck_cycles());
+  EXPECT_EQ(image.size(), 1056u);
+  EXPECT_EQ(host.tck_cycles(), 96218u);
+  EXPECT_EQ(h.digest(), 0xf32ac8659463ced1ull);
 }
 
 // ------------------------------------------------------------------ usb --
